@@ -50,6 +50,8 @@ class RbfNetwork:
             raise RbfError("widths must be strictly positive")
         self.centers = centers
         self.widths = widths
+        # -d/b is computed as d/(-b): IEEE division rounds both alike
+        self._neg_widths = -widths
 
     @property
     def l(self) -> int:
@@ -84,7 +86,7 @@ class RbfNetwork:
     def basis(self, zbar) -> np.ndarray:
         """Basis vector at input zbar; every component lies in (0, 1]."""
         diff = self.centers - np.asarray(zbar, dtype=float)
-        return np.exp(-(diff * diff).sum(axis=1) / self.widths)
+        return np.exp(np.add.reduce(diff * diff, axis=1) / self._neg_widths)
 
     def output(self, theta, zbar) -> float:
         """Network output theta @ basis(zbar)."""

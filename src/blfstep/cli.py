@@ -11,6 +11,7 @@ without parsing text: 0 all checks pass, 1 configuration problem,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from importlib import resources
@@ -27,7 +28,7 @@ from .controller import (
 )
 from .observer import gain_warnings
 from .plant import Monomial, PlantError, PlantSpec
-from .signals import SignalError, signal_from_dict, signal_to_dict
+from .signals import SignalError, finite_number, signal_from_dict, signal_to_dict
 from .simengine import (
     InfeasibleInitialCondition,
     NonFiniteState,
@@ -72,11 +73,11 @@ def _check_keys(record: dict, allowed, required, path: str, col: _Collector) -> 
 
 
 def _number(record: dict, key: str, path: str, col: _Collector):
-    value = record[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        col.error(f"{path}.{key}", f"expected a number, got {value!r}")
+    try:
+        return finite_number(record[key])
+    except ValueError as exc:
+        col.error(f"{path}.{key}", str(exc))
         return None
-    return float(value)
 
 
 def _int(record: dict, key: str, path: str, col: _Collector):
@@ -89,12 +90,16 @@ def _int(record: dict, key: str, path: str, col: _Collector):
 
 def _number_list(record: dict, key: str, path: str, col: _Collector):
     value = record[key]
-    if not isinstance(value, list) or any(
-        isinstance(v, bool) or not isinstance(v, (int, float)) for v in value
-    ):
+    if not isinstance(value, list):
         col.error(f"{path}.{key}", f"expected a list of numbers, got {value!r}")
         return None
-    return [float(v) for v in value]
+    numbers = []
+    for i, v in enumerate(value):
+        try:
+            numbers.append(finite_number(v))
+        except ValueError as exc:
+            col.error(f"{path}.{key}[{i}]", str(exc))
+    return numbers if len(numbers) == len(value) else None
 
 
 def _parse_signal(record, path: str, col: _Collector):
@@ -201,6 +206,14 @@ def _parse_rbf(record, n: int | None, col: _Collector) -> RbfNetwork | None:
         if net.l != nodes:
             col.error(f"{path}.centers", f"{net.l} centers listed but l = {nodes}")
             return None
+        if n is not None and net.n != n:
+            col.error(f"{path}.centers", f"centers have dimension {net.n}, "
+                                         f"expected the plant order {n}")
+            return None
+        for key, values in (("centers", net.centers), ("widths", net.widths)):
+            if not np.isfinite(values).all():
+                col.error(f"{path}.{key}", "expected finite numbers")
+                return None
         return net
     except (RbfError, ValueError) as exc:
         col.error(path, str(exc))
@@ -245,7 +258,7 @@ def parse_config(text: str) -> RunConfig:
     col = _Collector()
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal past the digit limit
         raise ConfigError([("(document)", f"malformed JSON: {exc}")]) from exc
     if not isinstance(doc, dict):
         raise ConfigError([("(document)", "expected a JSON object")])
@@ -293,19 +306,22 @@ def parse_config(text: str) -> RunConfig:
                 col.error(f".observer_gains[{i}]", f"must be > 0, got {g}")
     col.raise_if_any()
 
-    return RunConfig(
-        plant=plant,
-        constraints=constraints,
-        rbf=rbf,
-        gains=gains,
-        observer_gains=tuple(observer_gains),
-        reference=reference,
-        horizon=horizon,
-        step=step,
-        decimation=decimation,
-        initial_x=tuple(initial_x),
-        output_path=output_path,
-    )
+    try:
+        return RunConfig(
+            plant=plant,
+            constraints=constraints,
+            rbf=rbf,
+            gains=gains,
+            observer_gains=tuple(observer_gains),
+            reference=reference,
+            horizon=horizon,
+            step=step,
+            decimation=decimation,
+            initial_x=tuple(initial_x),
+            output_path=output_path,
+        )
+    except ValueError as exc:
+        raise ConfigError([("(document)", str(exc))]) from None
 
 
 def config_to_dict(config: RunConfig) -> dict:
@@ -535,16 +551,14 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    if args.step is not None:
-        if not args.step > 0:
-            print(f"error: --step must be > 0, got {args.step}", file=sys.stderr)
+    overrides = {name: value for name, value in (("step", args.step), ("horizon", args.horizon))
+                 if value is not None}
+    if overrides:
+        try:
+            config = dataclasses.replace(config, **overrides)
+        except ValueError as exc:
+            print(f"error: --{exc}", file=sys.stderr)
             return 1
-        config.step = args.step
-    if args.horizon is not None:
-        if args.horizon < 0:
-            print(f"error: --horizon must be >= 0, got {args.horizon}", file=sys.stderr)
-            return 1
-        config.horizon = args.horizon
 
     try:
         outcome = run(config)

@@ -140,6 +140,12 @@ class BacksteppingCascade:
     Everything is evaluated at the same instant, left to right: the
     virtual control of level i feeds the error coordinate of level i+1
     with no time lag.
+
+    The time-only signals y_d(t), psi_i(t) and dpsi_i/dt are kept in a
+    one-entry memo keyed on the float t (see time_signals). They are a
+    pure function of t, so a repeat call at the same t reuses them
+    unchanged and the cascade stays pure: repeat calls with the same
+    inputs give identical outputs, whatever was evaluated in between.
     """
 
     def __init__(self, reference: TimeSignal, constraints: ConstraintConfig,
@@ -162,6 +168,8 @@ class BacksteppingCascade:
         # Constants of the final level, hoisted out of the hot loop.
         self._kn4_over_8 = self.observer_gains[-1] ** 4 / 8.0
         self._kn_sq = self.observer_gains[-1] ** 2
+        self._memo_t = None
+        self._memo = None
 
     def initial_errors(self, x0) -> np.ndarray:
         """Error coordinates at t = 0 for a run started at rest.
@@ -175,44 +183,68 @@ class BacksteppingCascade:
         z0[0] = x0[0] - self.reference.value(0.0)
         return z0
 
+    def time_signals(self, t: float):
+        """(y_d(t), [psi_i(t)], [dpsi_i/dt(t)]) for every level.
+
+        Computed once per distinct t and reused while t repeats, as it
+        does across an RK4 step (k1 and the step record share t, k2 and
+        k3 share t + h/2). A t that differs in the last bit is a new time.
+        """
+        if t != self._memo_t:
+            c = self.constraints
+            levels = range(self.n)
+            self._memo = (self.reference.value(t),
+                          [c.envelope(i, t) for i in levels],
+                          [c.envelope_rate(i, t) for i in levels])
+            self._memo_t = t
+        return self._memo
+
     def _eval(self, t: float, x, dhat, zeta, theta):
         """Cascade pass; returns (z, q, eps_hat, alpha, v, u, zeta_rate,
-        theta_rate, nn_out)."""
+        theta_rate, nn_out) with per-level lists of floats and theta_rate
+        an array.
+
+        x, dhat and zeta are arrays; the scalar work runs on Python
+        floats, which round exactly as numpy float64 scalars do.
+        """
         n = self.n
         k = self.gains.k
         kobs = self.observer_gains
         phi = self.rbf.basis(x)
-        z = np.empty(n)
-        q = np.empty(n)
-        eps_hat = np.empty(n)
-        alpha = np.empty(n)
-        zeta_rate = np.empty(n)
-        v = np.empty(n - 1)
-        v_prev = self.reference.value(t)
+        v_prev, psis, psi_rates = self.time_signals(t)
+        x = x.tolist()
+        dhat = dhat.tolist()
+        zeta = zeta.tolist()
+        z = []
+        q = []
+        eps_hat = []
+        alpha = []
+        zeta_rate = []
+        v = []
         u = 0.0
         nn_out = 0.0
         for i in range(n):
             zi = x[i] - v_prev
-            psi = self.constraints.envelope(i, t)
+            psi = psis[i]
             if not (abs(zi) < psi):
                 raise BarrierViolation(zi, psi, level=i + 1, t=t)
             qi = q_value(zi, psi)
             ei = estimate(dhat[i], kobs[i], zi)
-            wall_rate = (zi / psi) * self.constraints.envelope_rate(i, t)
+            wall_rate = (zi / psi) * psi_rates[i]
             if i < n - 1:
                 ai = k[i] * zi + ei + qi - wall_rate
                 v_prev = nussbaum(zeta[i]) * ai
-                v[i] = v_prev
+                v.append(v_prev)
             else:
                 nn_out = float(theta @ phi)
                 ai = (k[i] * zi + ei + 0.5 * qi - wall_rate + nn_out
                       + damped_inverse(qi, self.gains.delta) * self._kn4_over_8)
                 u = nussbaum(zeta[i]) * ai
-            z[i] = zi
-            q[i] = qi
-            eps_hat[i] = ei
-            alpha[i] = ai
-            zeta_rate[i] = qi * ai
+            z.append(zi)
+            q.append(qi)
+            eps_hat.append(ei)
+            alpha.append(ai)
+            zeta_rate.append(qi * ai)
         lam = self.gains.lam
         theta_rate = lam * (q[n - 1] * phi - self._kn_sq * theta - self.gains.eta * theta)
         return z, q, eps_hat, alpha, v, u, zeta_rate, theta_rate, nn_out
@@ -221,10 +253,12 @@ class BacksteppingCascade:
         """Full controller record at one instant (pure; repeat calls with
         the same inputs produce identical records)."""
         z, q, eps_hat, alpha, v, u, zeta_rate, theta_rate, _ = self._eval(t, x, dhat, zeta, theta)
+        psis = self.time_signals(t)[1]
         energy = 0.0
         for i in range(self.n):
-            energy += blf_value(z[i], self.constraints.envelope(i, t))
-        return StepRecord(z, q, eps_hat, alpha, v, u, zeta_rate, theta_rate, energy)
+            energy += blf_value(z[i], psis[i])
+        z, q, eps_hat, alpha, zeta_rate = np.array((z, q, eps_hat, alpha, zeta_rate))
+        return StepRecord(z, q, eps_hat, alpha, np.array(v), u, zeta_rate, theta_rate, energy)
 
 
 def lyapunov_decay_rates(gains: GainConfig, observer_gains, basis_bound: float) -> np.ndarray:

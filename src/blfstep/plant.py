@@ -57,17 +57,21 @@ class PlantSpec:
                 raise PlantError(
                     f"monomial exponent list length {len(mono.exponents)} does not match order {self.n}"
                 )
+        # The drift compiled once: (coeff, ((j, e), ...)) with only the
+        # nonzero exponents, in the order the product is formed.
+        object.__setattr__(self, "_drift", tuple(
+            (mono.coeff, tuple((j, e) for j, e in enumerate(mono.exponents) if e))
+            for mono in self.f
+        ))
 
     def nonlinearity(self, x) -> float:
         """Evaluate the polynomial drift f at state x."""
         if len(x) != self.n:
             raise PlantError(f"state has length {len(x)}, expected {self.n}")
         total = 0.0
-        for mono in self.f:
-            term = mono.coeff
-            for xj, e in zip(x, mono.exponents):
-                if e:
-                    term *= xj ** e
+        for term, powers in self._drift:
+            for j, e in powers:
+                term *= x[j] ** e
             total += term
         return total
 
@@ -75,8 +79,8 @@ class PlantSpec:
         """Time derivative of the state under input u at time t."""
         if len(x) != self.n:
             raise PlantError(f"state has length {len(x)}, expected {self.n}")
-        dx = np.empty(self.n)
-        for i in range(self.n - 1):
-            dx[i] = x[i + 1] + self.disturbances[i].value(t)
-        dx[self.n - 1] = self.nonlinearity(x) + self.beta * u + self.disturbances[self.n - 1].value(t)
-        return dx
+        last = self.n - 1
+        dist = self.disturbances
+        dx = [x[i + 1] + dist[i].value(t) for i in range(last)]
+        dx.append(self.nonlinearity(x) + self.beta * u + dist[last].value(t))
+        return np.array(dx, dtype=float)

@@ -127,13 +127,31 @@ def signal_to_dict(sig: TimeSignal) -> dict:
     raise SignalError(f"not a known signal type: {type(sig).__name__}")
 
 
+def finite_number(value) -> float:
+    """value as a float if it is a finite real number.
+
+    The one numeric check for configuration input: bools, non-numbers,
+    NaN, infinities and integers too large for a float raise ValueError.
+    Python's json reads NaN and Infinity, so they must be caught here.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValueError("expected a finite number, got an integer beyond the float range") from None
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
+
+
 def _number(record: dict, key: str, path: str) -> float:
     if key not in record:
         raise SignalError(f"{path}: missing key {key!r}")
-    value = record[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SignalError(f"{path}.{key}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return finite_number(record[key])
+    except ValueError as exc:
+        raise SignalError(f"{path}.{key}: {exc}") from None
 
 
 def signal_from_dict(record: object, path: str = "signal") -> TimeSignal:

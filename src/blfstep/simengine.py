@@ -22,7 +22,7 @@ from .controller import BacksteppingCascade, ConstraintConfig, GainConfig
 from .observer import dhat_rate_final, dhat_rate_inner, initial_dhat
 from .approximator import RbfNetwork
 from .plant import PlantSpec
-from .signals import TimeSignal
+from .signals import TimeSignal, finite_number
 
 
 class InfeasibleInitialCondition(RuntimeError):
@@ -65,10 +65,17 @@ class RunConfig:
     def __post_init__(self) -> None:
         self.observer_gains = tuple(float(g) for g in self.observer_gains)
         self.initial_x = tuple(float(v) for v in self.initial_x)
+        for name in ("step", "horizon"):
+            try:
+                setattr(self, name, finite_number(getattr(self, name)))
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
         if not self.step > 0:
-            raise ValueError(f"step must be > 0, got {self.step}")
+            raise ValueError(f"step: must be > 0, got {self.step}")
         if self.horizon < 0:
-            raise ValueError(f"horizon must be >= 0, got {self.horizon}")
+            raise ValueError(f"horizon: must be >= 0, got {self.horizon}")
+        if not math.isfinite(self.horizon / self.step):
+            raise ValueError(f"step: {self.step:g} is too small for the horizon {self.horizon:g}")
         if not isinstance(self.decimation, int) or self.decimation < 1:
             raise ValueError(f"decimation must be an integer >= 1, got {self.decimation!r}")
         if len(self.initial_x) != self.plant.n:
@@ -139,13 +146,13 @@ class ClosedLoop:
         (_, _, eps_hat, _, _, u, zeta_rate, theta_rate, nn_out) = \
             self.cascade._eval(t, x, dhat, zeta, theta)
         n = self.n
+        x = x.tolist()
+        kobs = self.cascade.observer_gains
+        rates = [dhat_rate_inner(kobs[i], x[i + 1], eps_hat[i]) for i in range(n - 1)]
+        rates.append(dhat_rate_final(kobs[n - 1], nn_out, u, eps_hat[n - 1]))
         ds = np.empty(self.dim)
         ds[:n] = self.plant.rhs(t, x, u)
-        kobs = self.cascade.observer_gains
-        for i in range(n - 1):
-            ds[n + i] = dhat_rate_inner(kobs[i], x[i + 1], eps_hat[i])
-        ds[2 * n - 1] = dhat_rate_final(kobs[n - 1], nn_out, u, eps_hat[n - 1])
-        ds[2 * n:3 * n] = zeta_rate
+        ds[n:3 * n] = rates + zeta_rate
         ds[3 * n:] = theta_rate
         return ds
 
@@ -188,12 +195,12 @@ def run(config: RunConfig) -> SimResult:
     trajectory = []
     records = []
 
-    max_constraint_ratio = np.zeros(n)
-    max_error_ratio = np.zeros(n)
-    max_abs_v = np.zeros(n - 1)
-    max_abs_zeta = np.zeros(n)
-    max_abs_eps_hat = np.zeros(n)
-    max_eps_hat_rate = np.zeros(n)
+    max_constraint_ratio = [0.0] * n
+    max_error_ratio = [0.0] * n
+    max_abs_v = [0.0] * (n - 1)
+    max_abs_zeta = [0.0] * n
+    max_abs_eps_hat = [0.0] * n
+    max_eps_hat_rate = [0.0] * n
     reserve_exceeded_at = [None] * n
     max_abs_u = 0.0
     max_theta_norm = 0.0
@@ -201,6 +208,7 @@ def run(config: RunConfig) -> SimResult:
     tail_count = 0
     prev_eps_hat = None
 
+    state_bound = config.constraints.state_bound
     deriv = loop.derivative
     for k in range(steps + 1):
         t = k * h
@@ -211,35 +219,41 @@ def run(config: RunConfig) -> SimResult:
             _nan_guard(exc, t)
             raise
 
+        x = x.tolist()
+        zeta = zeta.tolist()
+        z = rec.z.tolist()
+        eps_hat = rec.eps_hat.tolist()
+        envelopes = cascade.time_signals(t)[1]
         for i in range(n):
-            bound = config.constraints.state_bound(i, t)
-            envelope = config.constraints.envelope(i, t)
+            bound = state_bound(i, t)
+            envelope = envelopes[i]
             cr = abs(x[i]) / bound
             if cr > max_constraint_ratio[i]:
                 max_constraint_ratio[i] = cr
-            er = abs(rec.z[i]) / envelope
+            er = abs(z[i]) / envelope
             if er > max_error_ratio[i]:
                 max_error_ratio[i] = er
-            if reserve_exceeded_at[i] is None and abs(x[i] - rec.z[i]) > bound - envelope:
+            if reserve_exceeded_at[i] is None and abs(x[i] - z[i]) > bound - envelope:
                 reserve_exceeded_at[i] = t
             if abs(zeta[i]) > max_abs_zeta[i]:
                 max_abs_zeta[i] = abs(zeta[i])
-            if abs(rec.eps_hat[i]) > max_abs_eps_hat[i]:
-                max_abs_eps_hat[i] = abs(rec.eps_hat[i])
-        for i in range(n - 1):
-            if abs(rec.v[i]) > max_abs_v[i]:
-                max_abs_v[i] = abs(rec.v[i])
+            if abs(eps_hat[i]) > max_abs_eps_hat[i]:
+                max_abs_eps_hat[i] = abs(eps_hat[i])
+            if prev_eps_hat is not None:
+                rate = abs(eps_hat[i] - prev_eps_hat[i]) / h
+                if rate > max_eps_hat_rate[i]:
+                    max_eps_hat_rate[i] = rate
+        for i, vi in enumerate(rec.v.tolist()):
+            if abs(vi) > max_abs_v[i]:
+                max_abs_v[i] = abs(vi)
         if abs(rec.u) > max_abs_u:
             max_abs_u = abs(rec.u)
-        if prev_eps_hat is not None:
-            np.maximum(max_eps_hat_rate, np.abs(rec.eps_hat - prev_eps_hat) / h,
-                       out=max_eps_hat_rate)
-        prev_eps_hat = rec.eps_hat
-        theta_norm = float(np.linalg.norm(theta))
+        prev_eps_hat = eps_hat
+        theta_norm = math.sqrt(theta @ theta)  # what np.linalg.norm computes for a vector
         if theta_norm > max_theta_norm:
             max_theta_norm = theta_norm
         if 2 * k >= steps:
-            tail_sq_sum += rec.z[0] ** 2
+            tail_sq_sum += z[0] ** 2
             tail_count += 1
 
         if k % config.decimation == 0 or k == steps:
@@ -260,15 +274,15 @@ def run(config: RunConfig) -> SimResult:
 
     metrics = RunMetrics(
         tracking_rmse_tail=math.sqrt(tail_sq_sum / tail_count),
-        max_constraint_ratio=max_constraint_ratio,
-        max_error_ratio=max_error_ratio,
+        max_constraint_ratio=np.array(max_constraint_ratio),
+        max_error_ratio=np.array(max_error_ratio),
         max_abs_u=max_abs_u,
         final_theta_norm=float(np.linalg.norm(loop.split(s)[3])),
-        observed_max_abs_v=max_abs_v,
-        max_abs_zeta=max_abs_zeta,
-        max_abs_eps_hat=max_abs_eps_hat,
+        observed_max_abs_v=np.array(max_abs_v),
+        max_abs_zeta=np.array(max_abs_zeta),
+        max_abs_eps_hat=np.array(max_abs_eps_hat),
         max_theta_norm=max_theta_norm,
-        max_abs_eps_hat_rate=max_eps_hat_rate,
+        max_abs_eps_hat_rate=np.array(max_eps_hat_rate),
         reserve_exceeded_at=reserve_exceeded_at,
     )
     return SimResult(

@@ -276,3 +276,68 @@ class TestParseEdges:
             for i, ratio in enumerate(res.metrics.max_constraint_ratio):
                 if ratio >= 1.0:
                     assert "EXCEEDED" in reserve_line(text, i + 1), (i + 1, text)
+
+
+def _set(path, value):
+    """Mutation of the flagship document: set the field at path to value."""
+    def mutate(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value
+    return mutate
+
+
+NON_FINITE_CASES = [
+    # (command-line flags, document mutation, field the diagnostic names)
+    pytest.param(["--horizon", "nan"], None, "--horizon", id="flag-horizon-nan"),
+    pytest.param(["--horizon", "inf"], None, "--horizon", id="flag-horizon-inf"),
+    pytest.param(["--step", "inf"], None, "--step", id="flag-step-inf"),
+    pytest.param(["--step", "nan"], None, "--step", id="flag-step-nan"),
+    pytest.param(["--step", "1e-320"], None, "--step", id="flag-step-overflows-count"),
+    pytest.param([], _set(["step"], math.inf), ".step", id="json-step-inf"),
+    pytest.param([], _set(["horizon"], math.nan), ".horizon", id="json-horizon-nan"),
+    pytest.param([], _set(["plant", "beta"], math.nan), "plant.beta", id="json-beta-nan"),
+    pytest.param([], _set(["gains", "k"], [math.inf, 5.0]), "gains.k[0]", id="json-k-inf"),
+    pytest.param([], _set(["reference", "amplitude"], -math.inf), "reference.amplitude",
+                 id="json-signal-minus-inf"),
+    pytest.param([], _set(["gains", "eta"], 10 ** 400), "gains.eta", id="json-int-past-float"),
+    pytest.param([], _set(["rbf"], {"l": 2, "centers": [[0.0, math.nan], [1.0, 1.0]],
+                                    "widths": [2.0, 2.0]}), "rbf.centers", id="json-center-nan"),
+    pytest.param([], _set(["rbf"], {"l": 2, "centers": [[0.0, 0.0], [1.0, 1.0]],
+                                    "widths": [2.0, math.inf]}), "rbf.widths", id="json-width-inf"),
+]
+
+
+@pytest.mark.parametrize("flags, mutate, field", NON_FINITE_CASES)
+def test_non_finite_numbers_are_config_errors(flags, mutate, field, tmp_path, capsys):
+    path = blfstep.paper_sec6_path()
+    if mutate is not None:
+        doc = json.loads(sec6_text())
+        mutate(doc)
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))  # json writes NaN and Infinity literals
+    assert main(["simulate", str(path), *flags]) == 1
+    captured = capsys.readouterr()
+    assert field in captured.err
+    assert "verdict" not in captured.out
+
+
+def test_integer_literal_past_the_digit_limit_is_config_error():
+    # json.loads raises a plain ValueError past the int conversion limit
+    text = sec6_text().replace('"eta": 4.0', '"eta": 1' + "0" * 5000)
+    with pytest.raises(ConfigError):
+        parse_config(text)
+
+
+def test_rbf_centers_must_match_plant_order(tmp_path, capsys):
+    doc = json.loads(sec6_text())
+    doc["rbf"] = {"l": 2, "centers": [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]], "widths": [2.0, 2.0]}
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert [path for path, _ in err.value.problems] == ["rbf.centers"]
+    assert "dimension 3" in str(err.value)
+    path = tmp_path / "centers.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", str(path)]) == 1
+    assert "rbf.centers" in capsys.readouterr().err

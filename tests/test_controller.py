@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blfstep.approximator import RbfNetwork
-from blfstep.barrier import BarrierViolation
+from blfstep.barrier import BarrierViolation, blf_value, damped_inverse, nussbaum, q_value
 from blfstep.controller import (
     BacksteppingCascade,
     ConstraintConfig,
@@ -14,7 +15,10 @@ from blfstep.controller import (
     lyapunov_decay_rates,
     tracking_error_bound,
 )
-from blfstep.signals import Constant, ExpDecay, Sinusoid
+from blfstep.observer import dhat_rate_final, dhat_rate_inner, estimate
+from blfstep.plant import Monomial, PlantSpec
+from blfstep.signals import Constant, ExpDecay, SignalSum, Sinusoid
+from blfstep.simengine import ClosedLoop
 
 PI = math.pi
 
@@ -204,3 +208,200 @@ class TestDiagnostics:
             tracking_error_bound(1.0, 0.1, 0.0, 0.0)
         with pytest.raises(ValueError):
             tracking_error_bound(1.0, -0.1, 1.0, 0.0)
+
+
+# Reference implementations: the cascade pass and the closed-loop
+# derivative as first written, on numpy float64 scalars with every
+# time-only signal recomputed at every call. The package's fast path
+# (Python floats, time signals memoised per t) must agree bit for bit.
+
+def reference_basis(rbf, x):
+    diff = rbf.centers - np.asarray(x, dtype=float)
+    return np.exp(-(diff * diff).sum(axis=1) / rbf.widths)
+
+
+def reference_eval(casc, t, x, dhat, zeta, theta):
+    n = casc.n
+    k = casc.gains.k
+    kobs = casc.observer_gains
+    phi = reference_basis(casc.rbf, x)
+    z = np.empty(n)
+    q = np.empty(n)
+    eps_hat = np.empty(n)
+    alpha = np.empty(n)
+    zeta_rate = np.empty(n)
+    v = np.empty(n - 1)
+    v_prev = casc.reference.value(t)
+    u = 0.0
+    nn_out = 0.0
+    for i in range(n):
+        zi = x[i] - v_prev
+        psi = casc.constraints.envelope(i, t)
+        if not (abs(zi) < psi):
+            raise BarrierViolation(zi, psi, level=i + 1, t=t)
+        qi = q_value(zi, psi)
+        ei = estimate(dhat[i], kobs[i], zi)
+        wall_rate = (zi / psi) * casc.constraints.envelope_rate(i, t)
+        if i < n - 1:
+            ai = k[i] * zi + ei + qi - wall_rate
+            v_prev = nussbaum(zeta[i]) * ai
+            v[i] = v_prev
+        else:
+            nn_out = float(theta @ phi)
+            ai = (k[i] * zi + ei + 0.5 * qi - wall_rate + nn_out
+                  + damped_inverse(qi, casc.gains.delta) * (kobs[-1] ** 4 / 8.0))
+            u = nussbaum(zeta[i]) * ai
+        z[i] = zi
+        q[i] = qi
+        eps_hat[i] = ei
+        alpha[i] = ai
+        zeta_rate[i] = qi * ai
+    theta_rate = casc.gains.lam * (q[n - 1] * phi - kobs[-1] ** 2 * theta - casc.gains.eta * theta)
+    return z, q, eps_hat, alpha, v, u, zeta_rate, theta_rate, nn_out
+
+
+def reference_energy(casc, t, z):
+    energy = 0.0
+    for i in range(casc.n):
+        energy += blf_value(z[i], casc.constraints.envelope(i, t))
+    return energy
+
+
+def reference_rhs(plant, t, x, u):
+    dx = np.empty(plant.n)
+    for i in range(plant.n - 1):
+        dx[i] = x[i + 1] + plant.disturbances[i].value(t)
+    drift = 0.0
+    for mono in plant.f:
+        term = mono.coeff
+        for xj, e in zip(x, mono.exponents):
+            if e:
+                term *= xj ** e
+        drift += term
+    dx[plant.n - 1] = drift + plant.beta * u + plant.disturbances[plant.n - 1].value(t)
+    return dx
+
+
+def reference_derivative(loop, t, s):
+    n = loop.n
+    x, dhat, zeta, theta = s[:n], s[n:2 * n], s[2 * n:3 * n], s[3 * n:]
+    (_, _, eps_hat, _, _, u, zeta_rate, theta_rate, nn_out) = \
+        reference_eval(loop.cascade, t, x, dhat, zeta, theta)
+    ds = np.empty(loop.dim)
+    ds[:n] = reference_rhs(loop.plant, t, x, u)
+    kobs = loop.cascade.observer_gains
+    for i in range(n - 1):
+        ds[n + i] = dhat_rate_inner(kobs[i], x[i + 1], eps_hat[i])
+    ds[2 * n - 1] = dhat_rate_final(kobs[n - 1], nn_out, u, eps_hat[n - 1])
+    ds[2 * n:3 * n] = zeta_rate
+    ds[3 * n:] = theta_rate
+    return ds
+
+
+def bits(values):
+    """Exact bit patterns, so -0.0 and 0.0 differ and NaN equals itself."""
+    return [float(v).hex() for v in np.atleast_1d(np.asarray(values, dtype=float))]
+
+
+def outcome(fn, *args):
+    """fn's result, or the fields of the BarrierViolation it raised."""
+    try:
+        return fn(*args)
+    except BarrierViolation as exc:
+        return ("violation", exc.level, float(exc.z).hex(), float(exc.psi).hex(), exc.t)
+
+
+# One cascade and one loop for the whole module, so the memo carries state
+# from one example into the next, as it does across a run.
+H = 1e-3
+SEC6_LOOP = ClosedLoop(
+    PlantSpec(n=2, f=(Monomial(-5.0, (3, 0)), Monomial(-2.0, (0, 1))), beta=1.0,
+              disturbances=(Sinusoid(0.2, PI, 0.0, "cos"), Sinusoid(0.2, PI, 0.0, "sin"))),
+    BacksteppingCascade(
+        SignalSum((Sinusoid(1.0, 1.0, 0.0, "sin"), ExpDecay(0.1, 2.0, 0.0))),
+        sec6_constraints(), GainConfig(k=(5.0, 5.0), lam=14.0, eta=4.0, delta=1.3), (7.0, 7.0),
+        # widths that are not powers of two, so the basis rounding is exercised
+        RbfNetwork(RbfNetwork.lattice(12, 2).centers, np.linspace(0.7, 2.9, 12)),
+    ),
+)
+SEC6 = SEC6_LOOP.cascade
+
+small = st.floats(-0.4, 0.4, allow_nan=False)
+states = st.tuples(st.lists(small, min_size=2, max_size=2), st.lists(small, min_size=2, max_size=2),
+                   st.lists(small, min_size=2, max_size=2), st.lists(small, min_size=12, max_size=12))
+
+
+def as_arrays(state):
+    return tuple(np.array(part) for part in state)
+
+
+def assert_eval_matches(t, x, dhat, zeta, theta):
+    ref = outcome(reference_eval, SEC6, t, x, dhat, zeta, theta)
+    got = outcome(SEC6._eval, t, x, dhat, zeta, theta)
+    if isinstance(ref[0], str) or isinstance(got[0], str):
+        assert got == ref
+        return
+    for r, g in zip(ref, got):
+        assert bits(g) == bits(r)
+    rec = SEC6.step(t, x, dhat, zeta, theta)
+    for name, r in zip(("z", "q", "eps_hat", "alpha", "v", "u", "zeta_rate", "theta_rate"), ref):
+        assert bits(getattr(rec, name)) == bits(r), name
+    assert bits(rec.barrier_energy) == bits(reference_energy(SEC6, t, ref[0]))
+
+
+class TestFastPathMatchesReference:
+    """The Python-float cascade and loop equal the numpy-scalar reference
+    exactly: no tolerance, compared bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(t=st.floats(0.0, 20.0), state=states)
+    def test_eval_equals_reference(self, t, state):
+        assert_eval_matches(t, *as_arrays(state))
+
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.integers(0, 20000), order=st.lists(st.integers(0, 3), min_size=1, max_size=10),
+           state=states)
+    def test_interleaved_stage_times(self, k, order, state):
+        # the times one RK4 step visits, in any order and with repeats:
+        # t, t + h/2, t + h (k4's stage) and (k+1)*h (the next step's t)
+        t = k * H
+        times = (t, t + 0.5 * H, t + H, (k + 1) * H)
+        x, dhat, zeta, theta = as_arrays(state)
+        for j in order:
+            assert_eval_matches(times[j], x, dhat, zeta, theta)
+
+    @settings(max_examples=100, deadline=None)
+    @given(t1=st.floats(0.0, 20.0), t2=st.floats(0.0, 20.0), state=states)
+    def test_repeated_times(self, t1, t2, state):
+        x, dhat, zeta, theta = as_arrays(state)
+        for t in (t1, t2, t1, t1, t2):
+            assert_eval_matches(t, x, dhat, zeta, theta)
+
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.integers(0, 20000), state=st.lists(small, min_size=18, max_size=18))
+    def test_derivative_equals_reference(self, k, state):
+        s = np.array(state)
+        t = k * H
+        for tau in (t, t + 0.5 * H, t + 0.5 * H, t + H, (k + 1) * H, t):
+            ref = outcome(reference_derivative, SEC6_LOOP, tau, s)
+            got = outcome(SEC6_LOOP.derivative, tau, s)
+            if isinstance(ref, tuple) or isinstance(got, tuple):  # a violation
+                assert got == ref
+            else:
+                assert bits(got) == bits(ref)
+
+    def test_memo_separates_times_one_bit_apart(self):
+        # t + h and (k+1)*h differ in the last bit for about a third of the
+        # steps; find one where the reference signal differs too, so a
+        # memo that confused the two times would return the wrong value
+        for k in range(20000):
+            a, b = k * H + H, (k + 1) * H
+            if a != b and SEC6.reference.value(a) != SEC6.reference.value(b):
+                break
+        else:
+            pytest.fail("no step with distinct stage and step times")
+        for t in (a, b, a, b):
+            y_d, psi, psi_rate = SEC6.time_signals(t)
+            assert bits(y_d) == bits(SEC6.reference.value(t))
+            assert bits(psi) == bits([SEC6.constraints.envelope(i, t) for i in range(2)])
+            assert bits(psi_rate) == bits([SEC6.constraints.envelope_rate(i, t) for i in range(2)])

@@ -16,7 +16,6 @@ from .barrier import (
     q_value,
 )
 from .cli import (
-    ConfigError,
     config_to_dict,
     emit_csv,
     emit_report,
@@ -55,6 +54,7 @@ from .signals import (
 )
 from .simengine import (
     ClosedLoop,
+    ConfigError,
     InfeasibleInitialCondition,
     NonFiniteState,
     RunConfig,

@@ -28,8 +28,9 @@ from .controller import (
 )
 from .observer import gain_warnings
 from .plant import Monomial, PlantError, PlantSpec
-from .signals import SignalError, finite_number, signal_from_dict, signal_to_dict
+from .signals import SignalError, finite_number, finite_numbers, signal_from_dict, signal_to_dict
 from .simengine import (
+    ConfigError,
     InfeasibleInitialCondition,
     NonFiniteState,
     RunConfig,
@@ -38,114 +39,79 @@ from .simengine import (
 )
 
 
-class ConfigError(ValueError):
-    """Invalid run configuration, with field-level diagnostics."""
-
-    def __init__(self, problems):
-        self.problems = list(problems)
-        lines = [f"  {path}: {message}" for path, message in self.problems]
-        super().__init__("invalid configuration:\n" + "\n".join(lines))
-
-
-class _Collector:
-    def __init__(self):
-        self.problems = []
-
-    def error(self, path: str, message: str) -> None:
-        self.problems.append((path, message))
-
-    def raise_if_any(self) -> None:
-        if self.problems:
-            raise ConfigError(self.problems)
-
-
-def _check_keys(record: dict, allowed, required, path: str, col: _Collector) -> bool:
+def _check_keys(record: dict, allowed, required, path: str, problems: list) -> bool:
     ok = True
     for key in required:
         if key not in record:
-            col.error(f"{path}.{key}" if path else key, "missing required field")
+            problems.append((f"{path}.{key}" if path else key, "missing required field"))
             ok = False
     unknown = set(record) - set(allowed)
     for key in sorted(unknown):
-        col.error(f"{path}.{key}" if path else key, "unknown key")
+        problems.append((f"{path}.{key}" if path else key, "unknown key"))
         ok = False
     return ok
 
 
-def _number(record: dict, key: str, path: str, col: _Collector):
+def _number(record: dict, key: str, path: str, problems: list):
     try:
         return finite_number(record[key])
     except ValueError as exc:
-        col.error(f"{path}.{key}", str(exc))
+        problems.append((f"{path}.{key}", str(exc)))
         return None
 
 
-def _int(record: dict, key: str, path: str, col: _Collector):
+def _int(record: dict, key: str, path: str, problems: list):
     value = record[key]
     if isinstance(value, bool) or not isinstance(value, int):
-        col.error(f"{path}.{key}", f"expected an integer, got {value!r}")
+        problems.append((f"{path}.{key}", f"expected an integer, got {value!r}"))
         return None
     return value
 
 
-def _number_list(record: dict, key: str, path: str, col: _Collector):
-    value = record[key]
-    if not isinstance(value, list):
-        col.error(f"{path}.{key}", f"expected a list of numbers, got {value!r}")
-        return None
-    numbers = []
-    for i, v in enumerate(value):
-        try:
-            numbers.append(finite_number(v))
-        except ValueError as exc:
-            col.error(f"{path}.{key}[{i}]", str(exc))
-    return numbers if len(numbers) == len(value) else None
-
-
-def _parse_signal(record, path: str, col: _Collector):
+def _parse_signal(record, path: str, problems: list):
     try:
         return signal_from_dict(record, path)
     except SignalError as exc:
-        col.error(path, str(exc))
+        problems.append((exc.path or path, exc.message))
         return None
 
 
-def _parse_plant(record, col: _Collector) -> PlantSpec | None:
+def _parse_plant(record, problems: list) -> PlantSpec | None:
     path = "plant"
     if not isinstance(record, dict):
-        col.error(path, "expected an object")
+        problems.append((path, "expected an object"))
         return None
     if not _check_keys(record, ("n", "f", "beta", "disturbances"),
-                       ("n", "f", "beta", "disturbances"), path, col):
+                       ("n", "f", "beta", "disturbances"), path, problems):
         return None
-    n = _int(record, "n", path, col)
-    beta = _number(record, "beta", path, col)
+    n = _int(record, "n", path, problems)
+    beta = _number(record, "beta", path, problems)
     monos = []
     if not isinstance(record["f"], list):
-        col.error(f"{path}.f", "expected a list of monomials")
+        problems.append((f"{path}.f", "expected a list of monomials"))
         return None
     for i, mrec in enumerate(record["f"]):
         mpath = f"{path}.f[{i}]"
         if not isinstance(mrec, dict) or set(mrec) != {"coeff", "exponents"}:
-            col.error(mpath, 'expected {"coeff": ..., "exponents": [...]}')
+            problems.append((mpath, 'expected {"coeff": ..., "exponents": [...]}'))
             continue
-        coeff = _number(mrec, "coeff", mpath, col)
+        coeff = _number(mrec, "coeff", mpath, problems)
         exps = mrec["exponents"]
         if not isinstance(exps, list) or any(
             isinstance(e, bool) or not isinstance(e, int) for e in exps
         ):
-            col.error(f"{mpath}.exponents", "expected a list of integers")
+            problems.append((f"{mpath}.exponents", "expected a list of integers"))
             continue
         if coeff is not None:
             try:
                 monos.append(Monomial(coeff, tuple(exps)))
             except PlantError as exc:
-                col.error(mpath, str(exc))
+                problems.append((mpath, str(exc)))
     if not isinstance(record["disturbances"], list):
-        col.error(f"{path}.disturbances", "expected a list of signal records")
+        problems.append((f"{path}.disturbances", "expected a list of signal records"))
         return None
     dist = [
-        _parse_signal(d, f"{path}.disturbances[{i}]", col)
+        _parse_signal(d, f"{path}.disturbances[{i}]", problems)
         for i, d in enumerate(record["disturbances"])
     ]
     if n is None or beta is None or any(d is None for d in dist):
@@ -153,47 +119,47 @@ def _parse_plant(record, col: _Collector) -> PlantSpec | None:
     try:
         return PlantSpec(n=n, f=tuple(monos), beta=beta, disturbances=tuple(dist))
     except PlantError as exc:
-        col.error(path, str(exc))
+        problems.append((path, str(exc)))
         return None
 
 
-def _parse_constraints(record, col: _Collector) -> ConstraintConfig | None:
+def _parse_constraints(record, problems: list) -> ConstraintConfig | None:
     path = "constraints"
     if not isinstance(record, dict):
-        col.error(path, "expected an object")
+        problems.append((path, "expected an object"))
         return None
-    if not _check_keys(record, ("Psi", "A"), ("Psi", "A"), path, col):
+    if not _check_keys(record, ("Psi", "A"), ("Psi", "A"), path, problems):
         return None
     if not isinstance(record["Psi"], list):
-        col.error(f"{path}.Psi", "expected a list of signal records")
+        problems.append((f"{path}.Psi", "expected a list of signal records"))
         return None
     bounds = [
-        _parse_signal(b, f"{path}.Psi[{i}]", col) for i, b in enumerate(record["Psi"])
+        _parse_signal(b, f"{path}.Psi[{i}]", problems) for i, b in enumerate(record["Psi"])
     ]
-    reserves = _number_list(record, "A", path, col)
+    reserves = finite_numbers(record["A"], f"{path}.A", problems)
     if any(b is None for b in bounds) or reserves is None:
         return None
     try:
-        return ConstraintConfig(tuple(bounds), tuple(reserves))
+        return ConstraintConfig(tuple(bounds), reserves)
     except ControllerError as exc:
-        col.error(path, str(exc))
+        problems.append((path, str(exc)))
         return None
 
 
-def _parse_rbf(record, n: int | None, col: _Collector) -> RbfNetwork | None:
+def _parse_rbf(record, n: int | None, problems: list) -> RbfNetwork | None:
     path = "rbf"
     if not isinstance(record, dict):
-        col.error(path, "expected an object")
+        problems.append((path, "expected an object"))
         return None
-    if not _check_keys(record, ("l", "centers", "widths"), ("l",), path, col):
+    if not _check_keys(record, ("l", "centers", "widths"), ("l",), path, problems):
         return None
-    nodes = _int(record, "l", path, col)
+    nodes = _int(record, "l", path, problems)
     if nodes is None:
         return None
     has_centers = "centers" in record
     has_widths = "widths" in record
     if has_centers != has_widths:
-        col.error(path, "centers and widths must be given together or both omitted")
+        problems.append((path, "centers and widths must be given together or both omitted"))
         return None
     try:
         if not has_centers:
@@ -204,46 +170,40 @@ def _parse_rbf(record, n: int | None, col: _Collector) -> RbfNetwork | None:
         widths = record["widths"]
         net = RbfNetwork(centers, widths)
         if net.l != nodes:
-            col.error(f"{path}.centers", f"{net.l} centers listed but l = {nodes}")
-            return None
-        if n is not None and net.n != n:
-            col.error(f"{path}.centers", f"centers have dimension {net.n}, "
-                                         f"expected the plant order {n}")
+            problems.append((f"{path}.centers", f"{net.l} centers listed but l = {nodes}"))
             return None
         for key, values in (("centers", net.centers), ("widths", net.widths)):
             if not np.isfinite(values).all():
-                col.error(f"{path}.{key}", "expected finite numbers")
+                problems.append((f"{path}.{key}", "expected finite numbers"))
                 return None
         return net
-    except (RbfError, ValueError) as exc:
-        col.error(path, str(exc))
+    except (RbfError, ValueError, TypeError) as exc:  # TypeError: a non-number in the lists
+        problems.append((path, str(exc)))
         return None
 
 
-def _parse_gains(record, col: _Collector) -> GainConfig | None:
+def _parse_gains(record, problems: list) -> GainConfig | None:
     path = "gains"
     if not isinstance(record, dict):
-        col.error(path, "expected an object")
+        problems.append((path, "expected an object"))
         return None
-    if not _check_keys(record, ("k", "lambda", "eta", "delta"), ("k", "lambda", "eta"), path, col):
+    if not _check_keys(record, ("k", "lambda", "eta", "delta"), ("k", "lambda", "eta"),
+                       path, problems):
         return None
-    k = _number_list(record, "k", path, col)
-    lam = _number(record, "lambda", path, col)
-    eta = _number(record, "eta", path, col)
-    delta = _number(record, "delta", path, col) if "delta" in record else 1e-4
-    if k is None or lam is None or eta is None or delta is None:
+    k = finite_numbers(record["k"], f"{path}.k", problems)
+    numbers = {name: _number(record, key, path, problems)
+               for name, key in (("lam", "lambda"), ("eta", "eta"), ("delta", "delta"))
+               if key in record}
+    if k is None or None in numbers.values():
         return None
     try:
-        return GainConfig(k=tuple(k), lam=lam, eta=eta, delta=delta)
+        return GainConfig(k=k, **numbers)
     except ControllerError as exc:
-        col.error(path, str(exc))
+        problems.append((path, str(exc)))
         return None
 
 
-_TOP_KEYS = (
-    "plant", "constraints", "rbf", "gains", "observer_gains", "reference",
-    "horizon", "step", "decimation", "initial_x", "output_path",
-)
+_TOP_KEYS = tuple(f.name for f in dataclasses.fields(RunConfig))
 _TOP_REQUIRED = (
     "plant", "constraints", "rbf", "gains", "observer_gains", "reference", "initial_x",
 )
@@ -252,10 +212,13 @@ _TOP_REQUIRED = (
 def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a JSON run configuration.
 
-    Raises ConfigError carrying (path, message) diagnostics for every
-    problem found; unknown keys are errors.
+    Parses the document's shape and its five component records; the
+    run-level fields go to RunConfig as given, which checks them and the
+    relations between the components. Raises ConfigError carrying
+    (path, message) diagnostics for every problem found; unknown keys are
+    errors.
     """
-    col = _Collector()
+    problems = []
     try:
         doc = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer literal past the digit limit
@@ -263,65 +226,21 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError([("(document)", "expected a JSON object")])
 
-    _check_keys(doc, _TOP_KEYS, _TOP_REQUIRED, "", col)
-    col.raise_if_any()
+    _check_keys(doc, _TOP_KEYS, _TOP_REQUIRED, "", problems)
+    if problems:
+        raise ConfigError(problems)
 
-    plant = _parse_plant(doc["plant"], col)
-    constraints = _parse_constraints(doc["constraints"], col)
-    rbf = _parse_rbf(doc["rbf"], plant.n if plant else None, col)
-    gains = _parse_gains(doc["gains"], col)
-    observer_gains = _number_list(doc, "observer_gains", "", col)
-    reference = _parse_signal(doc["reference"], "reference", col)
-    initial_x = _number_list(doc, "initial_x", "", col)
-
-    horizon = _number(doc, "horizon", "", col) if "horizon" in doc else 20.0
-    step = _number(doc, "step", "", col) if "step" in doc else 1e-3
-    decimation = _int(doc, "decimation", "", col) if "decimation" in doc else 10
-    output_path = None
-    if "output_path" in doc:
-        if not isinstance(doc["output_path"], str):
-            col.error(".output_path", f"expected a string, got {doc['output_path']!r}")
-        else:
-            output_path = doc["output_path"]
-    col.raise_if_any()
-
-    if horizon is not None and horizon < 0:
-        col.error(".horizon", f"must be >= 0, got {horizon}")
-    if step is not None and not step > 0:
-        col.error(".step", f"must be > 0, got {step}")
-    if decimation is not None and decimation < 1:
-        col.error(".decimation", f"must be >= 1, got {decimation}")
-    if plant is not None:
-        if constraints is not None and constraints.n != plant.n:
-            col.error("constraints.Psi", f"{constraints.n} levels for a plant of order {plant.n}")
-        if observer_gains is not None and len(observer_gains) != plant.n:
-            col.error(".observer_gains", f"need {plant.n} gains, got {len(observer_gains)}")
-        if gains is not None and len(gains.k) != plant.n:
-            col.error("gains.k", f"need {plant.n} gains, got {len(gains.k)}")
-        if initial_x is not None and len(initial_x) != plant.n:
-            col.error(".initial_x", f"need {plant.n} entries, got {len(initial_x)}")
-    if observer_gains is not None:
-        for i, g in enumerate(observer_gains):
-            if not g > 0:
-                col.error(f".observer_gains[{i}]", f"must be > 0, got {g}")
-    col.raise_if_any()
-
-    try:
-        return RunConfig(
-            plant=plant,
-            constraints=constraints,
-            rbf=rbf,
-            gains=gains,
-            observer_gains=tuple(observer_gains),
-            reference=reference,
-            horizon=horizon,
-            step=step,
-            decimation=decimation,
-            initial_x=tuple(initial_x),
-            output_path=output_path,
-        )
-    except ValueError as exc:
-        raise ConfigError([("(document)", str(exc))]) from None
+    plant = _parse_plant(doc["plant"], problems)
+    components = dict(
+        plant=plant,
+        constraints=_parse_constraints(doc["constraints"], problems),
+        rbf=_parse_rbf(doc["rbf"], plant.n if plant else None, problems),
+        gains=_parse_gains(doc["gains"], problems),
+        reference=_parse_signal(doc["reference"], "reference", problems),
+    )
+    if problems:
+        raise ConfigError(problems)
+    return RunConfig(**{**doc, **components})
 
 
 def config_to_dict(config: RunConfig) -> dict:
@@ -451,7 +370,7 @@ def emit_report(outcome) -> str:
     cfg = result.config
     m = result.metrics
     n = cfg.plant.n
-    constraints_ok = bool(np.all(m.max_constraint_ratio < 1.0))
+    passed = verdict_code(result) == 0
     tail_start = result.times[-1] / 2.0 if len(result.times) else 0.0
 
     early = [abs(rec.z[0]) for t, rec in zip(result.times, result.records) if t <= 2.0]
@@ -462,7 +381,7 @@ def emit_report(outcome) -> str:
     lines.append(f"horizon: {cfg.horizon:g} s   step: {cfg.step:g} s   levels: {n}   "
                  f"rbf nodes: {cfg.rbf.l}")
     lines.append("")
-    lines.append(f"constraints: {'PASS' if constraints_ok else 'FAIL'}")
+    lines.append(f"constraints: {'PASS' if passed else 'FAIL'}")
     lines.append(_ratio_line("max |x_i| / Psi_i", m.max_constraint_ratio))
     lines.append(_ratio_line("max |z_i| / psi_i", m.max_error_ratio))
     lines.append("boundedness: PASS")
@@ -507,8 +426,7 @@ def emit_report(outcome) -> str:
             lines.append(f"  warning: |x{i + 1}| < Psi{i + 1} is not guaranteed where the "
                          f"level-{i + 1} reserve is exceeded")
     lines.append("")
-    verdict = constraints_ok
-    lines.append(f"verdict: {'PASS' if verdict else 'FAIL'}")
+    lines.append(f"verdict: {'PASS' if passed else 'FAIL'}")
     return "\n".join(lines) + "\n"
 
 
@@ -556,8 +474,9 @@ def main(argv=None) -> int:
     if overrides:
         try:
             config = dataclasses.replace(config, **overrides)
-        except ValueError as exc:
-            print(f"error: --{exc}", file=sys.stderr)
+        except ConfigError as exc:
+            for path, message in exc.problems:
+                print(f"error: --{path.lstrip('.')}: {message}", file=sys.stderr)
             return 1
 
     try:

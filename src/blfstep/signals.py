@@ -17,9 +17,20 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 
 class SignalError(ValueError):
-    """Signal constructed with unusable parameters."""
+    """Signal constructed with unusable parameters.
+
+    path names the record field at fault when the error comes from
+    signal_from_dict, and is None otherwise.
+    """
+
+    def __init__(self, message: str, path: str | None = None):
+        self.message = message
+        self.path = path
+        super().__init__(f"{path}: {message}" if path else message)
 
 
 @dataclass(frozen=True)
@@ -145,19 +156,37 @@ def finite_number(value) -> float:
     return number
 
 
+def finite_numbers(values, path: str, problems: list):
+    """values as a tuple of floats if it is a list of finite numbers.
+
+    Otherwise appends a (path, message) problem for the list or for each
+    bad element (path[i]) and returns None.
+    """
+    if not isinstance(values, (list, tuple, np.ndarray)):
+        problems.append((path, f"expected a list of numbers, got {values!r}"))
+        return None
+    numbers = []
+    for i, v in enumerate(values):
+        try:
+            numbers.append(finite_number(v))
+        except ValueError as exc:
+            problems.append((f"{path}[{i}]", str(exc)))
+    return tuple(numbers) if len(numbers) == len(values) else None
+
+
 def _number(record: dict, key: str, path: str) -> float:
     if key not in record:
-        raise SignalError(f"{path}: missing key {key!r}")
+        raise SignalError(f"missing key {key!r}", path)
     try:
         return finite_number(record[key])
     except ValueError as exc:
-        raise SignalError(f"{path}.{key}: {exc}") from None
+        raise SignalError(str(exc), f"{path}.{key}") from None
 
 
 def signal_from_dict(record: object, path: str = "signal") -> TimeSignal:
     """Parse a tagged signal record. Unknown keys or kinds are errors."""
     if not isinstance(record, dict):
-        raise SignalError(f"{path}: expected a tagged record, got {record!r}")
+        raise SignalError(f"expected a tagged record, got {record!r}", path)
     kind = record.get("kind")
     if kind == "constant":
         allowed = {"kind", "c"}
@@ -181,11 +210,11 @@ def signal_from_dict(record: object, path: str = "signal") -> TimeSignal:
         allowed = {"kind", "terms"}
         terms = record.get("terms")
         if not isinstance(terms, list) or not terms:
-            raise SignalError(f"{path}.terms: expected a non-empty list")
+            raise SignalError("expected a non-empty list", f"{path}.terms")
         sig = SignalSum(tuple(signal_from_dict(term, f"{path}.terms[{i}]") for i, term in enumerate(terms)))
     else:
-        raise SignalError(f"{path}.kind: unknown signal kind {kind!r}")
+        raise SignalError(f"unknown signal kind {kind!r}", f"{path}.kind")
     unknown = set(record) - allowed
     if unknown:
-        raise SignalError(f"{path}: unknown keys {sorted(unknown)}")
+        raise SignalError(f"unknown keys {sorted(unknown)}", path)
     return sig

@@ -22,7 +22,7 @@ from .controller import BacksteppingCascade, ConstraintConfig, GainConfig
 from .observer import dhat_rate_final, dhat_rate_inner, initial_dhat
 from .approximator import RbfNetwork
 from .plant import PlantSpec
-from .signals import TimeSignal, finite_number
+from .signals import TimeSignal, finite_number, finite_numbers
 
 
 class InfeasibleInitialCondition(RuntimeError):
@@ -46,9 +46,33 @@ class NonFiniteState(RuntimeError):
         super().__init__(f"state became non-finite at t={t:.6g}")
 
 
-@dataclass
+class ConfigError(ValueError):
+    """Invalid run configuration, with field-level diagnostics.
+
+    problems lists (path, message) pairs; each path names the field as the
+    JSON document does, e.g. ".horizon", "gains.k" or ".observer_gains[1]".
+    """
+
+    def __init__(self, problems):
+        self.problems = list(problems)
+        lines = [f"  {path}: {message}" for path, message in self.problems]
+        super().__init__("invalid configuration:\n" + "\n".join(lines))
+
+
+# Past 2**53 steps a step index k no longer converts to a distinct float,
+# so t = k * h can no longer advance at every step.
+_MAX_STEPS = 2 ** 53
+
+
+@dataclass(frozen=True)
 class RunConfig:
-    """Everything one simulation run needs."""
+    """Everything one simulation run needs.
+
+    Valid by construction: __post_init__ is the one place that checks the
+    run-level fields and the relations between the components, and raises
+    ConfigError naming every field at fault. The fields are frozen; build
+    a variant with dataclasses.replace, which checks it again.
+    """
 
     plant: PlantSpec
     constraints: ConstraintConfig
@@ -63,25 +87,52 @@ class RunConfig:
     output_path: str | None = None
 
     def __post_init__(self) -> None:
-        self.observer_gains = tuple(float(g) for g in self.observer_gains)
-        self.initial_x = tuple(float(v) for v in self.initial_x)
-        for name in ("step", "horizon"):
-            try:
-                setattr(self, name, finite_number(getattr(self, name)))
-            except ValueError as exc:
-                raise ValueError(f"{name}: {exc}") from None
-        if not self.step > 0:
-            raise ValueError(f"step: must be > 0, got {self.step}")
-        if self.horizon < 0:
-            raise ValueError(f"horizon: must be >= 0, got {self.horizon}")
-        if not math.isfinite(self.horizon / self.step):
-            raise ValueError(f"step: {self.step:g} is too small for the horizon {self.horizon:g}")
-        if not isinstance(self.decimation, int) or self.decimation < 1:
-            raise ValueError(f"decimation must be an integer >= 1, got {self.decimation!r}")
-        if len(self.initial_x) != self.plant.n:
-            raise ValueError(
-                f"initial state has length {len(self.initial_x)}, expected {self.plant.n}"
-            )
+        problems = []
+        try:
+            horizon = finite_number(self.horizon)
+            if horizon < 0:
+                problems.append((".horizon", f"must be >= 0, got {horizon}"))
+        except ValueError as exc:
+            problems.append((".horizon", str(exc)))
+        try:
+            step = finite_number(self.step)
+            if not step > 0:
+                problems.append((".step", f"must be > 0, got {step}"))
+        except ValueError as exc:
+            problems.append((".step", str(exc)))
+        if not problems and horizon / step > _MAX_STEPS:  # both are valid here
+            message = f"horizon / step = {horizon / step:.6g} steps, more than 2**53"
+            problems += [(".horizon", message), (".step", message)]
+        if isinstance(self.decimation, bool) or not isinstance(self.decimation, int):
+            problems.append((".decimation", f"expected an integer, got {self.decimation!r}"))
+        elif self.decimation < 1:
+            problems.append((".decimation", f"must be >= 1, got {self.decimation}"))
+        if self.output_path is not None and not isinstance(self.output_path, str):
+            problems.append((".output_path", f"expected a string, got {self.output_path!r}"))
+        observer_gains = finite_numbers(self.observer_gains, ".observer_gains", problems)
+        initial_x = finite_numbers(self.initial_x, ".initial_x", problems)
+
+        n = self.plant.n
+        if self.constraints.n != n:
+            problems.append(("constraints.Psi", f"{self.constraints.n} levels for a plant of order {n}"))
+        if len(self.gains.k) != n:
+            problems.append(("gains.k", f"need {n} gains, got {len(self.gains.k)}"))
+        if observer_gains is not None:
+            if len(observer_gains) != n:
+                problems.append((".observer_gains", f"need {n} gains, got {len(observer_gains)}"))
+            for i, g in enumerate(observer_gains):
+                if not g > 0:
+                    problems.append((f".observer_gains[{i}]", f"must be > 0, got {g}"))
+        if initial_x is not None and len(initial_x) != n:
+            problems.append((".initial_x", f"need {n} entries, got {len(initial_x)}"))
+        if self.rbf.n != n:
+            problems.append(("rbf.centers", f"centers have dimension {self.rbf.n}, "
+                                            f"expected the plant order {n}"))
+        if problems:
+            raise ConfigError(problems)
+        for name, value in (("horizon", horizon), ("step", step),
+                            ("observer_gains", observer_gains), ("initial_x", initial_x)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass

@@ -18,6 +18,7 @@ import math
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -180,7 +181,7 @@ def test_criterion_7_determinism(tmp_path):
 
 def test_criterion_8_convergence_stability(sec6_config, sec6_result):
     fine_cfg = blfstep.load_config_file(blfstep.paper_sec6_path())
-    fine_cfg.step = 5e-4
+    fine_cfg = replace(fine_cfg, step=5e-4)
     fine = blfstep.run(fine_cfg)
 
     coarse = sec6_result

@@ -1,8 +1,10 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import blfstep
 from blfstep.cli import (
@@ -137,7 +139,7 @@ class TestCsv:
 
     def test_zero_horizon_gives_header_and_initial_row(self, tmp_path):
         cfg = blfstep.load_config_file(blfstep.paper_sec6_path())
-        cfg.horizon = 0.0
+        cfg = replace(cfg, horizon=0.0)
         res = blfstep.run(cfg)
         path = tmp_path / "initial.csv"
         emit_csv(res, str(path))
@@ -166,7 +168,7 @@ class TestReport:
 
     def test_report_pass_for_short_run(self):
         cfg = blfstep.load_config_file(blfstep.paper_sec6_path())
-        cfg.horizon = 0.5
+        cfg = replace(cfg, horizon=0.5)
         res = blfstep.run(cfg)
         # before the gain-search transient the flagship stays within both bounds
         text = emit_report(res)
@@ -270,7 +272,7 @@ class TestParseEdges:
         assert code == 2
         assert "EXCEEDED" in reserve_line(capsys.readouterr().out, 2)
         cfg = blfstep.load_config_file(blfstep.paper_sec6_path())
-        cfg.horizon = 0.7
+        cfg = replace(cfg, horizon=0.7)
         for res in (blfstep.run(cfg), sec6_result):
             text = emit_report(res)
             for i, ratio in enumerate(res.metrics.max_constraint_ratio):
@@ -295,6 +297,7 @@ NON_FINITE_CASES = [
     pytest.param(["--step", "inf"], None, "--step", id="flag-step-inf"),
     pytest.param(["--step", "nan"], None, "--step", id="flag-step-nan"),
     pytest.param(["--step", "1e-320"], None, "--step", id="flag-step-overflows-count"),
+    pytest.param(["--horizon", "1e300"], None, "--horizon", id="flag-horizon-past-step-limit"),
     pytest.param([], _set(["step"], math.inf), ".step", id="json-step-inf"),
     pytest.param([], _set(["horizon"], math.nan), ".horizon", id="json-horizon-nan"),
     pytest.param([], _set(["plant", "beta"], math.nan), "plant.beta", id="json-beta-nan"),
@@ -320,6 +323,9 @@ def test_non_finite_numbers_are_config_errors(flags, mutate, field, tmp_path, ca
     assert main(["simulate", str(path), *flags]) == 1
     captured = capsys.readouterr()
     assert field in captured.err
+    assert captured.err.count(field) == 1, captured.err
+    lines = [line.strip().removeprefix("error: ") for line in captured.err.splitlines()]
+    assert any(line.startswith(f"{field}: ") for line in lines), captured.err
     assert "verdict" not in captured.out
 
 
@@ -341,3 +347,74 @@ def test_rbf_centers_must_match_plant_order(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["simulate", str(path)]) == 1
     assert "rbf.centers" in capsys.readouterr().err
+
+
+def _sec6_run(horizon):
+    return blfstep.run(replace(blfstep.load_config_file(blfstep.paper_sec6_path()),
+                               horizon=horizon))
+
+
+OUTCOMES = [
+    # (outcome, its exit code, the report line or header that states it)
+    pytest.param(lambda: _sec6_run(0.5), 0, "verdict: PASS", id="passing-run"),
+    pytest.param(lambda: _sec6_run(0.7), 2, "verdict: FAIL", id="failing-run"),
+    pytest.param(lambda: blfstep.BarrierViolation(0.2, 0.1, level=1, t=3.25), 2, "run aborted",
+                 id="barrier-violation"),
+    pytest.param(lambda: blfstep.NonFiniteState(1.5), 2, "run aborted", id="non-finite-state"),
+    pytest.param(lambda: blfstep.InfeasibleInitialCondition(2, 0.2, 0.1), 1, "run not started",
+                 id="infeasible-initial-condition"),
+]
+
+
+@pytest.mark.parametrize("make, code, line", OUTCOMES)
+def test_report_agrees_with_exit_code(make, code, line):
+    outcome = make()
+    report = emit_report(outcome)
+    assert verdict_code(outcome) == code
+    assert line in report.splitlines()
+    assert ("constraints: PASS" in report) == ("verdict: PASS" in report) == (code == 0)
+
+
+def _doc_paths(node, prefix=()):
+    """The key path of every field in a JSON document, nested ones too."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _doc_paths(child, prefix + (key,))
+
+
+# Integers stay small: an rbf.l of 10**9 would allocate gigabytes.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 30) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+
+
+def _assert_same_config(a, b):
+    assert a.plant == b.plant and a.gains == b.gains and a.reference == b.reference
+    assert a.constraints.state_bounds == b.constraints.state_bounds
+    assert a.constraints.virtual_bounds == b.constraints.virtual_bounds
+    assert np.array_equal(a.rbf.centers, b.rbf.centers)
+    assert np.array_equal(a.rbf.widths, b.rbf.widths)
+    for name in ("observer_gains", "horizon", "step", "decimation", "initial_x", "output_path"):
+        assert getattr(a, name) == getattr(b, name), name
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=st.sampled_from(list(_doc_paths(json.loads(sec6_text())))), value=JSON_VALUES)
+@example(path=("rbf",), value={"l": 1, "centers": [{}], "widths": [1.0]})
+def test_one_field_mutation_parses_or_is_config_error(path, value):
+    doc = json.loads(sec6_text())
+    _set(path, value)(doc)
+    try:
+        cfg = parse_config(json.dumps(doc))
+    except ConfigError:
+        return
+    _assert_same_config(parse_config(json.dumps(config_to_dict(cfg))), cfg)

@@ -1,7 +1,9 @@
 import math
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import blfstep
 from blfstep.approximator import RbfNetwork
@@ -10,6 +12,7 @@ from blfstep.plant import Monomial, PlantSpec
 from blfstep.signals import Constant, Sinusoid
 from blfstep.simengine import (
     ClosedLoop,
+    ConfigError,
     InfeasibleInitialCondition,
     NonFiniteState,
     RunConfig,
@@ -111,7 +114,7 @@ class TestRun:
 
     def test_infeasible_initial_condition_names_level(self, sec6_config):
         cfg = blfstep.load_config_file(blfstep.paper_sec6_path())
-        cfg.initial_x = (0.0, 0.2)  # |z2(0)| = 0.2 >= psi2(0) = 0.1
+        cfg = replace(cfg, initial_x=(0.0, 0.2))  # |z2(0)| = 0.2 >= psi2(0) = 0.1
         with pytest.raises(InfeasibleInitialCondition) as err:
             run(cfg)
         assert err.value.level == 2
@@ -189,7 +192,7 @@ class TestRun:
 
     def test_infeasible_level_one(self):
         cfg = blfstep.load_config_file(blfstep.paper_sec6_path())
-        cfg.initial_x = (1.2, 0.0)  # |z1(0)| = 1.2 >= psi1(0) = 1.1
+        cfg = replace(cfg, initial_x=(1.2, 0.0))  # |z1(0)| = 1.2 >= psi1(0) = 1.1
         with pytest.raises(InfeasibleInitialCondition) as err:
             run(cfg)
         assert err.value.level == 1
@@ -244,3 +247,80 @@ class TestThirdOrder:
         assert rec.v.shape == (2,)
         assert rec.theta_rate.shape == (8,)
         assert np.isfinite(rec.barrier_energy)
+
+
+def named_fields(err):
+    return [path for path, _ in err.value.problems]
+
+
+class TestRunConfigValidity:
+    def test_fields_are_frozen(self, sec6_config):
+        with pytest.raises(FrozenInstanceError):
+            sec6_config.horizon = 1.0
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"horizon": math.nan}, ".horizon"),
+        ({"observer_gains": (7.0,)}, ".observer_gains"),
+        ({"observer_gains": (math.inf, 7.0)}, ".observer_gains[0]"),
+        ({"initial_x": (math.nan, 0.0)}, ".initial_x[0]"),
+        ({"decimation": True}, ".decimation"),
+    ])
+    def test_invalid_variant_names_the_field(self, sec6_config, overrides, field):
+        with pytest.raises(ConfigError) as err:
+            replace(sec6_config, **overrides)
+        assert field in named_fields(err)
+
+    def test_step_count_is_bounded(self, sec6_config):
+        # 1e300 / 1e-3 steps: t = k * h could not advance at every step
+        with pytest.raises(ConfigError) as err:
+            replace(sec6_config, horizon=1e300)
+        assert named_fields(err) == [".horizon", ".step"]
+
+    def test_relations_between_components_checked(self):
+        with pytest.raises(ConfigError) as err:
+            quiet_config(gains=GainConfig(k=(5.0,), lam=14.0, eta=4.0),
+                         constraints=ConstraintConfig((Constant(2.0),), (0.0,)),
+                         rbf=RbfNetwork.lattice(4, 3))
+        assert named_fields(err) == ["constraints.Psi", "gains.k", "rbf.centers"]
+
+
+_NOT_A_NUMBER = (st.none() | st.booleans() | st.text(max_size=3)
+                 | st.lists(st.floats(0.1, 1.0), max_size=2))
+_BAD_NUMBER = st.sampled_from([math.nan, math.inf, -math.inf]) | _NOT_A_NUMBER
+_NUMBERS = st.floats(0.1, 10.0)
+
+
+def _bad_vector(positive):
+    """Invalid values for a length-2 vector field of quiet_config."""
+    bad = (
+        _BAD_NUMBER.filter(lambda v: not isinstance(v, list))
+        | st.lists(_NUMBERS, max_size=5).filter(lambda v: len(v) != 2)
+        | st.tuples(_BAD_NUMBER, _NUMBERS)
+        | st.tuples(_NUMBERS, _BAD_NUMBER)
+    )
+    if positive:
+        bad |= st.tuples(_NUMBERS, st.floats(max_value=0.0))
+    return bad
+
+
+# quiet_config has horizon 1 and step 1e-3; the large horizon and the
+# small step make horizon / step more than 2**53
+INVALID_RUN_FIELDS = {
+    "horizon": _BAD_NUMBER | st.floats(max_value=-1e-300) | st.floats(min_value=1e13),
+    "step": _BAD_NUMBER | st.floats(max_value=0.0) | st.floats(5e-324, 1e-16),
+    "decimation": (st.none() | st.booleans() | st.integers(max_value=0) | st.floats()
+                   | st.text(max_size=3)),
+    "output_path": st.booleans() | st.integers() | st.floats() | st.lists(st.text(max_size=2)),
+    "initial_x": _bad_vector(positive=False),
+    "observer_gains": _bad_vector(positive=True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_RUN_FIELDS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_invalid_run_field_is_a_config_error_naming_it(name, data):
+    value = data.draw(INVALID_RUN_FIELDS[name], label=name)
+    with pytest.raises(ConfigError) as err:
+        replace(quiet_config(), **{name: value})
+    assert any(path == f".{name}" or path.startswith(f".{name}[") for path in named_fields(err))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from importlib import resources
 
@@ -316,21 +317,20 @@ def emit_csv(result: SimResult, path: str) -> None:
     cfg = result.config
     n = cfg.plant.n
     lines = [",".join(csv_header(n))]
-    for t, state, rec in zip(result.times, result.trajectory, result.records):
-        t = float(t)
-        x = state[:n]
-        zeta = state[2 * n:3 * n]
+    for t, state, rec in zip(result.times.tolist(), result.trajectory, result.records):
+        values = state.tolist()
         theta = state[3 * n:]
         row = [t]
-        row += [x[i] for i in range(n)]
+        row += values[:n]
         row += [cfg.constraints.state_bound(i, t) for i in range(n)]
         row += [cfg.constraints.envelope(i, t) for i in range(n)]
-        row += [rec.z[i] for i in range(n)]
-        row += [rec.v[i] for i in range(n - 1)]
+        row += rec.z.tolist()
+        row += rec.v.tolist()
         row += [rec.u]
-        row += [rec.eps_hat[i] for i in range(n)]
-        row += [zeta[i] for i in range(n)]
-        row += [float(np.linalg.norm(theta)), cfg.reference.value(t)]
+        row += rec.eps_hat.tolist()
+        row += values[2 * n:3 * n]
+        # what np.linalg.norm computes for a vector
+        row += [math.sqrt(theta @ theta), cfg.reference.value(t)]
         lines.append(",".join(_fmt(v) for v in row))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

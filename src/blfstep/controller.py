@@ -38,6 +38,13 @@ from .observer import estimate
 from .signals import TimeSignal
 
 
+# Up to this many weights the weight update costs less elementwise on
+# Python floats than as numpy array operations, whose fixed cost per call
+# outweighs short vectors (crossover near 28 weights, measured with
+# timeit). Both forms round every element identically.
+_FLOAT_WEIGHTS_MAX = 24
+
+
 class DiagnosticUnavailable(RuntimeError):
     """A diagnostic formula's precondition does not hold."""
 
@@ -168,6 +175,7 @@ class BacksteppingCascade:
         # Constants of the final level, hoisted out of the hot loop.
         self._kn4_over_8 = self.observer_gains[-1] ** 4 / 8.0
         self._kn_sq = self.observer_gains[-1] ** 2
+        self._float_weights = rbf.l <= _FLOAT_WEIGHTS_MAX
         self._memo_t = None
         self._memo = None
 
@@ -201,11 +209,13 @@ class BacksteppingCascade:
 
     def _eval(self, t: float, x, dhat, zeta, theta):
         """Cascade pass; returns (z, q, eps_hat, alpha, v, u, zeta_rate,
-        theta_rate, nn_out) with per-level lists of floats and theta_rate
-        an array.
+        theta_rate, nn_out) with per-level lists of floats. theta_rate is
+        a list of floats for up to _FLOAT_WEIGHTS_MAX weights and an array
+        beyond.
 
-        x, dhat and zeta are arrays; the scalar work runs on Python
-        floats, which round exactly as numpy float64 scalars do.
+        x, dhat, zeta and theta are arrays; the scalar work runs on Python
+        floats, which round exactly as numpy float64 scalars and
+        elementwise array operations do.
         """
         n = self.n
         k = self.gains.k
@@ -246,7 +256,14 @@ class BacksteppingCascade:
             alpha.append(ai)
             zeta_rate.append(qi * ai)
         lam = self.gains.lam
-        theta_rate = lam * (q[n - 1] * phi - self._kn_sq * theta - self.gains.eta * theta)
+        qn = q[n - 1]
+        kn_sq = self._kn_sq
+        eta = self.gains.eta
+        if self._float_weights:
+            theta_rate = [lam * (qn * p - kn_sq * w - eta * w)
+                          for p, w in zip(phi.tolist(), theta.tolist())]
+        else:
+            theta_rate = lam * (qn * phi - kn_sq * theta - eta * theta)
         return z, q, eps_hat, alpha, v, u, zeta_rate, theta_rate, nn_out
 
     def step(self, t: float, x, dhat, zeta, theta) -> StepRecord:
@@ -258,7 +275,8 @@ class BacksteppingCascade:
         for i in range(self.n):
             energy += blf_value(z[i], psis[i])
         z, q, eps_hat, alpha, zeta_rate = np.array((z, q, eps_hat, alpha, zeta_rate))
-        return StepRecord(z, q, eps_hat, alpha, np.array(v), u, zeta_rate, theta_rate, energy)
+        return StepRecord(z, q, eps_hat, alpha, np.array(v), u, zeta_rate, np.array(theta_rate),
+                          energy)
 
 
 def lyapunov_decay_rates(gains: GainConfig, observer_gains, basis_bound: float) -> np.ndarray:

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 
 class PlantError(ValueError):
     """Plant specification or evaluation input is invalid."""
@@ -75,12 +73,13 @@ class PlantSpec:
             total += term
         return total
 
-    def rhs(self, t: float, x, u: float) -> np.ndarray:
-        """Time derivative of the state under input u at time t."""
+    def rhs(self, t: float, x, u: float) -> list:
+        """Time derivative of the state under input u at time t, as a list
+        of floats."""
         if len(x) != self.n:
             raise PlantError(f"state has length {len(x)}, expected {self.n}")
         last = self.n - 1
         dist = self.disturbances
         dx = [x[i + 1] + dist[i].value(t) for i in range(last)]
         dx.append(self.nonlinearity(x) + self.beta * u + dist[last].value(t))
-        return np.array(dx, dtype=float)
+        return dx

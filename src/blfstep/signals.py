@@ -23,8 +23,9 @@ import numpy as np
 class SignalError(ValueError):
     """Signal constructed with unusable parameters.
 
-    path names the record field at fault when the error comes from
-    signal_from_dict, and is None otherwise.
+    path names the field at fault: the parameter name (e.g. "b") when a
+    constructor raises, the full record path (e.g. "reference.terms[1].b")
+    when signal_from_dict does, or None.
     """
 
     def __init__(self, message: str, path: str | None = None):
@@ -57,7 +58,7 @@ class Sinusoid:
 
     def __post_init__(self) -> None:
         if self.kind not in ("sin", "cos"):
-            raise SignalError(f"sinusoid kind must be 'sin' or 'cos', got {self.kind!r}")
+            raise SignalError(f"sinusoid kind must be 'sin' or 'cos', got {self.kind!r}", "kind")
 
     def value(self, t: float) -> float:
         arg = self.angular_frequency * t + self.phase
@@ -82,7 +83,7 @@ class ExpDecay:
 
     def __post_init__(self) -> None:
         if self.b < 0:
-            raise SignalError(f"exponential rate must be >= 0 for boundedness, got {self.b}")
+            raise SignalError(f"exponential rate must be >= 0 for boundedness, got {self.b}", "b")
 
     def value(self, t: float) -> float:
         return self.a * math.exp(-self.b * t) + self.c
@@ -99,7 +100,7 @@ class SignalSum:
 
     def __post_init__(self) -> None:
         if len(self.terms) < 1:
-            raise SignalError("sum signal needs at least one term")
+            raise SignalError("sum signal needs at least one term", "terms")
         object.__setattr__(self, "terms", tuple(self.terms))
 
     def value(self, t: float) -> float:
@@ -184,36 +185,41 @@ def _number(record: dict, key: str, path: str) -> float:
 
 
 def signal_from_dict(record: object, path: str = "signal") -> TimeSignal:
-    """Parse a tagged signal record. Unknown keys or kinds are errors."""
+    """Parse a tagged signal record. Unknown keys or kinds are errors.
+
+    A constructor's SignalError is raised again under the field's full
+    path, e.g. "constraints.Psi[1].terms[1].b".
+    """
     if not isinstance(record, dict):
         raise SignalError(f"expected a tagged record, got {record!r}", path)
     kind = record.get("kind")
     if kind == "constant":
         allowed = {"kind", "c"}
-        sig: TimeSignal = Constant(_number(record, "c", path))
+        cls, params = Constant, {"c": _number(record, "c", path)}
     elif kind in _SIN_KINDS:
         allowed = {"kind", "amplitude", "angular_frequency", "phase"}
-        sig = Sinusoid(
-            amplitude=_number(record, "amplitude", path),
-            angular_frequency=_number(record, "angular_frequency", path),
-            phase=_number(record, "phase", path) if "phase" in record else 0.0,
-            kind=kind,
-        )
+        cls, params = Sinusoid, {
+            "amplitude": _number(record, "amplitude", path),
+            "angular_frequency": _number(record, "angular_frequency", path),
+            "phase": _number(record, "phase", path) if "phase" in record else 0.0,
+            "kind": kind,
+        }
     elif kind == "expdecay":
         allowed = {"kind", "a", "b", "c"}
-        sig = ExpDecay(
-            a=_number(record, "a", path),
-            b=_number(record, "b", path),
-            c=_number(record, "c", path),
-        )
+        cls, params = ExpDecay, {key: _number(record, key, path) for key in ("a", "b", "c")}
     elif kind == "sum":
         allowed = {"kind", "terms"}
         terms = record.get("terms")
         if not isinstance(terms, list) or not terms:
             raise SignalError("expected a non-empty list", f"{path}.terms")
-        sig = SignalSum(tuple(signal_from_dict(term, f"{path}.terms[{i}]") for i, term in enumerate(terms)))
+        cls, params = SignalSum, {"terms": tuple(
+            signal_from_dict(term, f"{path}.terms[{i}]") for i, term in enumerate(terms))}
     else:
         raise SignalError(f"unknown signal kind {kind!r}", f"{path}.kind")
+    try:
+        sig = cls(**params)
+    except SignalError as exc:
+        raise SignalError(exc.message, f"{path}.{exc.path}" if exc.path else path) from None
     unknown = set(record) - allowed
     if unknown:
         raise SignalError(f"unknown keys {sorted(unknown)}", path)

@@ -201,11 +201,10 @@ class ClosedLoop:
         kobs = self.cascade.observer_gains
         rates = [dhat_rate_inner(kobs[i], x[i + 1], eps_hat[i]) for i in range(n - 1)]
         rates.append(dhat_rate_final(kobs[n - 1], nn_out, u, eps_hat[n - 1]))
-        ds = np.empty(self.dim)
-        ds[:n] = self.plant.rhs(t, x, u)
-        ds[n:3 * n] = rates + zeta_rate
-        ds[3 * n:] = theta_rate
-        return ds
+        head = self.plant.rhs(t, x, u) + rates + zeta_rate
+        if isinstance(theta_rate, list):
+            return np.array(head + theta_rate, dtype=float)
+        return np.concatenate((head, theta_rate))
 
 
 def _nan_guard(exc: BarrierViolation, t: float) -> None:
@@ -261,19 +260,25 @@ def run(config: RunConfig) -> SimResult:
 
     state_bound = config.constraints.state_bound
     deriv = loop.derivative
+    decimation = config.decimation
     for k in range(steps + 1):
         t = k * h
         x, dhat, zeta, theta = loop.split(s)
+        # A StepRecord only for the rows kept; every other step feeds the
+        # cascade pass's floats straight into the metrics.
+        recorded = k % decimation == 0 or k == steps
         try:
-            rec = cascade.step(t, x, dhat, zeta, theta)
+            if recorded:
+                rec = cascade.step(t, x, dhat, zeta, theta)
+                z, eps_hat, v, u = rec.z.tolist(), rec.eps_hat.tolist(), rec.v.tolist(), rec.u
+            else:
+                z, _, eps_hat, _, v, u, _, _, _ = cascade._eval(t, x, dhat, zeta, theta)
         except BarrierViolation as exc:
             _nan_guard(exc, t)
             raise
 
         x = x.tolist()
         zeta = zeta.tolist()
-        z = rec.z.tolist()
-        eps_hat = rec.eps_hat.tolist()
         envelopes = cascade.time_signals(t)[1]
         for i in range(n):
             bound = state_bound(i, t)
@@ -294,11 +299,11 @@ def run(config: RunConfig) -> SimResult:
                 rate = abs(eps_hat[i] - prev_eps_hat[i]) / h
                 if rate > max_eps_hat_rate[i]:
                     max_eps_hat_rate[i] = rate
-        for i, vi in enumerate(rec.v.tolist()):
+        for i, vi in enumerate(v):
             if abs(vi) > max_abs_v[i]:
                 max_abs_v[i] = abs(vi)
-        if abs(rec.u) > max_abs_u:
-            max_abs_u = abs(rec.u)
+        if abs(u) > max_abs_u:
+            max_abs_u = abs(u)
         prev_eps_hat = eps_hat
         theta_norm = math.sqrt(theta @ theta)  # what np.linalg.norm computes for a vector
         if theta_norm > max_theta_norm:
@@ -307,7 +312,7 @@ def run(config: RunConfig) -> SimResult:
             tail_sq_sum += z[0] ** 2
             tail_count += 1
 
-        if k % config.decimation == 0 or k == steps:
+        if recorded:
             times.append(t)
             trajectory.append(s.copy())
             records.append(rec)

@@ -1,10 +1,12 @@
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 import blfstep
 from blfstep.cli import (
@@ -329,6 +331,27 @@ def test_non_finite_numbers_are_config_errors(flags, mutate, field, tmp_path, ca
     assert "verdict" not in captured.out
 
 
+NEGATIVE_RATE_SUM = {"kind": "sum", "terms": [{"kind": "constant", "c": 1.0},
+                                              {"kind": "expdecay", "a": 1.0, "b": -0.5, "c": 1.1}]}
+
+
+@pytest.mark.parametrize("mutate, field", [
+    pytest.param(_set(["constraints", "Psi", 1], NEGATIVE_RATE_SUM),
+                 "constraints.Psi[1].terms[1].b", id="Psi-term"),
+    pytest.param(_set(["reference"], NEGATIVE_RATE_SUM), "reference.terms[1].b",
+                 id="reference-term"),
+])
+def test_nested_signal_error_names_its_field(mutate, field, tmp_path, capsys):
+    doc = json.loads(sec6_text())
+    mutate(doc)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", str(path)]) == 1
+    lines = [line.strip().removeprefix("error: ") for line in capsys.readouterr().err.splitlines()]
+    assert [line for line in lines if line.startswith(f"{field}: ")] == [
+        f"{field}: exponential rate must be >= 0 for boundedness, got -0.5"], lines
+
+
 def test_integer_literal_past_the_digit_limit_is_config_error():
     # json.loads raises a plain ValueError past the int conversion limit
     text = sec6_text().replace('"eta": 4.0', '"eta": 1' + "0" * 5000)
@@ -418,3 +441,37 @@ def test_one_field_mutation_parses_or_is_config_error(path, value):
     except ConfigError:
         return
     _assert_same_config(parse_config(json.dumps(config_to_dict(cfg))), cfg)
+
+
+# Plain numbers as well, so that many mutations still parse and run.
+@settings(max_examples=200, deadline=None)
+@given(path=st.sampled_from(list(_doc_paths(json.loads(sec6_text())))),
+       value=st.floats(-3.0, 30.0) | st.integers(-3, 30) | JSON_VALUES)
+def test_one_field_mutation_exits_0_1_or_2_without_traceback(path, value, tmp_path_factory):
+    doc = json.loads(sec6_text())
+    doc["horizon"] = 0.02
+    _set(path, value)(doc)
+    text = json.dumps(doc)
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        cfg = None
+    # a mutated horizon or step may ask for millions of steps
+    assume(cfg is None or cfg.horizon <= 1000 * cfg.step)
+    config_path = tmp_path_factory.getbasetemp() / "mutation.json"
+    config_path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["simulate", str(config_path)])
+    out, err = out.getvalue(), err.getvalue()
+    assert "Traceback" not in out + err
+    assert code in (0, 1, 2)
+    event(f"exit {code}")
+    # exit 1 is a configuration error, or a valid configuration whose
+    # initial state already lies outside an envelope
+    not_started = out.startswith("run not started\n")
+    assert (code == 1) == (cfg is None or not_started), (code, out, err)
+    if cfg is None:
+        assert out == "" and err.startswith("error: invalid configuration:\n"), (out, err)
+    else:
+        assert out.startswith(("closed-loop run report\n", "run aborted\n", "run not started\n"))

@@ -405,3 +405,30 @@ class TestFastPathMatchesReference:
             assert bits(y_d) == bits(SEC6.reference.value(t))
             assert bits(psi) == bits([SEC6.constraints.envelope(i, t) for i in range(2)])
             assert bits(psi_rate) == bits([SEC6.constraints.envelope_rate(i, t) for i in range(2)])
+
+
+# Past _FLOAT_WEIGHTS_MAX weights the weight update runs as numpy array
+# operations; it too must equal the reference bit for bit.
+WIDE_LOOP = ClosedLoop(SEC6_LOOP.plant, BacksteppingCascade(
+    SEC6.reference, SEC6.constraints, SEC6.gains, SEC6.observer_gains,
+    RbfNetwork(RbfNetwork.lattice(48, 2).centers, np.linspace(0.7, 2.9, 48)),
+))
+
+
+@settings(max_examples=50, deadline=None)
+@given(k=st.integers(0, 20000), state=st.lists(small, min_size=54, max_size=54))
+def test_wide_weight_update_equals_reference(k, state):
+    s = np.array(state)
+    casc = WIDE_LOOP.cascade
+    parts = (s[:2], s[2:4], s[4:6], s[6:])
+    for tau in (k * H, k * H + 0.5 * H):
+        ref = outcome(reference_eval, casc, tau, *parts)
+        got = outcome(casc._eval, tau, *parts)
+        if isinstance(ref[0], str) or isinstance(got[0], str):  # a violation
+            assert got == ref
+            continue
+        assert isinstance(got[7], np.ndarray)
+        for r, g in zip(ref, got):
+            assert bits(g) == bits(r)
+        assert bits(casc.step(tau, *parts).theta_rate) == bits(ref[7])
+        assert bits(WIDE_LOOP.derivative(tau, s)) == bits(reference_derivative(WIDE_LOOP, tau, s))

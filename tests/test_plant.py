@@ -60,7 +60,7 @@ def test_rhs_linear_in_input_with_slope_beta():
     x = (0.4, -1.1, 2.2)
     base = spec.rhs(1.0, x, 0.0)
     bumped = spec.rhs(1.0, x, 1.0)
-    diff = bumped - base
+    diff = np.subtract(bumped, base)
     assert diff[:-1] == pytest.approx([0.0, 0.0], abs=0.0)
     assert diff[-1] == pytest.approx(-2.5, abs=1e-12)
 

@@ -1,5 +1,5 @@
 import math
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -202,6 +202,37 @@ class TestRun:
         # records at steps 0, 25, 50, 75, 100
         assert len(res.times) == 5
         assert res.times[1] == pytest.approx(0.025)
+
+    def test_decimation_changes_only_which_rows_are_kept(self, sec6_config):
+        # Metrics cover every accepted step, recorded or not, so they must
+        # not depend on the decimation; a kept row equals the decimation-1
+        # row at the same time, bit for bit.
+        def bits(value):
+            if value is None:
+                return None
+            return [float(v).hex() for v in np.atleast_1d(np.asarray(value, dtype=float))]
+
+        def metric_bits(res):
+            m = res.metrics
+            return {f.name: [bits(v) for v in getattr(m, f.name)]
+                    if f.name == "reserve_exceeded_at" else bits(getattr(m, f.name))
+                    for f in fields(m)}
+
+        def row_bits(res, j):
+            rec = res.records[j]
+            return ([bits(res.trajectory[j])]
+                    + [bits(getattr(rec, f.name)) for f in fields(rec)])
+
+        every = run(replace(sec6_config, horizon=1.0, decimation=1))
+        assert len(every.records) == 1001
+        by_time = {float(t): j for j, t in enumerate(every.times)}
+        for decimation in (7, 10):
+            res = run(replace(sec6_config, horizon=1.0, decimation=decimation))
+            assert metric_bits(res) == metric_bits(every), decimation
+            assert res.times[-1] == every.times[-1]
+            assert len(res.records) == len(range(0, 1001, decimation)) + (1000 % decimation > 0)
+            for j, t in enumerate(res.times):
+                assert row_bits(res, j) == row_bits(every, by_time[float(t)]), (decimation, t)
 
 
 def third_order_config():

@@ -28,11 +28,9 @@ from .controller import (
     BacksteppingCascade,
     ConstraintConfig,
     ControllerError,
-    DiagnosticUnavailable,
     GainConfig,
     StepRecord,
     lyapunov_decay_rates,
-    tracking_error_bound,
 )
 from .observer import (
     dhat_rate_final,
@@ -43,6 +41,7 @@ from .observer import (
 )
 from .plant import Monomial, PlantError, PlantSpec
 from .signals import (
+    ConfigError,
     Constant,
     ExpDecay,
     SignalError,
@@ -54,7 +53,6 @@ from .signals import (
 )
 from .simengine import (
     ClosedLoop,
-    ConfigError,
     InfeasibleInitialCondition,
     NonFiniteState,
     RunConfig,

@@ -11,9 +11,33 @@ import math
 
 import numpy as np
 
+from .signals import ConfigError, finite_numbers
 
-class RbfError(ValueError):
+
+class RbfError(ConfigError):
     """Network constructed with unusable centers or widths."""
+
+
+def _float_array(values, name: str, ndim: int, problems: list):
+    """values as a float array with ndim axes, if it is a non-empty list
+    (of equally long lists, for ndim 2) of finite numbers. Otherwise None,
+    after one (name, message) problem that names the first entry at fault."""
+    found = []
+    if ndim == 1:
+        rows = finite_numbers(values, "", found)
+    elif isinstance(values, (list, tuple, np.ndarray)):
+        rows = [finite_numbers(row, f"[{i}]", found) for i, row in enumerate(values)]
+        if not found and len({len(row) for row in rows}) > 1:
+            found.append(("", "expected rows of equal length"))
+    else:
+        found.append(("", f"expected a list of rows, got {values!r}"))
+    if not found and not rows:
+        found.append(("", "expected at least one entry"))
+    if found:
+        where, message = found[0]
+        problems.append((name, f"entry {where}: {message}" if where else message))
+        return None
+    return np.array(rows, dtype=float)
 
 
 def _grid_counts(nodes: int, dims: int) -> list:
@@ -40,14 +64,17 @@ class RbfNetwork:
     """Fixed Gaussian basis over the plant state space."""
 
     def __init__(self, centers, widths):
-        centers = np.asarray(centers, dtype=float)
-        widths = np.asarray(widths, dtype=float)
-        if centers.ndim != 2:
-            raise RbfError("centers must be a 2-D array (one row per node)")
-        if widths.ndim != 1 or widths.shape[0] != centers.shape[0]:
-            raise RbfError("need exactly one width per center")
-        if not np.all(widths > 0):
-            raise RbfError("widths must be strictly positive")
+        problems = []
+        centers = _float_array(centers, "centers", 2, problems)
+        widths = _float_array(widths, "widths", 1, problems)
+        if widths is not None:
+            if not np.all(widths > 0):
+                problems.append(("widths", "must be > 0"))
+            if centers is not None and widths.shape[0] != centers.shape[0]:
+                problems.append(("widths", f"need exactly one width per center: got "
+                                           f"{widths.shape[0]} for {centers.shape[0]} centers"))
+        if problems:
+            raise RbfError(problems)
         self.centers = centers
         self.widths = widths
         # -d/b is computed as d/(-b): IEEE division rounds both alike
@@ -72,8 +99,11 @@ class RbfNetwork:
         2-D gives a 4 x 3 grid). An axis with a single point sits at the
         interval midpoint. All widths are equal.
         """
-        if nodes < 1:
-            raise RbfError(f"node count must be >= 1, got {nodes}")
+        problems = [(name, f"expected an integer >= 1, got {value!r}")
+                    for name, value in (("l", nodes), ("dims", dims))
+                    if isinstance(value, bool) or not isinstance(value, int) or value < 1]
+        if problems:
+            raise RbfError(problems)
         counts = _grid_counts(nodes, dims)
         axes = [
             np.linspace(low, high, m) if m > 1 else np.array([(low + high) / 2.0])
@@ -87,13 +117,6 @@ class RbfNetwork:
         """Basis vector at input zbar; every component lies in (0, 1]."""
         diff = self.centers - np.asarray(zbar, dtype=float)
         return np.exp(np.add.reduce(diff * diff, axis=1) / self._neg_widths)
-
-    def output(self, theta, zbar) -> float:
-        """Network output theta @ basis(zbar)."""
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.l,):
-            raise RbfError(f"weight vector has shape {theta.shape}, expected ({self.l},)")
-        return float(theta @ self.basis(zbar))
 
     def norm_bound(self) -> float:
         """Upper bound on ||basis(zbar)||: sqrt(l), since each component <= 1."""

@@ -4,7 +4,8 @@ The run configuration is a single JSON document with tagged signal
 records. Parsing is strict: unknown keys, missing fields, and invariant
 violations are reported as field-level diagnostics naming the offending
 key. Exit codes encode the run outcome so CI can assert a reproduction
-without parsing text: 0 all checks pass, 1 configuration problem,
+without parsing text: 0 all checks pass, 1 configuration problem or an
+initial state already outside its envelope (the run never starts),
 2 constraint failure or numerical blowup.
 """
 
@@ -19,23 +20,18 @@ from importlib import resources
 
 import numpy as np
 
-from .approximator import RbfError, RbfNetwork
+from .approximator import RbfNetwork
 from .barrier import BarrierViolation
-from .controller import (
-    ConstraintConfig,
-    ControllerError,
-    GainConfig,
-    lyapunov_decay_rates,
-)
+from .controller import ConstraintConfig, GainConfig, lyapunov_decay_rates
 from .observer import gain_warnings
-from .plant import Monomial, PlantError, PlantSpec
-from .signals import SignalError, finite_number, finite_numbers, signal_from_dict, signal_to_dict
+from .plant import Monomial, PlantSpec
+from .signals import ConfigError, SignalError, signal_from_dict, signal_to_dict
 from .simengine import (
-    ConfigError,
     InfeasibleInitialCondition,
     NonFiniteState,
     RunConfig,
     SimResult,
+    check_run_fields,
     run,
 )
 
@@ -53,155 +49,103 @@ def _check_keys(record: dict, allowed, required, path: str, problems: list) -> b
     return ok
 
 
-def _number(record: dict, key: str, path: str, problems: list):
+def _record(value, path: str, allowed, required, problems: list) -> bool:
+    """Whether value is an object with the required keys and no others."""
+    if not isinstance(value, dict):
+        problems.append((path, "expected an object"))
+        return False
+    return _check_keys(value, allowed, required, path, problems)
+
+
+def _list(value, path: str, problems: list) -> list:
+    """value if it is a list; otherwise [] after recording a problem."""
+    if isinstance(value, list):
+        return value
+    problems.append((path, "expected a list"))
+    return []
+
+
+def _build(make, path: str, problems: list, *args, **kwargs):
+    """make(*args, **kwargs), or None after recording the problems it
+    names under the record's path."""
     try:
-        return finite_number(record[key])
-    except ValueError as exc:
-        problems.append((f"{path}.{key}", str(exc)))
+        return make(*args, **kwargs)
+    except ConfigError as exc:
+        problems += exc.under(path)
         return None
-
-
-def _int(record: dict, key: str, path: str, problems: list):
-    value = record[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        problems.append((f"{path}.{key}", f"expected an integer, got {value!r}"))
-        return None
-    return value
 
 
 def _parse_signal(record, path: str, problems: list):
     try:
         return signal_from_dict(record, path)
     except SignalError as exc:
-        problems.append((exc.path or path, exc.message))
+        problems += exc.problems
         return None
 
+
+# Each component record below is checked for its shape only: an object
+# with the allowed keys, its nested lists and records. The values go to
+# the component's constructor, which checks them. A record whose nested
+# part failed is not built; its own fields are checked in a later attempt.
 
 def _parse_plant(record, problems: list) -> PlantSpec | None:
     path = "plant"
-    if not isinstance(record, dict):
-        problems.append((path, "expected an object"))
+    keys = ("n", "f", "beta", "disturbances")
+    if not _record(record, path, keys, keys, problems):
         return None
-    if not _check_keys(record, ("n", "f", "beta", "disturbances"),
-                       ("n", "f", "beta", "disturbances"), path, problems):
-        return None
-    n = _int(record, "n", path, problems)
-    beta = _number(record, "beta", path, problems)
-    monos = []
-    if not isinstance(record["f"], list):
-        problems.append((f"{path}.f", "expected a list of monomials"))
-        return None
-    for i, mrec in enumerate(record["f"]):
-        mpath = f"{path}.f[{i}]"
-        if not isinstance(mrec, dict) or set(mrec) != {"coeff", "exponents"}:
-            problems.append((mpath, 'expected {"coeff": ..., "exponents": [...]}'))
-            continue
-        coeff = _number(mrec, "coeff", mpath, problems)
-        exps = mrec["exponents"]
-        if not isinstance(exps, list) or any(
-            isinstance(e, bool) or not isinstance(e, int) for e in exps
-        ):
-            problems.append((f"{mpath}.exponents", "expected a list of integers"))
-            continue
-        if coeff is not None:
-            try:
-                monos.append(Monomial(coeff, tuple(exps)))
-            except PlantError as exc:
-                problems.append((mpath, str(exc)))
-    if not isinstance(record["disturbances"], list):
-        problems.append((f"{path}.disturbances", "expected a list of signal records"))
-        return None
+    before = len(problems)
+    monos = [
+        _build(Monomial, f"{path}.f[{i}]", problems, m["coeff"], m["exponents"])
+        for i, m in enumerate(_list(record["f"], f"{path}.f", problems))
+        if _record(m, f"{path}.f[{i}]", ("coeff", "exponents"), ("coeff", "exponents"), problems)
+    ]
     dist = [
         _parse_signal(d, f"{path}.disturbances[{i}]", problems)
-        for i, d in enumerate(record["disturbances"])
+        for i, d in enumerate(_list(record["disturbances"], f"{path}.disturbances", problems))
     ]
-    if n is None or beta is None or any(d is None for d in dist):
+    if len(problems) > before:
         return None
-    try:
-        return PlantSpec(n=n, f=tuple(monos), beta=beta, disturbances=tuple(dist))
-    except PlantError as exc:
-        problems.append((path, str(exc)))
-        return None
+    return _build(PlantSpec, path, problems, record["n"], tuple(monos), record["beta"], tuple(dist))
 
 
 def _parse_constraints(record, problems: list) -> ConstraintConfig | None:
     path = "constraints"
-    if not isinstance(record, dict):
-        problems.append((path, "expected an object"))
+    if not _record(record, path, ("Psi", "A"), ("Psi", "A"), problems):
         return None
-    if not _check_keys(record, ("Psi", "A"), ("Psi", "A"), path, problems):
-        return None
-    if not isinstance(record["Psi"], list):
-        problems.append((f"{path}.Psi", "expected a list of signal records"))
-        return None
+    before = len(problems)
     bounds = [
-        _parse_signal(b, f"{path}.Psi[{i}]", problems) for i, b in enumerate(record["Psi"])
+        _parse_signal(b, f"{path}.Psi[{i}]", problems)
+        for i, b in enumerate(_list(record["Psi"], f"{path}.Psi", problems))
     ]
-    reserves = finite_numbers(record["A"], f"{path}.A", problems)
-    if any(b is None for b in bounds) or reserves is None:
+    if len(problems) > before:
         return None
-    try:
-        return ConstraintConfig(tuple(bounds), reserves)
-    except ControllerError as exc:
-        problems.append((path, str(exc)))
-        return None
+    return _build(ConstraintConfig, path, problems, tuple(bounds), record["A"])
 
 
 def _parse_rbf(record, n: int | None, problems: list) -> RbfNetwork | None:
     path = "rbf"
-    if not isinstance(record, dict):
-        problems.append((path, "expected an object"))
+    if not _record(record, path, ("l", "centers", "widths"), ("l",), problems):
         return None
-    if not _check_keys(record, ("l", "centers", "widths"), ("l",), path, problems):
-        return None
-    nodes = _int(record, "l", path, problems)
-    if nodes is None:
-        return None
-    has_centers = "centers" in record
-    has_widths = "widths" in record
-    if has_centers != has_widths:
+    if ("centers" in record) != ("widths" in record):
         problems.append((path, "centers and widths must be given together or both omitted"))
         return None
-    try:
-        if not has_centers:
-            if n is None:
-                return None
-            return RbfNetwork.lattice(nodes, n)
-        centers = record["centers"]
-        widths = record["widths"]
-        net = RbfNetwork(centers, widths)
-        if net.l != nodes:
-            problems.append((f"{path}.centers", f"{net.l} centers listed but l = {nodes}"))
-            return None
-        for key, values in (("centers", net.centers), ("widths", net.widths)):
-            if not np.isfinite(values).all():
-                problems.append((f"{path}.{key}", "expected finite numbers"))
-                return None
-        return net
-    except (RbfError, ValueError, TypeError) as exc:  # TypeError: a non-number in the lists
-        problems.append((path, str(exc)))
+    if "centers" not in record:
+        # the lattice's dimension is the plant order
+        return None if n is None else _build(RbfNetwork.lattice, path, problems, record["l"], n)
+    net = _build(RbfNetwork, path, problems, record["centers"], record["widths"])
+    if net is not None and net.l != record["l"]:
+        problems.append((f"{path}.centers", f"{net.l} centers listed but l = {record['l']!r}"))
         return None
+    return net
 
 
 def _parse_gains(record, problems: list) -> GainConfig | None:
     path = "gains"
-    if not isinstance(record, dict):
-        problems.append((path, "expected an object"))
+    if not _record(record, path, ("k", "lambda", "eta", "delta"), ("k", "lambda", "eta"),
+                   problems):
         return None
-    if not _check_keys(record, ("k", "lambda", "eta", "delta"), ("k", "lambda", "eta"),
-                       path, problems):
-        return None
-    k = finite_numbers(record["k"], f"{path}.k", problems)
-    numbers = {name: _number(record, key, path, problems)
-               for name, key in (("lam", "lambda"), ("eta", "eta"), ("delta", "delta"))
-               if key in record}
-    if k is None or None in numbers.values():
-        return None
-    try:
-        return GainConfig(k=k, **numbers)
-    except ControllerError as exc:
-        problems.append((path, str(exc)))
-        return None
+    return _build(GainConfig, path, problems,
+                  **{"lam" if key == "lambda" else key: value for key, value in record.items()})
 
 
 _TOP_KEYS = tuple(f.name for f in dataclasses.fields(RunConfig))
@@ -213,11 +157,12 @@ _TOP_REQUIRED = (
 def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a JSON run configuration.
 
-    Parses the document's shape and its five component records; the
-    run-level fields go to RunConfig as given, which checks them and the
-    relations between the components. Raises ConfigError carrying
-    (path, message) diagnostics for every problem found; unknown keys are
-    errors.
+    Checks the document's shape and hands the values to the component
+    constructors and to RunConfig, which check them. Raises ConfigError
+    carrying (path, message) diagnostics for every problem found, named
+    as the document names the field; unknown keys are errors. When a
+    component fails, the run-level fields are still checked, so both are
+    named in one attempt.
     """
     problems = []
     try:
@@ -240,6 +185,7 @@ def parse_config(text: str) -> RunConfig:
         reference=_parse_signal(doc["reference"], "reference", problems),
     )
     if problems:
+        check_run_fields(doc, problems)
         raise ConfigError(problems)
     return RunConfig(**{**doc, **components})
 
@@ -431,7 +377,9 @@ def emit_report(outcome) -> str:
 
 
 def verdict_code(outcome) -> int:
-    """0 when all constraint checks pass, 2 otherwise."""
+    """0 when all constraint checks pass, 1 when the initial state already
+    lies outside an envelope (InfeasibleInitialCondition), 2 on any other
+    constraint failure or a numerical blowup."""
     if isinstance(outcome, (BarrierViolation, NonFiniteState)):
         return 2
     if isinstance(outcome, InfeasibleInitialCondition):

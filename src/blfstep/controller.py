@@ -35,7 +35,7 @@ import numpy as np
 from .approximator import RbfNetwork
 from .barrier import BarrierViolation, blf_value, damped_inverse, nussbaum, q_value
 from .observer import estimate
-from .signals import TimeSignal
+from .signals import ConfigError, TimeSignal, finite_field, finite_numbers
 
 
 # Up to this many weights the weight update costs less elementwise on
@@ -45,11 +45,7 @@ from .signals import TimeSignal
 _FLOAT_WEIGHTS_MAX = 24
 
 
-class DiagnosticUnavailable(RuntimeError):
-    """A diagnostic formula's precondition does not hold."""
-
-
-class ControllerError(ValueError):
+class ControllerError(ConfigError):
     """Controller configuration is invalid."""
 
 
@@ -64,16 +60,17 @@ class GainConfig:
     delta: float = 1e-4
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "k", tuple(float(v) for v in self.k))
-        for i, v in enumerate(self.k):
-            if not v > 0:
-                raise ControllerError(f"gain k[{i + 1}] must be > 0, got {v}")
-        if not self.lam > 0:
-            raise ControllerError(f"lambda must be > 0, got {self.lam}")
-        if not self.eta > 0:
-            raise ControllerError(f"eta must be > 0, got {self.eta}")
-        if not self.delta > 0:
-            raise ControllerError(f"delta must be > 0, got {self.delta}")
+        problems = []
+        k = finite_numbers(self.k, "k", problems)
+        object.__setattr__(self, "k", k)
+        positive = [(f"k[{i}]", v) for i, v in enumerate(k or ())]
+        for name, path in (("lam", "lambda"), ("eta", "eta"), ("delta", "delta")):
+            value = finite_field(self, name, problems, path)
+            if value is not None:
+                positive.append((path, value))
+        problems += [(path, f"must be > 0, got {v}") for path, v in positive if not v > 0]
+        if problems:
+            raise ControllerError(problems)
 
 
 class ConstraintConfig:
@@ -81,24 +78,25 @@ class ConstraintConfig:
     virtual controls, from which the error envelopes psi_i(t) follow."""
 
     def __init__(self, state_bounds, virtual_bounds):
+        problems = []
         self.state_bounds = tuple(state_bounds)
-        self.virtual_bounds = tuple(float(a) for a in virtual_bounds)
-        if len(self.state_bounds) != len(self.virtual_bounds):
-            raise ControllerError(
-                f"need one virtual-control bound per level: got {len(self.virtual_bounds)} "
-                f"for {len(self.state_bounds)} state bounds"
-            )
+        self.virtual_bounds = finite_numbers(virtual_bounds, "A", problems)
+        if self.virtual_bounds is not None and len(self.virtual_bounds) != self.n:
+            problems.append(("A", f"need one virtual-control bound per level: got "
+                                  f"{len(self.virtual_bounds)} for {self.n} state bounds"))
         rates = []
-        for i, (bound, reserve) in enumerate(zip(self.state_bounds, self.virtual_bounds)):
+        for i, (bound, reserve) in enumerate(zip(self.state_bounds, self.virtual_bounds or ())):
             psi0 = bound.value(0.0)
             if reserve < 0:
-                raise ControllerError(f"A[{i}] must be >= 0, got {reserve}")
-            if not psi0 > reserve:
-                raise ControllerError(
-                    f"infeasible envelope split at level {i + 1}: Psi({i + 1})(0) = {psi0:g} "
-                    f"does not exceed A[{i}] = {reserve:g}"
-                )
-            rates.append(abs(bound.derivative(0.0)) / (psi0 - reserve))
+                problems.append((f"A[{i}]", f"must be >= 0, got {reserve}"))
+            elif not psi0 > reserve:
+                problems.append((f"A[{i}]", f"infeasible envelope split at level {i + 1}: "
+                                            f"Psi({i + 1})(0) = {psi0:g} does not exceed "
+                                            f"A[{i}] = {reserve:g}"))
+            else:
+                rates.append(abs(bound.derivative(0.0)) / (psi0 - reserve))
+        if problems:
+            raise ControllerError(problems)
         self.release_rates = tuple(rates)
 
     @property
@@ -306,22 +304,3 @@ def lyapunov_decay_rates(gains: GainConfig, observer_gains, basis_bound: float) 
     )
     rates[np.abs(rates) <= 1e-9] = 0.0
     return rates
-
-
-def tracking_error_bound(psi: float, residual_power: float, decay_rate: float,
-                         tail_constant: float) -> float:
-    """Asymptotic bound psi*sqrt(1 - exp(-2*residual_power/decay_rate
-    - 2*tail_constant)) on the first error coordinate.
-
-    The tail constant is not computable a priori and must be supplied by
-    the caller, so this is a diagnostic formula only.
-    """
-    if residual_power < 0:
-        raise ValueError(f"residual power must be >= 0, got {residual_power}")
-    if tail_constant < 0:
-        raise ValueError(f"tail constant must be >= 0, got {tail_constant}")
-    if decay_rate <= 0:
-        raise DiagnosticUnavailable(
-            f"decay rate {decay_rate:g} is not positive; the bound formula does not apply"
-        )
-    return psi * math.sqrt(1.0 - math.exp(-2.0 * residual_power / decay_rate - 2.0 * tail_constant))

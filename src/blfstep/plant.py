@@ -13,8 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .signals import ConfigError, finite_field
 
-class PlantError(ValueError):
+
+class PlantError(ConfigError):
     """Plant specification or evaluation input is invalid."""
 
 
@@ -26,10 +28,17 @@ class Monomial:
     exponents: tuple
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "exponents", tuple(self.exponents))
-        for e in self.exponents:
-            if isinstance(e, bool) or not isinstance(e, int) or e < 0:
-                raise PlantError(f"monomial exponents must be non-negative integers, got {e!r}")
+        problems = []
+        finite_field(self, "coeff", problems)
+        if isinstance(self.exponents, (list, tuple)):
+            object.__setattr__(self, "exponents", tuple(self.exponents))
+            problems += [(f"exponents[{j}]", f"expected a non-negative integer, got {e!r}")
+                         for j, e in enumerate(self.exponents)
+                         if isinstance(e, bool) or not isinstance(e, int) or e < 0]
+        else:
+            problems.append(("exponents", f"expected a list of integers, got {self.exponents!r}"))
+        if problems:
+            raise PlantError(problems)
 
 
 @dataclass(frozen=True)
@@ -40,21 +49,22 @@ class PlantSpec:
     disturbances: tuple
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 2:
-            raise PlantError(f"plant order must be an integer >= 2, got {self.n!r}")
-        if self.beta == 0:
-            raise PlantError("control coefficient beta must be nonzero")
+        problems = []
+        if finite_field(self, "beta", problems) == 0:
+            problems.append(("beta", "control coefficient beta must be nonzero"))
         object.__setattr__(self, "f", tuple(self.f))
         object.__setattr__(self, "disturbances", tuple(self.disturbances))
-        if len(self.disturbances) != self.n:
-            raise PlantError(
-                f"need one disturbance signal per state: got {len(self.disturbances)} for order {self.n}"
-            )
-        for mono in self.f:
-            if len(mono.exponents) != self.n:
-                raise PlantError(
-                    f"monomial exponent list length {len(mono.exponents)} does not match order {self.n}"
-                )
+        if not isinstance(self.n, int) or self.n < 2:
+            problems.append(("n", f"plant order must be an integer >= 2, got {self.n!r}"))
+        else:
+            if len(self.disturbances) != self.n:
+                problems.append(("disturbances", "need one disturbance signal per state: "
+                                 f"got {len(self.disturbances)} for order {self.n}"))
+            problems += [(f"f[{i}].exponents", f"monomial exponent list length "
+                          f"{len(mono.exponents)} does not match order {self.n}")
+                         for i, mono in enumerate(self.f) if len(mono.exponents) != self.n]
+        if problems:
+            raise PlantError(problems)
         # The drift compiled once: (coeff, ((j, e), ...)) with only the
         # nonzero exponents, in the order the product is formed.
         object.__setattr__(self, "_drift", tuple(

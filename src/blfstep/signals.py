@@ -6,9 +6,10 @@ exponential decay, sum). Every member carries an analytic derivative, so
 nothing downstream ever needs numerical differentiation of an envelope
 or reference.
 
-All members are bounded on [0, inf) by construction, which is enforced
-at construction time (an exponential with negative decay rate is
-rejected).
+All members are bounded on [0, inf) by construction: every parameter
+must be a finite number, and an exponential with a negative decay rate
+is rejected. The constructors raise SignalError naming every parameter
+at fault.
 """
 
 from __future__ import annotations
@@ -20,18 +21,28 @@ from typing import Union
 import numpy as np
 
 
-class SignalError(ValueError):
-    """Signal constructed with unusable parameters.
+class ConfigError(ValueError):
+    """Invalid configuration, with field-level diagnostics.
 
-    path names the field at fault: the parameter name (e.g. "b") when a
-    constructor raises, the full record path (e.g. "reference.terms[1].b")
-    when signal_from_dict does, or None.
+    problems lists (path, message) pairs. A component's constructor names
+    its own fields, e.g. "beta", "k[0]" or "terms[1].b"; parse_config and
+    RunConfig name them as the JSON document does, e.g. "plant.beta" or
+    ".horizon". A bare message is one problem without a path.
     """
 
-    def __init__(self, message: str, path: str | None = None):
-        self.message = message
-        self.path = path
-        super().__init__(f"{path}: {message}" if path else message)
+    def __init__(self, problems):
+        self.problems = [(None, problems)] if isinstance(problems, str) else list(problems)
+        lines = [f"  {path}: {message}" if path else f"  {message}"
+                 for path, message in self.problems]
+        super().__init__("invalid configuration:\n" + "\n".join(lines))
+
+    def under(self, path: str) -> list:
+        """The problems with each path prefixed by the record's path."""
+        return [(f"{path}.{p}" if p else path, m) for p, m in self.problems]
+
+
+class SignalError(ConfigError):
+    """Signal constructed with unusable parameters."""
 
 
 @dataclass(frozen=True)
@@ -39,6 +50,12 @@ class Constant:
     """c for all t."""
 
     c: float
+
+    def __post_init__(self) -> None:
+        problems = []
+        finite_field(self, "c", problems)
+        if problems:
+            raise SignalError(problems)
 
     def value(self, t: float) -> float:
         return self.c
@@ -57,8 +74,13 @@ class Sinusoid:
     kind: str = "sin"
 
     def __post_init__(self) -> None:
+        problems = []
+        for name in ("amplitude", "angular_frequency", "phase"):
+            finite_field(self, name, problems)
         if self.kind not in ("sin", "cos"):
-            raise SignalError(f"sinusoid kind must be 'sin' or 'cos', got {self.kind!r}", "kind")
+            problems.append(("kind", f"sinusoid kind must be 'sin' or 'cos', got {self.kind!r}"))
+        if problems:
+            raise SignalError(problems)
 
     def value(self, t: float) -> float:
         arg = self.angular_frequency * t + self.phase
@@ -82,8 +104,14 @@ class ExpDecay:
     c: float
 
     def __post_init__(self) -> None:
-        if self.b < 0:
-            raise SignalError(f"exponential rate must be >= 0 for boundedness, got {self.b}", "b")
+        problems = []
+        for name in ("a", "c"):
+            finite_field(self, name, problems)
+        b = finite_field(self, "b", problems)
+        if b is not None and b < 0:
+            problems.append(("b", f"exponential rate must be >= 0 for boundedness, got {b}"))
+        if problems:
+            raise SignalError(problems)
 
     def value(self, t: float) -> float:
         return self.a * math.exp(-self.b * t) + self.c
@@ -99,8 +127,8 @@ class SignalSum:
     terms: tuple
 
     def __post_init__(self) -> None:
-        if len(self.terms) < 1:
-            raise SignalError("sum signal needs at least one term", "terms")
+        if not isinstance(self.terms, (list, tuple)) or not self.terms:
+            raise SignalError([("terms", f"expected a non-empty list of signals, got {self.terms!r}")])
         object.__setattr__(self, "terms", tuple(self.terms))
 
     def value(self, t: float) -> float:
@@ -117,8 +145,6 @@ class SignalSum:
 
 
 TimeSignal = Union[Constant, Sinusoid, ExpDecay, SignalSum]
-
-_SIN_KINDS = ("sin", "cos")
 
 
 def signal_to_dict(sig: TimeSignal) -> dict:
@@ -175,52 +201,60 @@ def finite_numbers(values, path: str, problems: list):
     return tuple(numbers) if len(numbers) == len(values) else None
 
 
-def _number(record: dict, key: str, path: str) -> float:
-    if key not in record:
-        raise SignalError(f"missing key {key!r}", path)
+def finite_field(record, name: str, problems: list, path: str | None = None):
+    """Store field name of a frozen dataclass as a float and return it, if
+    it is a finite number; otherwise append a (path or name, message)
+    problem and return None."""
     try:
-        return finite_number(record[key])
+        value = finite_number(getattr(record, name))
     except ValueError as exc:
-        raise SignalError(str(exc), f"{path}.{key}") from None
+        problems.append((path or name, str(exc)))
+        return None
+    object.__setattr__(record, name, value)
+    return value
+
+
+# Each kind's class, required keys and optional keys.
+_KINDS = {
+    "constant": (Constant, ("c",), ()),
+    "sin": (Sinusoid, ("amplitude", "angular_frequency"), ("phase",)),
+    "cos": (Sinusoid, ("amplitude", "angular_frequency"), ("phase",)),
+    "expdecay": (ExpDecay, ("a", "b", "c"), ()),
+    "sum": (SignalSum, ("terms",), ()),
+}
 
 
 def signal_from_dict(record: object, path: str = "signal") -> TimeSignal:
     """Parse a tagged signal record. Unknown keys or kinds are errors.
 
-    A constructor's SignalError is raised again under the field's full
-    path, e.g. "constraints.Psi[1].terms[1].b".
+    Checks the record's shape and leaves its values to the signal's
+    constructor. Every problem is named by its full path, e.g.
+    "constraints.Psi[1].terms[1].b".
     """
     if not isinstance(record, dict):
-        raise SignalError(f"expected a tagged record, got {record!r}", path)
+        raise SignalError([(path, f"expected a tagged record, got {record!r}")])
     kind = record.get("kind")
-    if kind == "constant":
-        allowed = {"kind", "c"}
-        cls, params = Constant, {"c": _number(record, "c", path)}
-    elif kind in _SIN_KINDS:
-        allowed = {"kind", "amplitude", "angular_frequency", "phase"}
-        cls, params = Sinusoid, {
-            "amplitude": _number(record, "amplitude", path),
-            "angular_frequency": _number(record, "angular_frequency", path),
-            "phase": _number(record, "phase", path) if "phase" in record else 0.0,
-            "kind": kind,
-        }
-    elif kind == "expdecay":
-        allowed = {"kind", "a", "b", "c"}
-        cls, params = ExpDecay, {key: _number(record, key, path) for key in ("a", "b", "c")}
-    elif kind == "sum":
-        allowed = {"kind", "terms"}
-        terms = record.get("terms")
-        if not isinstance(terms, list) or not terms:
-            raise SignalError("expected a non-empty list", f"{path}.terms")
-        cls, params = SignalSum, {"terms": tuple(
-            signal_from_dict(term, f"{path}.terms[{i}]") for i, term in enumerate(terms))}
-    else:
-        raise SignalError(f"unknown signal kind {kind!r}", f"{path}.kind")
-    try:
-        sig = cls(**params)
-    except SignalError as exc:
-        raise SignalError(exc.message, f"{path}.{exc.path}" if exc.path else path) from None
-    unknown = set(record) - allowed
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise SignalError([(f"{path}.kind", f"unknown signal kind {kind!r}")])
+    cls, required, optional = _KINDS[kind]
+    problems = [(f"{path}.{key}", "missing required field") for key in required if key not in record]
+    unknown = set(record) - {"kind", *required, *optional}
     if unknown:
-        raise SignalError(f"unknown keys {sorted(unknown)}", path)
-    return sig
+        problems.append((path, f"unknown keys {sorted(unknown)}"))
+    params = {key: record[key] for key in required + optional if key in record}
+    if kind in ("sin", "cos"):
+        params["kind"] = kind
+    if isinstance(params.get("terms"), (list, tuple)):
+        terms = []
+        for i, term in enumerate(params["terms"]):
+            try:
+                terms.append(signal_from_dict(term, f"{path}.terms[{i}]"))
+            except SignalError as exc:
+                problems += exc.problems
+        params["terms"] = terms
+    if problems:
+        raise SignalError(problems)
+    try:
+        return cls(**params)
+    except SignalError as exc:
+        raise SignalError(exc.under(path)) from None

@@ -22,7 +22,7 @@ from .controller import BacksteppingCascade, ConstraintConfig, GainConfig
 from .observer import dhat_rate_final, dhat_rate_inner, initial_dhat
 from .approximator import RbfNetwork
 from .plant import PlantSpec
-from .signals import TimeSignal, finite_number, finite_numbers
+from .signals import ConfigError, TimeSignal, finite_number, finite_numbers
 
 
 class InfeasibleInitialCondition(RuntimeError):
@@ -46,19 +46,6 @@ class NonFiniteState(RuntimeError):
         super().__init__(f"state became non-finite at t={t:.6g}")
 
 
-class ConfigError(ValueError):
-    """Invalid run configuration, with field-level diagnostics.
-
-    problems lists (path, message) pairs; each path names the field as the
-    JSON document does, e.g. ".horizon", "gains.k" or ".observer_gains[1]".
-    """
-
-    def __init__(self, problems):
-        self.problems = list(problems)
-        lines = [f"  {path}: {message}" for path, message in self.problems]
-        super().__init__("invalid configuration:\n" + "\n".join(lines))
-
-
 # Past 2**53 steps a step index k no longer converts to a distinct float,
 # so t = k * h can no longer advance at every step.
 _MAX_STEPS = 2 ** 53
@@ -68,9 +55,10 @@ _MAX_STEPS = 2 ** 53
 class RunConfig:
     """Everything one simulation run needs.
 
-    Valid by construction: __post_init__ is the one place that checks the
-    run-level fields and the relations between the components, and raises
-    ConfigError naming every field at fault. The fields are frozen; build
+    Valid by construction: __post_init__ checks the run-level fields
+    (through check_run_fields) and the relations between the components,
+    and raises ConfigError naming every field at fault. Each component
+    checks its own fields when it is built. The fields are frozen; build
     a variant with dataclasses.replace, which checks it again.
     """
 
@@ -88,51 +76,65 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         problems = []
-        try:
-            horizon = finite_number(self.horizon)
-            if horizon < 0:
-                problems.append((".horizon", f"must be >= 0, got {horizon}"))
-        except ValueError as exc:
-            problems.append((".horizon", str(exc)))
-        try:
-            step = finite_number(self.step)
-            if not step > 0:
-                problems.append((".step", f"must be > 0, got {step}"))
-        except ValueError as exc:
-            problems.append((".step", str(exc)))
-        if not problems and horizon / step > _MAX_STEPS:  # both are valid here
-            message = f"horizon / step = {horizon / step:.6g} steps, more than 2**53"
-            problems += [(".horizon", message), (".step", message)]
-        if isinstance(self.decimation, bool) or not isinstance(self.decimation, int):
-            problems.append((".decimation", f"expected an integer, got {self.decimation!r}"))
-        elif self.decimation < 1:
-            problems.append((".decimation", f"must be >= 1, got {self.decimation}"))
-        if self.output_path is not None and not isinstance(self.output_path, str):
-            problems.append((".output_path", f"expected a string, got {self.output_path!r}"))
-        observer_gains = finite_numbers(self.observer_gains, ".observer_gains", problems)
-        initial_x = finite_numbers(self.initial_x, ".initial_x", problems)
-
+        own = check_run_fields(vars(self), problems)
         n = self.plant.n
         if self.constraints.n != n:
             problems.append(("constraints.Psi", f"{self.constraints.n} levels for a plant of order {n}"))
         if len(self.gains.k) != n:
             problems.append(("gains.k", f"need {n} gains, got {len(self.gains.k)}"))
-        if observer_gains is not None:
-            if len(observer_gains) != n:
-                problems.append((".observer_gains", f"need {n} gains, got {len(observer_gains)}"))
-            for i, g in enumerate(observer_gains):
-                if not g > 0:
-                    problems.append((f".observer_gains[{i}]", f"must be > 0, got {g}"))
-        if initial_x is not None and len(initial_x) != n:
-            problems.append((".initial_x", f"need {n} entries, got {len(initial_x)}"))
+        if own["observer_gains"] is not None and len(own["observer_gains"]) != n:
+            problems.append((".observer_gains", f"need {n} gains, got {len(own['observer_gains'])}"))
+        if own["initial_x"] is not None and len(own["initial_x"]) != n:
+            problems.append((".initial_x", f"need {n} entries, got {len(own['initial_x'])}"))
         if self.rbf.n != n:
             problems.append(("rbf.centers", f"centers have dimension {self.rbf.n}, "
                                             f"expected the plant order {n}"))
         if problems:
             raise ConfigError(problems)
-        for name, value in (("horizon", horizon), ("step", step),
-                            ("observer_gains", observer_gains), ("initial_x", initial_x)):
+        for name, value in own.items():
             object.__setattr__(self, name, value)
+
+
+def check_run_fields(fields: dict, problems: list) -> dict:
+    """RunConfig's checks on its run-level fields, the ones that need no
+    component.
+
+    fields maps names to values, a RunConfig's or a JSON document's; a
+    run-level field left out takes its default. Appends a (path, message)
+    problem for each field at fault and returns the checked numbers as
+    RunConfig keeps them.
+    """
+    horizon = step = None
+    before = len(problems)
+    try:
+        horizon = finite_number(fields.get("horizon", RunConfig.horizon))
+        if horizon < 0:
+            problems.append((".horizon", f"must be >= 0, got {horizon}"))
+    except ValueError as exc:
+        problems.append((".horizon", str(exc)))
+    try:
+        step = finite_number(fields.get("step", RunConfig.step))
+        if not step > 0:
+            problems.append((".step", f"must be > 0, got {step}"))
+    except ValueError as exc:
+        problems.append((".step", str(exc)))
+    if len(problems) == before and horizon / step > _MAX_STEPS:  # both are valid here
+        message = f"horizon / step = {horizon / step:.6g} steps, more than 2**53"
+        problems += [(".horizon", message), (".step", message)]
+    decimation = fields.get("decimation", RunConfig.decimation)
+    if isinstance(decimation, bool) or not isinstance(decimation, int):
+        problems.append((".decimation", f"expected an integer, got {decimation!r}"))
+    elif decimation < 1:
+        problems.append((".decimation", f"must be >= 1, got {decimation}"))
+    output_path = fields.get("output_path", RunConfig.output_path)
+    if output_path is not None and not isinstance(output_path, str):
+        problems.append((".output_path", f"expected a string, got {output_path!r}"))
+    observer_gains = finite_numbers(fields["observer_gains"], ".observer_gains", problems)
+    problems += [(f".observer_gains[{i}]", f"must be > 0, got {g}")
+                 for i, g in enumerate(observer_gains or ()) if not g > 0]
+    initial_x = finite_numbers(fields.get("initial_x", RunConfig.initial_x), ".initial_x", problems)
+    return {"horizon": horizon, "step": step, "observer_gains": observer_gains,
+            "initial_x": initial_x}
 
 
 @dataclass

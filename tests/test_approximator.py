@@ -31,26 +31,6 @@ def test_basis_strictly_positive():
         assert np.all(net.basis(rng.uniform(-5, 5, size=2)) > 0)
 
 
-def test_output_zero_weights():
-    net = small_net()
-    assert net.output(np.zeros(3), (0.3, -0.4)) == 0.0
-
-
-def test_output_single_node_at_center():
-    net = RbfNetwork(np.array([[0.5, -0.5]]), np.array([1.0]))
-    assert net.output(np.array([2.0]), (0.5, -0.5)) == 2.0
-
-
-def test_output_unit_weight_selects_basis_component():
-    net = small_net()
-    zbar = (0.2, 0.7)
-    phi = net.basis(zbar)
-    for k in range(3):
-        e = np.zeros(3)
-        e[k] = 1.0
-        assert net.output(e, zbar) == pytest.approx(phi[k], rel=1e-15)
-
-
 @pytest.mark.parametrize("nodes,expected", [(1, 1.0), (4, 2.0), (12, math.sqrt(12.0))])
 def test_norm_bound(nodes, expected):
     net = RbfNetwork.lattice(nodes, 2)
@@ -64,17 +44,6 @@ def test_basis_norm_below_bound_in_bulk():
     bound = net.norm_bound()
     for p in pts:
         assert np.linalg.norm(net.basis(p)) <= bound
-
-
-def test_output_linear_in_weights():
-    net = small_net()
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        ta, tb = rng.normal(size=3), rng.normal(size=3)
-        z = rng.uniform(-2, 2, size=2)
-        lhs = net.output(ta + tb, z)
-        rhs = net.output(ta, z) + net.output(tb, z)
-        assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 def test_lattice_is_4_by_3_for_12_nodes():
@@ -106,11 +75,6 @@ def test_nonpositive_width_rejected():
 def test_width_count_enforced():
     with pytest.raises(RbfError):
         RbfNetwork(np.zeros((2, 2)), np.array([1.0]))
-
-
-def test_bad_weight_shape_rejected():
-    with pytest.raises(RbfError):
-        small_net().output(np.zeros(4), (0.0, 0.0))
 
 
 def test_lattice_counts_three_dims():

@@ -1,8 +1,10 @@
+import hashlib
 import io
 import json
 import math
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,6 +140,14 @@ class TestCsv:
             assert row["eps_hat1"] == rec.eps_hat[0]
             assert row["zeta1"] == state[2 * n] and row["zeta2"] == state[2 * n + 1]
             assert row["theta_norm"] == float(np.linalg.norm(state[3 * n:]))
+
+    def test_flagship_bytes_match_bench_reference(self, sec6_result, tmp_path):
+        # bench/run.py records the flagship CSV's hash; a refactor keeps the bytes
+        bench = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+        expected = json.loads(bench.read_text(encoding="utf-8"))["flagship"]["csv_sha256"]
+        path = tmp_path / "flagship.csv"
+        emit_csv(sec6_result, str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == expected
 
     def test_zero_horizon_gives_header_and_initial_row(self, tmp_path):
         cfg = blfstep.load_config_file(blfstep.paper_sec6_path())
@@ -370,6 +380,15 @@ def test_rbf_centers_must_match_plant_order(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["simulate", str(path)]) == 1
     assert "rbf.centers" in capsys.readouterr().err
+
+
+def test_component_and_run_level_problems_named_in_one_attempt():
+    doc = json.loads(sec6_text())
+    doc["plant"]["beta"] = math.nan
+    doc["horizon"] = -1
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert [path for path, _ in err.value.problems] == ["plant.beta", ".horizon"]
 
 
 def _sec6_run(horizon):

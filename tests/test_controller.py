@@ -10,10 +10,8 @@ from blfstep.controller import (
     BacksteppingCascade,
     ConstraintConfig,
     ControllerError,
-    DiagnosticUnavailable,
     GainConfig,
     lyapunov_decay_rates,
-    tracking_error_bound,
 )
 from blfstep.observer import dhat_rate_final, dhat_rate_inner, estimate
 from blfstep.plant import Monomial, PlantSpec
@@ -195,19 +193,6 @@ class TestDiagnostics:
         gains = GainConfig(k=(5.0, 5.0), lam=14.0, eta=4.0)
         rates = lyapunov_decay_rates(gains, (1.0, 7.0), 0.0)
         assert rates[0] == 0.0
-
-    def test_tracking_error_bound_values(self):
-        assert tracking_error_bound(1.0, 0.0, 1.0, 0.0) == 0.0
-        assert tracking_error_bound(1.0, 0.0, 1.0, 1e3) == pytest.approx(1.0, rel=1e-12)
-        # 2*rho/mu + 2*C = log 2 gives psi*sqrt(1/2)
-        c = math.log(2.0) / 4.0
-        assert tracking_error_bound(1.0, c, 1.0, c) == pytest.approx(math.sqrt(0.5), rel=1e-12)
-
-    def test_tracking_error_bound_needs_positive_rate(self):
-        with pytest.raises(DiagnosticUnavailable):
-            tracking_error_bound(1.0, 0.1, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            tracking_error_bound(1.0, -0.1, 1.0, 0.0)
 
 
 # Reference implementations: the cascade pass and the closed-loop

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import blfstep
-from blfstep.approximator import RbfNetwork
-from blfstep.controller import BacksteppingCascade, ConstraintConfig, GainConfig
-from blfstep.plant import Monomial, PlantSpec
-from blfstep.signals import Constant, Sinusoid
+from blfstep.approximator import RbfError, RbfNetwork
+from blfstep.controller import BacksteppingCascade, ConstraintConfig, ControllerError, GainConfig
+from blfstep.plant import Monomial, PlantError, PlantSpec
+from blfstep.signals import Constant, ExpDecay, SignalError, Sinusoid
 from blfstep.simengine import (
     ClosedLoop,
     ConfigError,
@@ -355,3 +355,46 @@ def test_invalid_run_field_is_a_config_error_naming_it(name, data):
     with pytest.raises(ConfigError) as err:
         replace(quiet_config(), **{name: value})
     assert any(path == f".{name}" or path.startswith(f".{name}[") for path in named_fields(err))
+
+
+_NOT_FINITE = st.sampled_from([math.nan, math.inf, -math.inf, True, False, "1.0", 10 ** 400])
+_NOT_A_COUNT = st.sampled_from([2.5, 12.0, math.nan, math.inf, True, "12", None])
+
+
+def _with_last_width(cfg, v):
+    return replace(cfg, rbf=RbfNetwork(cfg.rbf.centers, [*cfg.rbf.widths.tolist()[:-1], v]))
+
+
+COMPONENT_FIELDS = [
+    # (flagship variant with one field set to v, values for v, the error
+    # the component raises, the field it names)
+    pytest.param(lambda cfg, v: replace(cfg, plant=replace(cfg.plant, beta=v)),
+                 _NOT_FINITE, PlantError, "beta", id="plant-beta"),
+    pytest.param(lambda cfg, v: replace(cfg, plant=replace(cfg.plant, f=(Monomial(v, (3, 0)),))),
+                 _NOT_FINITE, PlantError, "coeff", id="monomial-coeff"),
+    pytest.param(lambda cfg, v: replace(cfg, reference=Sinusoid(v, 1.0)),
+                 _NOT_FINITE, SignalError, "amplitude", id="sinusoid-amplitude"),
+    pytest.param(lambda cfg, v: replace(cfg, gains=replace(cfg.gains, lam=v)),
+                 _NOT_FINITE, ControllerError, "lambda", id="gains-lambda"),
+    pytest.param(lambda cfg, v: replace(cfg, gains=replace(cfg.gains, delta=v)),
+                 _NOT_FINITE, ControllerError, "delta", id="gains-delta"),
+    pytest.param(lambda cfg, v: replace(cfg, constraints=ConstraintConfig(
+                     (ExpDecay(1.0, v, 1.1), ExpDecay(1.0, 0.6, 1.1)), (1.0, 2.0))),
+                 _NOT_FINITE, SignalError, "b", id="expdecay-rate"),
+    pytest.param(_with_last_width, _NOT_FINITE, RbfError, "widths", id="rbf-width"),
+    pytest.param(lambda cfg, v: replace(cfg, rbf=RbfNetwork.lattice(v, 2)),
+                 _NOT_A_COUNT, RbfError, "l", id="rbf-lattice-nodes"),
+]
+
+
+@pytest.mark.parametrize("make, values, error, field", COMPONENT_FIELDS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_component_rejects_a_field_that_is_not_a_number(sec6_config, make, values, error,
+                                                       field, data):
+    value = data.draw(values, label=field)
+    short = replace(sec6_config, horizon=0.01)  # keeps a run that should not start brief
+    with pytest.raises(error) as err:
+        run(make(short, value))
+    assert isinstance(err.value, ConfigError)
+    assert field in [path for path, _ in err.value.problems]

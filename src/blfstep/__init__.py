@@ -36,7 +36,6 @@ from .observer import (
     dhat_rate_final,
     dhat_rate_inner,
     estimate,
-    gain_warnings,
     initial_dhat,
 )
 from .plant import Monomial, PlantError, PlantSpec

@@ -4,9 +4,10 @@ The run configuration is a single JSON document with tagged signal
 records. Parsing is strict: unknown keys, missing fields, and invariant
 violations are reported as field-level diagnostics naming the offending
 key. Exit codes encode the run outcome so CI can assert a reproduction
-without parsing text: 0 all checks pass, 1 configuration problem or an
-initial state already outside its envelope (the run never starts),
-2 constraint failure or numerical blowup.
+without parsing text: 0 all checks pass, 1 configuration problem, an
+initial state already outside its envelope (the run never starts) or a
+file that cannot be read or written, 2 constraint failure or numerical
+blowup.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import numpy as np
 from .approximator import RbfNetwork
 from .barrier import BarrierViolation
 from .controller import ConstraintConfig, GainConfig, lyapunov_decay_rates
-from .observer import gain_warnings
 from .plant import Monomial, PlantSpec
 from .signals import ConfigError, SignalError, signal_from_dict, signal_to_dict
 from .simengine import (
@@ -347,19 +347,17 @@ def emit_report(outcome) -> str:
     for i, r in enumerate(rates):
         if r <= 0:
             lines.append(
-                f"  warning: mu[{i + 1}] = {r:g} is not positive under the conservative "
-                f"basis bound {basis_bound:.4f}; the sufficient stability condition is "
-                "not certified for this configuration"
+                f"  warning: mu[{i + 1}] = {r:g} is not positive at observer gain "
+                f"k_eps[{i + 1}] = {cfg.observer_gains[i]:g} under the conservative basis bound "
+                f"{basis_bound:.4f}; the sufficient stability condition is not certified "
+                "for this configuration"
             )
-    for w in gain_warnings(cfg.observer_gains, basis_bound):
-        lines.append(f"  warning: {w}")
     # |x_i| < Psi_i follows from |z_i| < psi_i only while the signal z_i is
     # measured from (y_d at level 1, v_{i-1} above) stays inside the reserve
     # Psi_i - psi_i = A_{i-1} exp(-r_i t) that the envelope still holds
-    ref_peak = max((abs(cfg.reference.value(float(t))) for t in result.times), default=0.0)
     for i in range(n):
         if i == 0:
-            label = f"reference bound: max |y_d| = {ref_peak:.6g}"
+            label = f"reference bound: max |y_d| = {m.max_abs_y_d:.6g}"
         else:
             label = f"virtual control bound: max |v{i}| = {m.observed_max_abs_v[i - 1]:.6g}"
         reserve = cfg.constraints.virtual_bounds[i]
@@ -416,6 +414,13 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # a directory, an unreadable file
+        print(f"error: {args.config}: {exc.strerror}", file=sys.stderr)
+        return 1
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.config}: not UTF-8 text ({exc.reason} at byte {exc.start})",
+              file=sys.stderr)
+        return 1
 
     overrides = {name: value for name, value in (("step", args.step), ("horizon", args.horizon))
                  if value is not None}
@@ -432,16 +437,18 @@ def main(argv=None) -> int:
     except (BarrierViolation, InfeasibleInitialCondition, NonFiniteState) as exc:
         outcome = exc
 
-    if isinstance(outcome, SimResult):
-        out_path = args.out or config.output_path
-        if out_path:
-            emit_csv(outcome, out_path)
-
+    out_path = args.out or config.output_path
     report = emit_report(outcome)
+    try:
+        if out_path and isinstance(outcome, SimResult):
+            emit_csv(outcome, out_path)
+        if args.report:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                fh.write(report)
+    except OSError as exc:  # a missing directory, a directory in the way
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 1
     print(report, end="")
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(report)
     return verdict_code(outcome)
 
 

@@ -109,10 +109,14 @@ class ConstraintConfig:
 
     def envelope(self, i: int, t: float) -> float:
         """Error envelope psi_i(t) for level i (0-based)."""
+        return self._envelope(i, t, self.state_bounds[i].value(t))
+
+    def _envelope(self, i: int, t: float, bound: float) -> float:
+        """psi_i(t) from the state bound Psi_i(t) = bound."""
         reserve = self.virtual_bounds[i]
         if reserve == 0.0:
-            return self.state_bounds[i].value(t)
-        return self.state_bounds[i].value(t) - reserve * math.exp(-self.release_rates[i] * t)
+            return bound
+        return bound - reserve * math.exp(-self.release_rates[i] * t)
 
     def envelope_rate(self, i: int, t: float) -> float:
         """d/dt of the error envelope (analytic)."""
@@ -146,10 +150,10 @@ class BacksteppingCascade:
     virtual control of level i feeds the error coordinate of level i+1
     with no time lag.
 
-    The time-only signals y_d(t), psi_i(t) and dpsi_i/dt are kept in a
-    one-entry memo keyed on the float t (see time_signals). They are a
-    pure function of t, so a repeat call at the same t reuses them
-    unchanged and the cascade stays pure: repeat calls with the same
+    The time-only signals y_d(t), Psi_i(t), psi_i(t) and dpsi_i/dt are
+    kept in a one-entry memo keyed on the float t (see time_signals).
+    They are a pure function of t, so a repeat call at the same t reuses
+    them unchanged and the cascade stays pure: repeat calls with the same
     inputs give identical outputs, whatever was evaluated in between.
     """
 
@@ -186,22 +190,23 @@ class BacksteppingCascade:
         """
         x0 = np.asarray(x0, dtype=float)
         z0 = x0.copy()
-        z0[0] = x0[0] - self.reference.value(0.0)
+        z0[0] = x0[0] - self.time_signals(0.0)[0]
         return z0
 
     def time_signals(self, t: float):
-        """(y_d(t), [psi_i(t)], [dpsi_i/dt(t)]) for every level.
+        """(y_d(t), [Psi_i(t)], [psi_i(t)], [dpsi_i/dt(t)]) for every level.
 
         Computed once per distinct t and reused while t repeats, as it
-        does across an RK4 step (k1 and the step record share t, k2 and
-        k3 share t + h/2). A t that differs in the last bit is a new time.
+        does across an RK4 step (k1, the step record and the run's
+        metrics share t, k2 and k3 share t + h/2). A t that differs in
+        the last bit is a new time.
         """
         if t != self._memo_t:
             c = self.constraints
-            levels = range(self.n)
-            self._memo = (self.reference.value(t),
-                          [c.envelope(i, t) for i in levels],
-                          [c.envelope_rate(i, t) for i in levels])
+            bounds = [bound.value(t) for bound in c.state_bounds]
+            self._memo = (self.reference.value(t), bounds,
+                          [c._envelope(i, t, bound) for i, bound in enumerate(bounds)],
+                          [c.envelope_rate(i, t) for i in range(self.n)])
             self._memo_t = t
         return self._memo
 
@@ -219,7 +224,7 @@ class BacksteppingCascade:
         k = self.gains.k
         kobs = self.observer_gains
         phi = self.rbf.basis(x)
-        v_prev, psis, psi_rates = self.time_signals(t)
+        v_prev, _, psis, psi_rates = self.time_signals(t)
         x = x.tolist()
         dhat = dhat.tolist()
         zeta = zeta.tolist()
@@ -267,8 +272,12 @@ class BacksteppingCascade:
     def step(self, t: float, x, dhat, zeta, theta) -> StepRecord:
         """Full controller record at one instant (pure; repeat calls with
         the same inputs produce identical records)."""
-        z, q, eps_hat, alpha, v, u, zeta_rate, theta_rate, _ = self._eval(t, x, dhat, zeta, theta)
-        psis = self.time_signals(t)[1]
+        return self._record(t, self._eval(t, x, dhat, zeta, theta))
+
+    def _record(self, t: float, outputs) -> StepRecord:
+        """The StepRecord of the outputs _eval returned at t."""
+        z, q, eps_hat, alpha, v, u, zeta_rate, theta_rate, _ = outputs
+        psis = self.time_signals(t)[2]
         energy = 0.0
         for i in range(self.n):
             energy += blf_value(z[i], psis[i])
@@ -278,15 +287,17 @@ class BacksteppingCascade:
 
 
 def lyapunov_decay_rates(gains: GainConfig, observer_gains, basis_bound: float) -> np.ndarray:
-    """Guaranteed decay rate per level (diagnostic only).
+    """Guaranteed decay rate per level (diagnostic only); the one place
+    that states the sufficient stability conditions.
 
     Inner levels: min(2*k_i, 2*(k_eps_i - 1)). Final level:
     min(2*k_n, 2*(k_eps_n - 1 - basis_bound^2/2), lam*eta). A
     nonpositive value means the sufficient stability condition is not
-    met for that level at the given gains. Margins within 1e-9 of zero
-    are reported as exactly zero: they are not certifiable, and the
-    basis bound typically arrives through a square root whose round
-    trip leaves that much noise.
+    met for that level at the given gains, and the report warns once for
+    that level. Margins within 1e-9 of zero are reported as exactly
+    zero: they are not certifiable, and the basis bound typically
+    arrives through a square root whose round trip leaves that much
+    noise.
     """
     if basis_bound < 0:
         raise ValueError(f"basis bound must be >= 0, got {basis_bound}")

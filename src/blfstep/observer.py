@@ -41,30 +41,3 @@ def initial_dhat(gains, z0) -> np.ndarray:
     gains = np.asarray(gains, dtype=float)
     z0 = np.asarray(z0, dtype=float)
     return -gains * z0
-
-
-def gain_warnings(gains, basis_bound: float) -> list:
-    """Check the sufficient conditions for a positive decay margin.
-
-    Inner levels need gain > 1; the final level needs
-    gain > 1 + basis_bound^2 / 2. These conditions are sufficient, not
-    necessary, so failures are reported as warnings rather than errors.
-    """
-    gains = np.asarray(gains, dtype=float)
-    warnings = []
-    n = len(gains)
-    # 1e-9 slack: a margin indistinguishable from zero is not certifiable
-    for i, g in enumerate(gains[:-1]):
-        if g <= 1.0 + 1e-9:
-            warnings.append(
-                f"observer gain k_eps[{i + 1}] = {g:g} does not exceed 1; "
-                "the decay margin for that level is not positive"
-            )
-    need = 1.0 + basis_bound ** 2 / 2.0
-    if gains[-1] <= need + 1e-9:
-        warnings.append(
-            f"observer gain k_eps[{n}] = {gains[-1]:g} does not exceed "
-            f"1 + basis_bound^2/2 = {need:g}; the final-level decay margin "
-            "is not positive under the conservative basis bound"
-        )
-    return warnings

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .signals import ConfigError, finite_field
+from .signals import ConfigError, finite_field, finite_number
 
 
 class PlantError(ConfigError):
@@ -32,9 +32,14 @@ class Monomial:
         finite_field(self, "coeff", problems)
         if isinstance(self.exponents, (list, tuple)):
             object.__setattr__(self, "exponents", tuple(self.exponents))
-            problems += [(f"exponents[{j}]", f"expected a non-negative integer, got {e!r}")
-                         for j, e in enumerate(self.exponents)
-                         if isinstance(e, bool) or not isinstance(e, int) or e < 0]
+            for j, e in enumerate(self.exponents):
+                if isinstance(e, bool) or not isinstance(e, int) or e < 0:
+                    problems.append((f"exponents[{j}]", f"expected a non-negative integer, got {e!r}"))
+                    continue
+                try:
+                    finite_number(e)  # x ** e converts e to a float
+                except ValueError as exc:
+                    problems.append((f"exponents[{j}]", str(exc)))
         else:
             problems.append(("exponents", f"expected a list of integers, got {self.exponents!r}"))
         if problems:

@@ -146,6 +146,7 @@ class RunMetrics:
     max_error_ratio: np.ndarray
     max_abs_u: float
     final_theta_norm: float
+    max_abs_y_d: float
     observed_max_abs_v: np.ndarray
     max_abs_zeta: np.ndarray
     max_abs_eps_hat: np.ndarray
@@ -222,8 +223,12 @@ def run(config: RunConfig) -> SimResult:
     Raises InfeasibleInitialCondition if some |z_i(0)| >= psi_i(0),
     BarrierViolation (with level and time) if an error coordinate reaches
     its envelope at any accepted step or RK4 stage, and NonFiniteState if
-    the state leaves the representable range. Never continues past a
-    violation.
+    the state leaves the representable range or a step's arithmetic
+    overflows. Never continues past a violation.
+
+    Each accepted step makes one cascade pass; the metrics and, for the
+    recorded rows, the StepRecord are built from it and from the
+    cascade's time signals at that step.
     """
     cascade = BacksteppingCascade(
         config.reference, config.constraints, config.gains, config.observer_gains, config.rbf
@@ -233,8 +238,7 @@ def run(config: RunConfig) -> SimResult:
     h = config.step
 
     z0 = cascade.initial_errors(config.initial_x)
-    for i in range(n):
-        psi0 = config.constraints.envelope(i, 0.0)
+    for i, psi0 in enumerate(cascade.time_signals(0.0)[2]):
         if not (abs(z0[i]) < psi0):
             raise InfeasibleInitialCondition(i + 1, z0[i], psi0)
 
@@ -255,35 +259,31 @@ def run(config: RunConfig) -> SimResult:
     max_eps_hat_rate = [0.0] * n
     reserve_exceeded_at = [None] * n
     max_abs_u = 0.0
+    max_abs_y_d = 0.0
     max_theta_norm = 0.0
     tail_sq_sum = 0.0
     tail_count = 0
     prev_eps_hat = None
 
-    state_bound = config.constraints.state_bound
     deriv = loop.derivative
     decimation = config.decimation
     for k in range(steps + 1):
         t = k * h
         x, dhat, zeta, theta = loop.split(s)
-        # A StepRecord only for the rows kept; every other step feeds the
-        # cascade pass's floats straight into the metrics.
-        recorded = k % decimation == 0 or k == steps
         try:
-            if recorded:
-                rec = cascade.step(t, x, dhat, zeta, theta)
-                z, eps_hat, v, u = rec.z.tolist(), rec.eps_hat.tolist(), rec.v.tolist(), rec.u
-            else:
-                z, _, eps_hat, _, v, u, _, _, _ = cascade._eval(t, x, dhat, zeta, theta)
+            outputs = cascade._eval(t, x, dhat, zeta, theta)
         except BarrierViolation as exc:
             _nan_guard(exc, t)
             raise
+        z, _, eps_hat, _, v, u, _, _, _ = outputs
 
         x = x.tolist()
         zeta = zeta.tolist()
-        envelopes = cascade.time_signals(t)[1]
+        y_d, bounds, envelopes, _ = cascade.time_signals(t)
+        if abs(y_d) > max_abs_y_d:
+            max_abs_y_d = abs(y_d)
         for i in range(n):
-            bound = state_bound(i, t)
+            bound = bounds[i]
             envelope = envelopes[i]
             cr = abs(x[i]) / bound
             if cr > max_constraint_ratio[i]:
@@ -314,10 +314,10 @@ def run(config: RunConfig) -> SimResult:
             tail_sq_sum += z[0] ** 2
             tail_count += 1
 
-        if recorded:
+        if k % decimation == 0 or k == steps:
             times.append(t)
             trajectory.append(s.copy())
-            records.append(rec)
+            records.append(cascade._record(t, outputs))
 
         if k == steps:
             break
@@ -326,6 +326,8 @@ def run(config: RunConfig) -> SimResult:
         except BarrierViolation as exc:
             _nan_guard(exc, exc.t if exc.t is not None else t)
             raise
+        except OverflowError as exc:  # a float power past the double range
+            raise NonFiniteState((k + 1) * h) from exc
         if not np.isfinite(s_next).all():
             raise NonFiniteState((k + 1) * h)
         s = s_next
@@ -335,7 +337,8 @@ def run(config: RunConfig) -> SimResult:
         max_constraint_ratio=np.array(max_constraint_ratio),
         max_error_ratio=np.array(max_error_ratio),
         max_abs_u=max_abs_u,
-        final_theta_norm=float(np.linalg.norm(loop.split(s)[3])),
+        final_theta_norm=theta_norm,
+        max_abs_y_d=max_abs_y_d,
         observed_max_abs_v=np.array(max_abs_v),
         max_abs_zeta=np.array(max_abs_zeta),
         max_abs_eps_hat=np.array(max_abs_eps_hat),

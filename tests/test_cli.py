@@ -466,6 +466,8 @@ def test_one_field_mutation_parses_or_is_config_error(path, value):
 @settings(max_examples=200, deadline=None)
 @given(path=st.sampled_from(list(_doc_paths(json.loads(sec6_text())))),
        value=st.floats(-3.0, 30.0) | st.integers(-3, 30) | JSON_VALUES)
+@example(path=("plant", "f", 0, "exponents"), value=[10 ** 400, 0])
+@example(path=("plant", "f", 0, "exponents"), value=[10 ** 300, 0])
 def test_one_field_mutation_exits_0_1_or_2_without_traceback(path, value, tmp_path_factory):
     doc = json.loads(sec6_text())
     doc["horizon"] = 0.02
@@ -494,3 +496,78 @@ def test_one_field_mutation_exits_0_1_or_2_without_traceback(path, value, tmp_pa
         assert out == "" and err.startswith("error: invalid configuration:\n"), (out, err)
     else:
         assert out.startswith(("closed-loop run report\n", "run aborted\n", "run not started\n"))
+
+
+class TestStabilityWarnings:
+    """One warning per level whose printed decay rate mu is not positive,
+    naming that level's observer gain."""
+
+    @staticmethod
+    def stability_warnings(result, observer_gains):
+        config = replace(result.config, observer_gains=observer_gains)
+        text = emit_report(replace(result, config=config))
+        (rates,) = [line for line in text.splitlines() if "decay rates mu:" in line]
+        return rates, [line for line in text.splitlines()
+                       if line.startswith("  warning:") and ("mu[" in line or "k_eps[" in line)]
+
+    def test_one_warning_for_an_inner_gain_at_its_limit(self, sec6_result):
+        _, warnings = self.stability_warnings(sec6_result, (1.0, 7.0))
+        level_1 = [w for w in warnings if "mu[1]" in w or "k_eps[1]" in w]
+        assert len(level_1) == 1
+        assert level_1[0].startswith("  warning: mu[1] = 0 ") and "k_eps[1] = 1" in level_1[0]
+        assert len(warnings) == 2 and warnings[1].startswith("  warning: mu[2] = 0 ")
+
+    def test_no_warning_beside_a_positive_rate(self, sec6_result):
+        rates, warnings = self.stability_warnings(sec6_result, (1.0 + 7e-10, 7.0))
+        assert rates.endswith(": 1.4e-09, 0")
+        assert [w for w in warnings if "mu[1]" in w or "k_eps[1]" in w] == []
+
+
+def _drift_exponents_doc(tmp_path, exponents, horizon):
+    doc = json.loads(sec6_text())
+    doc["plant"]["f"][0]["exponents"] = exponents
+    doc["horizon"] = horizon
+    path = tmp_path / "drift.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_exponent_past_the_float_range_is_a_config_error(tmp_path, capsys):
+    assert main(["simulate", _drift_exponents_doc(tmp_path, [10 ** 400, 0], 0.01)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "plant.f[0].exponents[0]:" in err
+
+
+def test_overflowing_drift_ends_in_non_finite_state(tmp_path, capsys):
+    # x1 ** 1e300 overflows once x1 > 1, which the flagship reaches near t = 1.15
+    assert main(["simulate", _drift_exponents_doc(tmp_path, [10 ** 300, 0], 3.0)]) == 2
+    out, err = capsys.readouterr()
+    assert out.startswith("run aborted\nstate: FAIL non-finite at t=") and err == ""
+
+
+class TestFileErrors:
+    """A file the CLI cannot read or write is one error line and exit 1."""
+
+    @staticmethod
+    def error_line(capsys):
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        return err
+
+    def test_config_path_is_a_directory(self, tmp_path, capsys):
+        assert main(["simulate", str(tmp_path)]) == 1
+        assert self.error_line(capsys).startswith(f"error: {tmp_path}: ")
+
+    def test_config_file_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(sec6_text().replace('"n"', '"n\xe9"').encode("latin-1"))
+        assert main(["simulate", str(path)]) == 1
+        assert self.error_line(capsys).startswith(f"error: {path}: not UTF-8 text")
+
+    @pytest.mark.parametrize("flag", ["--out", "--report"])
+    def test_output_under_a_missing_directory(self, flag, tmp_path, capsys):
+        target = tmp_path / "missing" / "run.txt"
+        code = main(["simulate", blfstep.paper_sec6_path(), "--horizon", "0.01",
+                     flag, str(target)])
+        assert code == 1
+        assert self.error_line(capsys) == f"error: {target}: No such file or directory\n"

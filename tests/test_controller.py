@@ -386,8 +386,9 @@ class TestFastPathMatchesReference:
         else:
             pytest.fail("no step with distinct stage and step times")
         for t in (a, b, a, b):
-            y_d, psi, psi_rate = SEC6.time_signals(t)
+            y_d, bound, psi, psi_rate = SEC6.time_signals(t)
             assert bits(y_d) == bits(SEC6.reference.value(t))
+            assert bits(bound) == bits([SEC6.constraints.state_bound(i, t) for i in range(2)])
             assert bits(psi) == bits([SEC6.constraints.envelope(i, t) for i in range(2)])
             assert bits(psi_rate) == bits([SEC6.constraints.envelope_rate(i, t) for i in range(2)])
 

@@ -7,7 +7,6 @@ from blfstep.observer import (
     dhat_rate_final,
     dhat_rate_inner,
     estimate,
-    gain_warnings,
     initial_dhat,
 )
 from blfstep.simengine import rk4_step
@@ -73,12 +72,3 @@ def test_estimation_error_decays_exponentially(gain):
         if round(t, 9) in checkpoints:
             err = eps - estimate(y[1], gain, y[0])
             assert abs(err - eps * math.exp(-gain * t)) < 1e-6
-
-
-def test_gain_warnings_flag_weak_gains():
-    assert gain_warnings((7.0, 7.0), 0.0) == []
-    inner = gain_warnings((1.0, 7.0), 0.0)
-    assert len(inner) == 1 and "k_eps[1]" in inner[0]
-    # final level needs gain > 1 + bound^2/2 = 7 exactly, so 7 trips it
-    final = gain_warnings((7.0, 7.0), math.sqrt(12.0))
-    assert len(final) == 1 and "k_eps[2]" in final[0]

@@ -398,3 +398,46 @@ def test_component_rejects_a_field_that_is_not_a_number(sec6_config, make, value
         run(make(short, value))
     assert isinstance(err.value, ConfigError)
     assert field in [path for path, _ in err.value.problems]
+
+
+# One cascade pass per time point: the metrics and the kept records come
+# from the same pass.
+
+def test_flagship_makes_one_cascade_pass_per_time_point_and_four_per_step(sec6_config,
+                                                                          monkeypatch):
+    calls = []
+    original = BacksteppingCascade._eval
+
+    def counted(self, *args):
+        calls.append(args[0])
+        return original(self, *args)
+
+    monkeypatch.setattr(BacksteppingCascade, "_eval", counted)
+    run(replace(sec6_config, horizon=0.2))
+    assert len(calls) == 200 * 4 + 201  # the value bench/selftest.py pins
+
+
+def test_kept_records_equal_a_fresh_step_at_their_state(sec6_config):
+    cfg = replace(sec6_config, horizon=1.0)
+    res = run(cfg)
+    cascade = BacksteppingCascade(cfg.reference, cfg.constraints, cfg.gains,
+                                  cfg.observer_gains, cfg.rbf)
+    n = cfg.plant.n
+    assert len(res.records) == 101
+    for t, s, rec in zip(res.times.tolist(), res.trajectory, res.records):
+        fresh = cascade.step(t, s[:n], s[n:2 * n], s[2 * n:3 * n], s[3 * n:])
+        for f in fields(rec):
+            got = np.atleast_1d(getattr(rec, f.name)).tolist()
+            want = np.atleast_1d(getattr(fresh, f.name)).tolist()
+            assert [v.hex() for v in got] == [v.hex() for v in want], (t, f.name)
+
+
+def test_reference_peak_is_taken_over_every_accepted_step(sec6_config):
+    h = sec6_config.step
+    res = run(replace(sec6_config, horizon=2.0, decimation=10))
+    steps = [abs(math.sin(k * h)) for k in range(2001)]
+    peak = max(steps)
+    # the reference sin(t) peaks near pi/2, between two kept rows
+    assert steps.index(peak) % 10 != 0
+    assert max(steps[::10]) < peak
+    assert res.metrics.max_abs_y_d == peak

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from importlib import resources
 
@@ -236,10 +235,6 @@ def load_config_file(path: str) -> RunConfig:
         return parse_config(fh.read())
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def csv_header(n: int) -> list:
     cols = ["t"]
     cols += [f"x{i}" for i in range(1, n + 1)]
@@ -257,29 +252,17 @@ def csv_header(n: int) -> list:
 def emit_csv(result: SimResult, path: str) -> None:
     """Write the recorded trajectory as CSV, one row per recorded step.
 
-    Numbers are written in round-trippable decimal form, so reading a
-    cell back with float() reproduces the in-memory value exactly.
+    The columns come from the run's record table. Numbers are written in
+    round-trippable decimal form, so reading a cell back with float()
+    reproduces the in-memory value exactly.
     """
-    cfg = result.config
-    n = cfg.plant.n
-    lines = [",".join(csv_header(n))]
-    for t, state, rec in zip(result.times.tolist(), result.trajectory, result.records):
-        values = state.tolist()
-        theta = state[3 * n:]
-        row = [t]
-        row += values[:n]
-        row += [cfg.constraints.state_bound(i, t) for i in range(n)]
-        row += [cfg.constraints.envelope(i, t) for i in range(n)]
-        row += rec.z.tolist()
-        row += rec.v.tolist()
-        row += [rec.u]
-        row += rec.eps_hat.tolist()
-        row += values[2 * n:3 * n]
-        # what np.linalg.norm computes for a vector
-        row += [math.sqrt(theta @ theta), cfg.reference.value(t)]
-        lines.append(",".join(_fmt(v) for v in row))
+    header = csv_header(result.config.plant.n)
+    cells = result.records.columns(header)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(cells), 256):  # rows converted and written at a time
+            rows = cells[start:start + 256].tolist()
+            fh.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))
 
 
 def _ratio_line(label: str, ratios) -> str:
@@ -317,11 +300,12 @@ def emit_report(outcome) -> str:
     m = result.metrics
     n = cfg.plant.n
     passed = verdict_code(result) == 0
-    tail_start = result.times[-1] / 2.0 if len(result.times) else 0.0
+    t, z1 = result.records.columns(["t", "z1"]).T
+    tail_start = t[-1] / 2.0 if len(t) else 0.0
 
-    early = [abs(rec.z[0]) for t, rec in zip(result.times, result.records) if t <= 2.0]
-    late = [abs(rec.z[0]) for t, rec in zip(result.times, result.records) if t >= tail_start]
-    transient_ok = bool(late and early and max(late) < max(early))
+    early = np.abs(z1[t <= 2.0])
+    late = np.abs(z1[t >= tail_start])
+    transient_ok = bool(late.size and early.size and late.max() < early.max())
 
     lines = ["closed-loop run report", ""]
     lines.append(f"horizon: {cfg.horizon:g} s   step: {cfg.step:g} s   levels: {n}   "
@@ -409,7 +393,7 @@ def main(argv=None) -> int:
                 print(f"using bundled configuration {args.config}", file=sys.stderr)
                 config = parse_config(bundled.read_text(encoding="utf-8"))
             else:
-                print(f"error: no such configuration file: {args.config}", file=sys.stderr)
+                print(f"error: {args.config}: no such configuration file", file=sys.stderr)
                 return 1
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

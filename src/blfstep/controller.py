@@ -28,6 +28,7 @@ re-checked every step through the barrier evaluation.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,6 +144,58 @@ class StepRecord:
     barrier_energy: float
 
 
+class RecordLayout:
+    """Columns of a record table, one float64 row per kept instant, in the
+    order BacksteppingCascade.write_row fills them: t, the augmented state
+    (x, dhat, zeta, theta), Psi_i, psi_i, the cascade outputs, the barrier
+    energy, ||theta|| and y_d. A vector group names its columns group1,
+    group2, ...; a scalar group (size None) takes the group's name."""
+
+    def __init__(self, n: int, l: int):
+        self.at, self.index = {}, {}
+        for group, size in (("t", None), ("x", n), ("dhat", n), ("zeta", n), ("theta", l),
+                            ("Psi", n), ("psi", n), ("z", n), ("q", n), ("eps_hat", n),
+                            ("alpha", n), ("v", n - 1), ("u", None), ("zeta_rate", n),
+                            ("theta_rate", l), ("barrier_energy", None), ("theta_norm", None),
+                            ("y_d", None)):
+            start = len(self.index)
+            if size is None:
+                self.at[group] = self.index[group] = start
+            else:
+                self.at[group] = slice(start, start + size)
+                self.index.update((f"{group}{i + 1}", start + i) for i in range(size))
+        self.width = len(self.index)
+        self.state = slice(1, self.at["theta"].stop)
+
+    def read(self, row: np.ndarray) -> StepRecord:
+        """The StepRecord a row holds; its arrays are views of the row."""
+        at = self.at
+        return StepRecord(row[at["z"]], row[at["q"]], row[at["eps_hat"]], row[at["alpha"]],
+                          row[at["v"]], float(row[at["u"]]), row[at["zeta_rate"]],
+                          row[at["theta_rate"]], float(row[at["barrier_energy"]]))
+
+
+class Records(Sequence):
+    """Read-only sequence of StepRecord over the rows of a record table;
+    a slice gives a Records over the selected rows."""
+
+    def __init__(self, table: np.ndarray, layout: RecordLayout):
+        self.table = table
+        self.layout = layout
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Records(self.table[index], self.layout)
+        return self.layout.read(self.table[index])
+
+    def columns(self, names) -> np.ndarray:
+        """The named columns, one row per record (a copy)."""
+        return self.table[:, [self.layout.index[name] for name in names]]
+
+
 class BacksteppingCascade:
     """Pure map from (t, x, dhat, zeta, theta) to the controller outputs.
 
@@ -178,6 +231,7 @@ class BacksteppingCascade:
         self._kn4_over_8 = self.observer_gains[-1] ** 4 / 8.0
         self._kn_sq = self.observer_gains[-1] ** 2
         self._float_weights = rbf.l <= _FLOAT_WEIGHTS_MAX
+        self.layout = RecordLayout(self.n, rbf.l)
         self._memo_t = None
         self._memo = None
 
@@ -197,7 +251,7 @@ class BacksteppingCascade:
         """(y_d(t), [Psi_i(t)], [psi_i(t)], [dpsi_i/dt(t)]) for every level.
 
         Computed once per distinct t and reused while t repeats, as it
-        does across an RK4 step (k1, the step record and the run's
+        does across an RK4 step (k1, the kept row and the run's
         metrics share t, k2 and k3 share t + h/2). A t that differs in
         the last bit is a new time.
         """
@@ -272,18 +326,21 @@ class BacksteppingCascade:
     def step(self, t: float, x, dhat, zeta, theta) -> StepRecord:
         """Full controller record at one instant (pure; repeat calls with
         the same inputs produce identical records)."""
-        return self._record(t, self._eval(t, x, dhat, zeta, theta))
+        row = np.empty(self.layout.width)
+        self.write_row(row, t, np.concatenate((x, dhat, zeta, theta)),
+                       self._eval(t, x, dhat, zeta, theta), math.sqrt(theta @ theta))
+        return self.layout.read(row)
 
-    def _record(self, t: float, outputs) -> StepRecord:
-        """The StepRecord of the outputs _eval returned at t."""
+    def write_row(self, row: np.ndarray, t: float, s, outputs, theta_norm: float) -> None:
+        """Fill a record-table row at t from the augmented state s, the
+        outputs _eval returned for it and ||theta||."""
         z, q, eps_hat, alpha, v, u, zeta_rate, theta_rate, _ = outputs
-        psis = self.time_signals(t)[2]
+        y_d, bounds, psis, _ = self.time_signals(t)
         energy = 0.0
         for i in range(self.n):
             energy += blf_value(z[i], psis[i])
-        z, q, eps_hat, alpha, zeta_rate = np.array((z, q, eps_hat, alpha, zeta_rate))
-        return StepRecord(z, q, eps_hat, alpha, np.array(v), u, zeta_rate, np.array(theta_rate),
-                          energy)
+        row[:] = [t, *s.tolist(), *bounds, *psis, *z, *q, *eps_hat, *alpha, *v, u, *zeta_rate,
+                  *theta_rate, energy, theta_norm, y_d]
 
 
 def lyapunov_decay_rates(gains: GainConfig, observer_gains, basis_bound: float) -> np.ndarray:

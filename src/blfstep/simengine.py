@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .barrier import BarrierViolation
-from .controller import BacksteppingCascade, ConstraintConfig, GainConfig
+from .controller import BacksteppingCascade, ConstraintConfig, GainConfig, Records
 from .observer import dhat_rate_final, dhat_rate_inner, initial_dhat
 from .approximator import RbfNetwork
 from .plant import PlantSpec
@@ -163,11 +163,13 @@ class RunMetrics:
 
 @dataclass
 class SimResult:
-    """Recorded trajectory plus metrics for one completed run."""
+    """Recorded trajectory plus metrics for one completed run. records
+    reads the run's read-only record table; times and trajectory are
+    views of its t and state columns."""
 
     times: np.ndarray
     trajectory: np.ndarray
-    records: list
+    records: Records
     metrics: RunMetrics
     config: RunConfig = field(repr=False)
 
@@ -227,8 +229,8 @@ def run(config: RunConfig) -> SimResult:
     overflows. Never continues past a violation.
 
     Each accepted step makes one cascade pass; the metrics and, for the
-    recorded rows, the StepRecord are built from it and from the
-    cascade's time signals at that step.
+    kept steps, one row of the record table are built from it and from
+    the cascade's time signals at that step.
     """
     cascade = BacksteppingCascade(
         config.reference, config.constraints, config.gains, config.observer_gains, config.rbf
@@ -247,9 +249,11 @@ def run(config: RunConfig) -> SimResult:
     s[n:2 * n] = initial_dhat(config.observer_gains, z0)
 
     steps = int(round(config.horizon / h)) if config.horizon > 0 else 0
-    times = []
-    trajectory = []
-    records = []
+    decimation = config.decimation
+    layout = cascade.layout
+    rows = steps // decimation + 1 + (steps % decimation > 0)
+    table = np.empty((rows, layout.width))
+    kept = 0
 
     max_constraint_ratio = [0.0] * n
     max_error_ratio = [0.0] * n
@@ -266,7 +270,6 @@ def run(config: RunConfig) -> SimResult:
     prev_eps_hat = None
 
     deriv = loop.derivative
-    decimation = config.decimation
     for k in range(steps + 1):
         t = k * h
         x, dhat, zeta, theta = loop.split(s)
@@ -315,9 +318,8 @@ def run(config: RunConfig) -> SimResult:
             tail_count += 1
 
         if k % decimation == 0 or k == steps:
-            times.append(t)
-            trajectory.append(s.copy())
-            records.append(cascade._record(t, outputs))
+            cascade.write_row(table[kept], t, s, outputs, theta_norm)
+            kept += 1
 
         if k == steps:
             break
@@ -332,6 +334,9 @@ def run(config: RunConfig) -> SimResult:
             raise NonFiniteState((k + 1) * h)
         s = s_next
 
+    if kept != rows:
+        raise RuntimeError(f"wrote {kept} record rows, expected {rows}")
+    table.flags.writeable = False
     metrics = RunMetrics(
         tracking_rmse_tail=math.sqrt(tail_sq_sum / tail_count),
         max_constraint_ratio=np.array(max_constraint_ratio),
@@ -347,9 +352,9 @@ def run(config: RunConfig) -> SimResult:
         reserve_exceeded_at=reserve_exceeded_at,
     )
     return SimResult(
-        times=np.asarray(times),
-        trajectory=np.asarray(trajectory),
-        records=records,
+        times=table[:, 0],
+        trajectory=table[:, layout.state],
+        records=Records(table, layout),
         metrics=metrics,
         config=config,
     )

@@ -163,7 +163,7 @@ class TestCsv:
         from dataclasses import replace
 
         empty = replace(sec6_result, times=np.empty(0),
-                        trajectory=np.empty((0, 18)), records=[])
+                        trajectory=np.empty((0, 18)), records=sec6_result.records[:0])
         path = tmp_path / "empty.csv"
         emit_csv(empty, str(path))
         assert path.read_text() == ",".join(csv_header(2)) + "\n"
@@ -557,6 +557,11 @@ class TestFileErrors:
     def test_config_path_is_a_directory(self, tmp_path, capsys):
         assert main(["simulate", str(tmp_path)]) == 1
         assert self.error_line(capsys).startswith(f"error: {tmp_path}: ")
+
+    def test_missing_config_file_names_the_path_first(self, capsys):
+        # the same "error: <path>: <reason>" form as every other unreadable file
+        assert main(["simulate", "no_such_file.json"]) == 1
+        assert self.error_line(capsys).startswith("error: no_such_file.json: ")
 
     def test_config_file_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"

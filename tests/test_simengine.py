@@ -441,3 +441,22 @@ def test_reference_peak_is_taken_over_every_accepted_step(sec6_config):
     assert steps.index(peak) % 10 != 0
     assert max(steps[::10]) < peak
     assert res.metrics.max_abs_y_d == peak
+
+
+# An integrator oracle that shares no code with rk4_step: scipy's DOP853
+# on the same right-hand side. Over the first 0.5 s the two agree to
+# round-off; by 1 s the gain-search wind-up near t = 0.8 s has amplified
+# RK4's truncation error to about 1e-3.
+@pytest.mark.parametrize("horizon, tol", [(0.5, 1e-9), (1.0, 5e-3)])
+def test_rk4_agrees_with_dop853(sec6_config, horizon, tol):
+    integrate = pytest.importorskip("scipy.integrate")
+    cfg = replace(sec6_config, horizon=horizon)
+    res = run(cfg)
+    cascade = BacksteppingCascade(cfg.reference, cfg.constraints, cfg.gains,
+                                  cfg.observer_gains, cfg.rbf)
+    loop = ClosedLoop(cfg.plant, cascade)
+    sol = integrate.solve_ivp(loop.derivative, (0.0, res.times[-1]), res.trajectory[0],
+                              method="DOP853", rtol=1e-10, atol=1e-12, t_eval=res.times)
+    assert sol.success, sol.message
+    n = cfg.plant.n
+    assert np.max(np.abs(res.trajectory[:, :n] - sol.y[:n].T)) <= tol

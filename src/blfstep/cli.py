@@ -22,7 +22,7 @@ import numpy as np
 
 from .approximator import RbfNetwork
 from .barrier import BarrierViolation
-from .controller import ConstraintConfig, GainConfig, lyapunov_decay_rates
+from .controller import ConstraintConfig, GainConfig, RecordLayout, lyapunov_decay_rates
 from .plant import Monomial, PlantSpec
 from .signals import ConfigError, SignalError, signal_from_dict, signal_to_dict
 from .simengine import (
@@ -35,33 +35,27 @@ from .simengine import (
 )
 
 
-def _check_keys(record: dict, allowed, required, path: str, problems: list) -> bool:
-    ok = True
-    for key in required:
-        if key not in record:
-            problems.append((f"{path}.{key}" if path else key, "missing required field"))
-            ok = False
-    unknown = set(record) - set(allowed)
-    for key in sorted(unknown):
-        problems.append((f"{path}.{key}" if path else key, "unknown key"))
-        ok = False
-    return ok
-
-
 def _record(value, path: str, allowed, required, problems: list) -> bool:
-    """Whether value is an object with the required keys and no others."""
+    """Whether value is an object with the required keys and no others;
+    records a problem for each key at fault."""
     if not isinstance(value, dict):
         problems.append((path, "expected an object"))
         return False
-    return _check_keys(value, allowed, required, path, problems)
+    prefix = f"{path}." if path else ""
+    missing = [(prefix + key, "missing required field") for key in required if key not in value]
+    unknown = [(prefix + key, "unknown key") for key in sorted(set(value) - set(allowed))]
+    problems += missing + unknown
+    return not (missing or unknown)
 
 
-def _list(value, path: str, problems: list) -> list:
-    """value if it is a list; otherwise [] after recording a problem."""
-    if isinstance(value, list):
-        return value
-    problems.append((path, "expected a list"))
-    return []
+def _items(value, path: str, parse, problems: list) -> tuple | None:
+    """parse(item, path[i], problems) for each item of value, at the
+    document's own index, if value is a list; otherwise None after
+    recording a problem."""
+    if not isinstance(value, list):
+        problems.append((path, "expected a list"))
+        return None
+    return tuple(parse(item, f"{path}[{i}]", problems) for i, item in enumerate(value))
 
 
 def _build(make, path: str, problems: list, *args, **kwargs):
@@ -84,41 +78,35 @@ def _parse_signal(record, path: str, problems: list):
 
 # Each component record below is checked for its shape only: an object
 # with the allowed keys, its nested lists and records. The values go to
-# the component's constructor, which checks them. A record whose nested
-# part failed is not built; its own fields are checked in a later attempt.
+# the component's constructor, which checks them. A nested part that fails
+# (a monomial, a signal) goes to it as None, in its place in the list, so
+# the record's own fields are still checked in the same attempt.
+
+def _parse_monomial(record, path: str, problems: list) -> Monomial | None:
+    keys = ("coeff", "exponents")
+    if not _record(record, path, keys, keys, problems):
+        return None
+    return _build(Monomial, path, problems, record["coeff"], record["exponents"])
+
 
 def _parse_plant(record, problems: list) -> PlantSpec | None:
     path = "plant"
     keys = ("n", "f", "beta", "disturbances")
     if not _record(record, path, keys, keys, problems):
         return None
-    before = len(problems)
-    monos = [
-        _build(Monomial, f"{path}.f[{i}]", problems, m["coeff"], m["exponents"])
-        for i, m in enumerate(_list(record["f"], f"{path}.f", problems))
-        if _record(m, f"{path}.f[{i}]", ("coeff", "exponents"), ("coeff", "exponents"), problems)
-    ]
-    dist = [
-        _parse_signal(d, f"{path}.disturbances[{i}]", problems)
-        for i, d in enumerate(_list(record["disturbances"], f"{path}.disturbances", problems))
-    ]
-    if len(problems) > before:
+    monos = _items(record["f"], f"{path}.f", _parse_monomial, problems)
+    dist = _items(record["disturbances"], f"{path}.disturbances", _parse_signal, problems)
+    if monos is None or dist is None:
         return None
-    return _build(PlantSpec, path, problems, record["n"], tuple(monos), record["beta"], tuple(dist))
+    return _build(PlantSpec, path, problems, record["n"], monos, record["beta"], dist)
 
 
 def _parse_constraints(record, problems: list) -> ConstraintConfig | None:
     path = "constraints"
     if not _record(record, path, ("Psi", "A"), ("Psi", "A"), problems):
         return None
-    before = len(problems)
-    bounds = [
-        _parse_signal(b, f"{path}.Psi[{i}]", problems)
-        for i, b in enumerate(_list(record["Psi"], f"{path}.Psi", problems))
-    ]
-    if len(problems) > before:
-        return None
-    return _build(ConstraintConfig, path, problems, tuple(bounds), record["A"])
+    bounds = _items(record["Psi"], f"{path}.Psi", _parse_signal, problems)
+    return None if bounds is None else _build(ConstraintConfig, path, problems, bounds, record["A"])
 
 
 def _parse_rbf(record, n: int | None, problems: list) -> RbfNetwork | None:
@@ -171,8 +159,7 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError([("(document)", "expected a JSON object")])
 
-    _check_keys(doc, _TOP_KEYS, _TOP_REQUIRED, "", problems)
-    if problems:
+    if not _record(doc, "", _TOP_KEYS, _TOP_REQUIRED, problems):
         raise ConfigError(problems)
 
     plant = _parse_plant(doc["plant"], problems)
@@ -235,18 +222,13 @@ def load_config_file(path: str) -> RunConfig:
         return parse_config(fh.read())
 
 
+# The CSV's record groups, in column order.
+_CSV_GROUPS = ("t", "x", "Psi", "psi", "z", "v", "u", "eps_hat", "zeta", "theta_norm", "y_d")
+
+
 def csv_header(n: int) -> list:
-    cols = ["t"]
-    cols += [f"x{i}" for i in range(1, n + 1)]
-    cols += [f"Psi{i}" for i in range(1, n + 1)]
-    cols += [f"psi{i}" for i in range(1, n + 1)]
-    cols += [f"z{i}" for i in range(1, n + 1)]
-    cols += [f"v{i}" for i in range(1, n)]
-    cols += ["u"]
-    cols += [f"eps_hat{i}" for i in range(1, n + 1)]
-    cols += [f"zeta{i}" for i in range(1, n + 1)]
-    cols += ["theta_norm", "y_d"]
-    return cols
+    """The CSV's column names for a plant of order n."""
+    return RecordLayout(n, 0).columns(_CSV_GROUPS)
 
 
 def emit_csv(result: SimResult, path: str) -> None:
@@ -256,7 +238,7 @@ def emit_csv(result: SimResult, path: str) -> None:
     round-trippable decimal form, so reading a cell back with float()
     reproduces the in-memory value exactly.
     """
-    header = csv_header(result.config.plant.n)
+    header = result.records.layout.columns(_CSV_GROUPS)
     cells = result.records.columns(header)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -76,7 +76,9 @@ class GainConfig:
 
 class ConstraintConfig:
     """State bounds Psi_i(t) plus the per-level reserves A_{i-1} for the
-    virtual controls, from which the error envelopes psi_i(t) follow."""
+    virtual controls, from which the error envelopes psi_i(t) follow. A
+    state bound given as None failed to build and was named by its
+    builder: it counts as a level, is not checked, and nothing is built."""
 
     def __init__(self, state_bounds, virtual_bounds):
         problems = []
@@ -87,16 +89,17 @@ class ConstraintConfig:
                                   f"{len(self.virtual_bounds)} for {self.n} state bounds"))
         rates = []
         for i, (bound, reserve) in enumerate(zip(self.state_bounds, self.virtual_bounds or ())):
-            psi0 = bound.value(0.0)
             if reserve < 0:
                 problems.append((f"A[{i}]", f"must be >= 0, got {reserve}"))
-            elif not psi0 > reserve:
+            elif bound is None:
+                continue
+            elif not (psi0 := bound.value(0.0)) > reserve:
                 problems.append((f"A[{i}]", f"infeasible envelope split at level {i + 1}: "
                                             f"Psi({i + 1})(0) = {psi0:g} does not exceed "
                                             f"A[{i}] = {reserve:g}"))
             else:
                 rates.append(abs(bound.derivative(0.0)) / (psi0 - reserve))
-        if problems:
+        if problems or None in self.state_bounds:
             raise ControllerError(problems)
         self.release_rates = tuple(rates)
 
@@ -145,34 +148,37 @@ class StepRecord:
 
 
 class RecordLayout:
-    """Columns of a record table, one float64 row per kept instant, in the
-    order BacksteppingCascade.write_row fills them: t, the augmented state
-    (x, dhat, zeta, theta), Psi_i, psi_i, the cascade outputs, the barrier
-    energy, ||theta|| and y_d. A vector group names its columns group1,
-    group2, ...; a scalar group (size None) takes the group's name."""
+    """The record format, said once: the column groups of a record table,
+    one float64 row per kept instant, in the order
+    BacksteppingCascade.write_row fills them. A vector group names its
+    columns group1, group2, ...; a scalar group (size None) is one column
+    named after the group. StepRecord, the CSV columns and SimResult's
+    arrays are read through it."""
 
     def __init__(self, n: int, l: int):
-        self.at, self.index = {}, {}
+        self.at, self.index, self.names = {}, {}, {}
         for group, size in (("t", None), ("x", n), ("dhat", n), ("zeta", n), ("theta", l),
                             ("Psi", n), ("psi", n), ("z", n), ("q", n), ("eps_hat", n),
                             ("alpha", n), ("v", n - 1), ("u", None), ("zeta_rate", n),
                             ("theta_rate", l), ("barrier_energy", None), ("theta_norm", None),
                             ("y_d", None)):
             start = len(self.index)
-            if size is None:
-                self.at[group] = self.index[group] = start
-            else:
-                self.at[group] = slice(start, start + size)
-                self.index.update((f"{group}{i + 1}", start + i) for i in range(size))
+            self.at[group] = start if size is None else slice(start, start + size)
+            self.names[group] = [group] if size is None else [f"{group}{i + 1}" for i in range(size)]
+            self.index.update((name, start + i) for i, name in enumerate(self.names[group]))
         self.width = len(self.index)
         self.state = slice(1, self.at["theta"].stop)
+        self._record_at = [(f.name, self.at[f.name]) for f in fields(StepRecord)]
+
+    def columns(self, groups) -> list:
+        """The column names of the given groups, in that order."""
+        return [name for group in groups for name in self.names[group]]
 
     def read(self, row: np.ndarray) -> StepRecord:
-        """The StepRecord a row holds; its arrays are views of the row."""
-        at = self.at
-        return StepRecord(row[at["z"]], row[at["q"]], row[at["eps_hat"]], row[at["alpha"]],
-                          row[at["v"]], float(row[at["u"]]), row[at["zeta_rate"]],
-                          row[at["theta_rate"]], float(row[at["barrier_energy"]]))
+        """The StepRecord a row holds: a float per scalar group, a view of
+        the row per vector group."""
+        return StepRecord(**{name: row[at] if isinstance(at, slice) else float(row[at])
+                             for name, at in self._record_at})
 
 
 class Records(Sequence):

@@ -48,6 +48,10 @@ class Monomial:
 
 @dataclass(frozen=True)
 class PlantSpec:
+    """Order n, drift monomials f, input gain beta, one disturbance per
+    state. A part given as None failed to build and was named by its
+    builder: it is counted, not checked, and the plant is not built."""
+
     n: int
     f: tuple
     beta: float
@@ -67,8 +71,9 @@ class PlantSpec:
                                  f"got {len(self.disturbances)} for order {self.n}"))
             problems += [(f"f[{i}].exponents", f"monomial exponent list length "
                           f"{len(mono.exponents)} does not match order {self.n}")
-                         for i, mono in enumerate(self.f) if len(mono.exponents) != self.n]
-        if problems:
+                         for i, mono in enumerate(self.f)
+                         if mono is not None and len(mono.exponents) != self.n]
+        if problems or None in self.f + self.disturbances:
             raise PlantError(problems)
         # The drift compiled once: (coeff, ((j, e), ...)) with only the
         # nonzero exponents, in the order the product is formed.

@@ -147,24 +147,6 @@ class SignalSum:
 TimeSignal = Union[Constant, Sinusoid, ExpDecay, SignalSum]
 
 
-def signal_to_dict(sig: TimeSignal) -> dict:
-    """Serialize a signal as a tagged record, e.g. {"kind": "expdecay", ...}."""
-    if isinstance(sig, Constant):
-        return {"kind": "constant", "c": sig.c}
-    if isinstance(sig, Sinusoid):
-        return {
-            "kind": sig.kind,
-            "amplitude": sig.amplitude,
-            "angular_frequency": sig.angular_frequency,
-            "phase": sig.phase,
-        }
-    if isinstance(sig, ExpDecay):
-        return {"kind": "expdecay", "a": sig.a, "b": sig.b, "c": sig.c}
-    if isinstance(sig, SignalSum):
-        return {"kind": "sum", "terms": [signal_to_dict(term) for term in sig.terms]}
-    raise SignalError(f"not a known signal type: {type(sig).__name__}")
-
-
 def finite_number(value) -> float:
     """value as a float if it is a finite real number.
 
@@ -258,3 +240,16 @@ def signal_from_dict(record: object, path: str = "signal") -> TimeSignal:
         return cls(**params)
     except SignalError as exc:
         raise SignalError(exc.under(path)) from None
+
+
+def signal_to_dict(sig: TimeSignal) -> dict:
+    """Serialize a signal as the tagged record signal_from_dict reads,
+    e.g. {"kind": "expdecay", "a": ..., "b": ..., "c": ...}."""
+    for kind, (cls, required, optional) in _KINDS.items():
+        # a Sinusoid holds its kind, "sin" or "cos", as a field
+        if isinstance(sig, cls) and getattr(sig, "kind", kind) == kind:
+            record = {"kind": kind, **{key: getattr(sig, key) for key in required + optional}}
+            if "terms" in record:
+                record["terms"] = [signal_to_dict(term) for term in sig.terms]
+            return record
+    raise SignalError(f"not a known signal type: {type(sig).__name__}")

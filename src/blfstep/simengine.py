@@ -167,11 +167,17 @@ class SimResult:
     reads the run's read-only record table; times and trajectory are
     views of its t and state columns."""
 
-    times: np.ndarray
-    trajectory: np.ndarray
     records: Records
     metrics: RunMetrics
     config: RunConfig = field(repr=False)
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.records.table[:, self.records.layout.at["t"]]
+
+    @property
+    def trajectory(self) -> np.ndarray:
+        return self.records.table[:, self.records.layout.state]
 
 
 def rk4_step(f, t: float, y, h: float):
@@ -210,13 +216,6 @@ class ClosedLoop:
         if isinstance(theta_rate, list):
             return np.array(head + theta_rate, dtype=float)
         return np.concatenate((head, theta_rate))
-
-
-def _nan_guard(exc: BarrierViolation, t: float) -> None:
-    """A NaN error coordinate means the state blew up, not that a finite
-    trajectory crossed its envelope; report it as such."""
-    if math.isnan(exc.z) or math.isnan(exc.psi):
-        raise NonFiniteState(t) from exc
 
 
 def run(config: RunConfig) -> SimResult:
@@ -270,69 +269,67 @@ def run(config: RunConfig) -> SimResult:
     prev_eps_hat = None
 
     deriv = loop.derivative
-    for k in range(steps + 1):
-        t = k * h
-        x, dhat, zeta, theta = loop.split(s)
-        try:
+    try:
+        for k in range(steps + 1):
+            t = k * h
+            x, dhat, zeta, theta = loop.split(s)
             outputs = cascade._eval(t, x, dhat, zeta, theta)
-        except BarrierViolation as exc:
-            _nan_guard(exc, t)
-            raise
-        z, _, eps_hat, _, v, u, _, _, _ = outputs
+            z, _, eps_hat, _, v, u, _, _, _ = outputs
 
-        x = x.tolist()
-        zeta = zeta.tolist()
-        y_d, bounds, envelopes, _ = cascade.time_signals(t)
-        if abs(y_d) > max_abs_y_d:
-            max_abs_y_d = abs(y_d)
-        for i in range(n):
-            bound = bounds[i]
-            envelope = envelopes[i]
-            cr = abs(x[i]) / bound
-            if cr > max_constraint_ratio[i]:
-                max_constraint_ratio[i] = cr
-            er = abs(z[i]) / envelope
-            if er > max_error_ratio[i]:
-                max_error_ratio[i] = er
-            if reserve_exceeded_at[i] is None and abs(x[i] - z[i]) > bound - envelope:
-                reserve_exceeded_at[i] = t
-            if abs(zeta[i]) > max_abs_zeta[i]:
-                max_abs_zeta[i] = abs(zeta[i])
-            if abs(eps_hat[i]) > max_abs_eps_hat[i]:
-                max_abs_eps_hat[i] = abs(eps_hat[i])
-            if prev_eps_hat is not None:
-                rate = abs(eps_hat[i] - prev_eps_hat[i]) / h
-                if rate > max_eps_hat_rate[i]:
-                    max_eps_hat_rate[i] = rate
-        for i, vi in enumerate(v):
-            if abs(vi) > max_abs_v[i]:
-                max_abs_v[i] = abs(vi)
-        if abs(u) > max_abs_u:
-            max_abs_u = abs(u)
-        prev_eps_hat = eps_hat
-        theta_norm = math.sqrt(theta @ theta)  # what np.linalg.norm computes for a vector
-        if theta_norm > max_theta_norm:
-            max_theta_norm = theta_norm
-        if 2 * k >= steps:
-            tail_sq_sum += z[0] ** 2
-            tail_count += 1
+            x = x.tolist()
+            zeta = zeta.tolist()
+            y_d, bounds, envelopes, _ = cascade.time_signals(t)
+            if abs(y_d) > max_abs_y_d:
+                max_abs_y_d = abs(y_d)
+            for i in range(n):
+                bound = bounds[i]
+                envelope = envelopes[i]
+                cr = abs(x[i]) / bound
+                if cr > max_constraint_ratio[i]:
+                    max_constraint_ratio[i] = cr
+                er = abs(z[i]) / envelope
+                if er > max_error_ratio[i]:
+                    max_error_ratio[i] = er
+                if reserve_exceeded_at[i] is None and abs(x[i] - z[i]) > bound - envelope:
+                    reserve_exceeded_at[i] = t
+                if abs(zeta[i]) > max_abs_zeta[i]:
+                    max_abs_zeta[i] = abs(zeta[i])
+                if abs(eps_hat[i]) > max_abs_eps_hat[i]:
+                    max_abs_eps_hat[i] = abs(eps_hat[i])
+                if prev_eps_hat is not None:
+                    rate = abs(eps_hat[i] - prev_eps_hat[i]) / h
+                    if rate > max_eps_hat_rate[i]:
+                        max_eps_hat_rate[i] = rate
+            for i, vi in enumerate(v):
+                if abs(vi) > max_abs_v[i]:
+                    max_abs_v[i] = abs(vi)
+            if abs(u) > max_abs_u:
+                max_abs_u = abs(u)
+            prev_eps_hat = eps_hat
+            theta_norm = math.sqrt(theta @ theta)  # what np.linalg.norm computes for a vector
+            if theta_norm > max_theta_norm:
+                max_theta_norm = theta_norm
+            if 2 * k >= steps:
+                tail_sq_sum += z[0] ** 2
+                tail_count += 1
 
-        if k % decimation == 0 or k == steps:
-            cascade.write_row(table[kept], t, s, outputs, theta_norm)
-            kept += 1
+            if k % decimation == 0 or k == steps:
+                cascade.write_row(table[kept], t, s, outputs, theta_norm)
+                kept += 1
 
-        if k == steps:
-            break
-        try:
-            s_next = rk4_step(deriv, t, s, h)
-        except BarrierViolation as exc:
-            _nan_guard(exc, exc.t if exc.t is not None else t)
-            raise
-        except OverflowError as exc:  # a float power past the double range
-            raise NonFiniteState((k + 1) * h) from exc
-        if not np.isfinite(s_next).all():
-            raise NonFiniteState((k + 1) * h)
-        s = s_next
+            if k == steps:
+                break
+            s = rk4_step(deriv, t, s, h)
+            if not np.isfinite(s).all():
+                raise NonFiniteState((k + 1) * h)
+    except BarrierViolation as exc:
+        # a NaN error coordinate means the state blew up, not that a
+        # finite trajectory crossed its envelope
+        if math.isnan(exc.z) or math.isnan(exc.psi):
+            raise NonFiniteState(exc.t if exc.t is not None else t) from exc
+        raise
+    except OverflowError as exc:  # a float power past the double range in a step
+        raise NonFiniteState((k + 1) * h) from exc
 
     if kept != rows:
         raise RuntimeError(f"wrote {kept} record rows, expected {rows}")
@@ -351,10 +348,4 @@ def run(config: RunConfig) -> SimResult:
         max_abs_eps_hat_rate=np.array(max_eps_hat_rate),
         reserve_exceeded_at=reserve_exceeded_at,
     )
-    return SimResult(
-        times=table[:, 0],
-        trajectory=table[:, layout.state],
-        records=Records(table, layout),
-        metrics=metrics,
-        config=config,
-    )
+    return SimResult(Records(table, layout), metrics, config)

@@ -162,8 +162,7 @@ class TestCsv:
     def test_empty_result_gives_header_only(self, sec6_result, tmp_path):
         from dataclasses import replace
 
-        empty = replace(sec6_result, times=np.empty(0),
-                        trajectory=np.empty((0, 18)), records=sec6_result.records[:0])
+        empty = replace(sec6_result, records=sec6_result.records[:0])
         path = tmp_path / "empty.csv"
         emit_csv(empty, str(path))
         assert path.read_text() == ",".join(csv_header(2)) + "\n"
@@ -389,6 +388,37 @@ def test_component_and_run_level_problems_named_in_one_attempt():
     with pytest.raises(ConfigError) as err:
         parse_config(json.dumps(doc))
     assert [path for path, _ in err.value.problems] == ["plant.beta", ".horizon"]
+
+
+BROKEN_SIGNAL = {"kind": "expdecay", "a": 1.0, "b": -0.5, "c": 1.1}
+
+
+@pytest.mark.parametrize("changes, paths", [
+    pytest.param({("plant", "f", 1, "coeff"): math.nan, ("plant", "beta"): math.nan},
+                 ["plant.f[1].coeff", "plant.beta"], id="monomial-and-beta"),
+    # the failed first monomial keeps its place: the second is still f[1]
+    pytest.param({("plant", "f", 0): "x^3", ("plant", "f", 1, "exponents"): [0, 1, 0]},
+                 ["plant.f[0]", "plant.f[1].exponents"], id="monomial-index-kept"),
+    # a failed disturbance still counts toward one per state
+    pytest.param({("plant", "disturbances", 0): BROKEN_SIGNAL},
+                 ["plant.disturbances[0].b"], id="disturbance-counted"),
+    pytest.param({("plant", "disturbances", 1): BROKEN_SIGNAL, ("plant", "n"): 1},
+                 ["plant.disturbances[1].b", "plant.n"], id="disturbance-and-order"),
+    pytest.param({("constraints", "Psi", 0): BROKEN_SIGNAL, ("constraints", "A", 1): math.nan},
+                 ["constraints.Psi[0].b", "constraints.A[1]"], id="bound-and-reserve"),
+    # A[0] = 5 would be infeasible against the flagship's Psi1(0) = 2.1,
+    # but a failed Psi[0] has nothing to check it against
+    pytest.param({("constraints", "Psi", 0): BROKEN_SIGNAL, ("constraints", "A", 0): 5.0,
+                  ("constraints", "A", 1): -1.0},
+                 ["constraints.Psi[0].b", "constraints.A[1]"], id="bound-skips-its-relation"),
+])
+def test_nested_part_failure_still_checks_the_record(changes, paths):
+    doc = json.loads(sec6_text())
+    for path, value in changes.items():
+        _set(path, value)(doc)
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert [path for path, _ in err.value.problems] == paths
 
 
 def _sec6_run(horizon):

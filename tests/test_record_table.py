@@ -119,3 +119,25 @@ def test_result_arrays_are_read_only_views_of_the_table(sec6_config):
     for array in (res.times, res.trajectory, res.records[0].z):
         with pytest.raises(ValueError):
             array[0] = 1.0
+
+
+def test_result_arrays_follow_replaced_records(sec6_config, tmp_path):
+    res = run(replace(sec6_config, horizon=0.1))
+    part = replace(res, records=res.records[2:5])
+    assert bits(part.times) == bits(res.times[2:5])
+    assert bits(part.trajectory.ravel()) == bits(res.trajectory[2:5].ravel())
+    lines = emitted(part, tmp_path).decode().splitlines()
+    assert lines[0] == ",".join(csv_header(2)) and len(lines) == 1 + 3
+    assert [float(line.split(",")[0]) for line in lines[1:]] == res.times[2:5].tolist()
+
+
+def test_step_record_fields_are_layout_groups(sec6_result):
+    layout = sec6_result.records.layout
+    rec = sec6_result.records[-1]
+    row = sec6_result.records.table[-1]
+    for f in fields(StepRecord):
+        value, at = getattr(rec, f.name), layout.at[f.name]
+        if isinstance(at, slice):  # a vector group: a view of its columns
+            assert np.shares_memory(value, row) and len(value) == len(layout.names[f.name])
+        else:
+            assert type(value) is float and value == row[at]

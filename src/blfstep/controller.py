@@ -34,8 +34,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .approximator import RbfNetwork
-from .barrier import BarrierViolation, blf_value, damped_inverse, nussbaum, q_value
-from .observer import estimate
+from .barrier import BarrierViolation, blf_value
+# _eval inlines these helpers; they stay bound here because
+# bench/tracing.py counts the barrier and observer layers through them.
+from .barrier import damped_inverse, nussbaum, q_value  # noqa: F401
+from .observer import estimate  # noqa: F401
 from .signals import ConfigError, TimeSignal, finite_field, finite_numbers
 
 
@@ -113,23 +116,23 @@ class ConstraintConfig:
 
     def envelope(self, i: int, t: float) -> float:
         """Error envelope psi_i(t) for level i (0-based)."""
-        return self._envelope(i, t, self.state_bounds[i].value(t))
-
-    def _envelope(self, i: int, t: float, bound: float) -> float:
-        """psi_i(t) from the state bound Psi_i(t) = bound."""
-        reserve = self.virtual_bounds[i]
-        if reserve == 0.0:
-            return bound
-        return bound - reserve * math.exp(-self.release_rates[i] * t)
+        return self.level_signals(i, t)[1]
 
     def envelope_rate(self, i: int, t: float) -> float:
         """d/dt of the error envelope (analytic)."""
+        return self.level_signals(i, t)[2]
+
+    def level_signals(self, i: int, t: float) -> tuple:
+        """(Psi_i(t), psi_i(t), dpsi_i/dt(t)) for level i (0-based): one
+        evaluation of the state bound, and one exp(-r_i t) for the
+        envelope and its rate."""
+        bound, rate = self.state_bounds[i].value_and_derivative(t)
         reserve = self.virtual_bounds[i]
-        rate = self.state_bounds[i].derivative(t)
         if reserve == 0.0:
-            return rate
+            return bound, bound, rate
         r = self.release_rates[i]
-        return rate + r * reserve * math.exp(-r * t)
+        held = math.exp(-r * t)
+        return bound, bound - reserve * held, rate + r * reserve * held
 
 
 @dataclass(eq=False)
@@ -233,9 +236,11 @@ class BacksteppingCascade:
                 raise ControllerError(f"observer gain k_eps[{i + 1}] must be > 0, got {g}")
         if rbf.n != self.n:
             raise ControllerError(f"approximator input dimension {rbf.n} does not match order {self.n}")
-        # Constants of the final level, hoisted out of the hot loop.
-        self._kn4_over_8 = self.observer_gains[-1] ** 4 / 8.0
-        self._kn_sq = self.observer_gains[-1] ** 2
+        # The per-run constants of the pass, bound once: (k_i, k_eps_i) per
+        # level, the final level's reciprocal term and the weight law.
+        self._level_gains = tuple(zip(gains.k, self.observer_gains))
+        self._reciprocal = (gains.delta, self.observer_gains[-1] ** 4 / 8.0)
+        self._weight_law = (gains.lam, self.observer_gains[-1] ** 2, gains.eta)
         self._float_weights = rbf.l <= _FLOAT_WEIGHTS_MAX
         self.layout = RecordLayout(self.n, rbf.l)
         self._memo_t = None
@@ -254,7 +259,7 @@ class BacksteppingCascade:
         return z0
 
     def time_signals(self, t: float):
-        """(y_d(t), [Psi_i(t)], [psi_i(t)], [dpsi_i/dt(t)]) for every level.
+        """(y_d(t), (Psi_i(t)), (psi_i(t)), (dpsi_i/dt(t))) over the levels.
 
         Computed once per distinct t and reused while t repeats, as it
         does across an RK4 step (k1, the kept row and the run's
@@ -262,11 +267,8 @@ class BacksteppingCascade:
         the last bit is a new time.
         """
         if t != self._memo_t:
-            c = self.constraints
-            bounds = [bound.value(t) for bound in c.state_bounds]
-            self._memo = (self.reference.value(t), bounds,
-                          [c._envelope(i, t, bound) for i, bound in enumerate(bounds)],
-                          [c.envelope_rate(i, t) for i in range(self.n)])
+            levels = [self.constraints.level_signals(i, t) for i in range(self.n)]
+            self._memo = (self.reference.value(t), *zip(*levels))
             self._memo_t = t
         return self._memo
 
@@ -276,18 +278,16 @@ class BacksteppingCascade:
         a list of floats for up to _FLOAT_WEIGHTS_MAX weights and an array
         beyond.
 
-        x, dhat, zeta and theta are arrays; the scalar work runs on Python
-        floats, which round exactly as numpy float64 scalars and
-        elementwise array operations do.
+        x, dhat and zeta are sequences of floats (lists in a run; arrays
+        give the same bits) and theta is an array. The scalar work runs on
+        Python floats, which round exactly as numpy float64 scalars and
+        elementwise array operations do. The barrier factor, the
+        estimate, the gain search and the damped inverse are written out
+        here as barrier.py and observer.py state them.
         """
-        n = self.n
-        k = self.gains.k
-        kobs = self.observer_gains
+        last = self.n - 1
         phi = self.rbf.basis(x)
         v_prev, _, psis, psi_rates = self.time_signals(t)
-        x = x.tolist()
-        dhat = dhat.tolist()
-        zeta = zeta.tolist()
         z = []
         q = []
         eps_hat = []
@@ -296,32 +296,33 @@ class BacksteppingCascade:
         v = []
         u = 0.0
         nn_out = 0.0
-        for i in range(n):
+        for i, (ki, gi) in enumerate(self._level_gains):
             zi = x[i] - v_prev
             psi = psis[i]
             if not (abs(zi) < psi):
                 raise BarrierViolation(zi, psi, level=i + 1, t=t)
-            qi = q_value(zi, psi)
-            ei = estimate(dhat[i], kobs[i], zi)
+            qi = zi / ((psi - zi) * (psi + zi))
+            ei = dhat[i] + gi * zi
             wall_rate = (zi / psi) * psi_rates[i]
-            if i < n - 1:
-                ai = k[i] * zi + ei + qi - wall_rate
-                v_prev = nussbaum(zeta[i]) * ai
+            search = zeta[i]
+            gain = search * search * math.cos(search)
+            if i < last:
+                ai = ki * zi + ei + qi - wall_rate
+                v_prev = gain * ai
                 v.append(v_prev)
             else:
-                nn_out = float(theta @ phi)
-                ai = (k[i] * zi + ei + 0.5 * qi - wall_rate + nn_out
-                      + damped_inverse(qi, self.gains.delta) * self._kn4_over_8)
-                u = nussbaum(zeta[i]) * ai
+                delta, reciprocal_gain = self._reciprocal
+                nn_out = float(theta.dot(phi))  # the BLAS dot that theta @ phi calls
+                ai = (ki * zi + ei + 0.5 * qi - wall_rate + nn_out
+                      + qi / (qi * qi + delta) * reciprocal_gain)
+                u = gain * ai
             z.append(zi)
             q.append(qi)
             eps_hat.append(ei)
             alpha.append(ai)
             zeta_rate.append(qi * ai)
-        lam = self.gains.lam
-        qn = q[n - 1]
-        kn_sq = self._kn_sq
-        eta = self.gains.eta
+        lam, kn_sq, eta = self._weight_law
+        qn = q[last]
         if self._float_weights:
             theta_rate = [lam * (qn * p - kn_sq * w - eta * w)
                           for p, w in zip(phi.tolist(), theta.tolist())]
@@ -333,19 +334,19 @@ class BacksteppingCascade:
         """Full controller record at one instant (pure; repeat calls with
         the same inputs produce identical records)."""
         row = np.empty(self.layout.width)
-        self.write_row(row, t, np.concatenate((x, dhat, zeta, theta)),
-                       self._eval(t, x, dhat, zeta, theta), math.sqrt(theta @ theta))
+        self.write_row(row, t, np.concatenate((x, dhat, zeta, theta)).tolist(),
+                       self._eval(t, x, dhat, zeta, theta), math.sqrt(theta.dot(theta)))
         return self.layout.read(row)
 
     def write_row(self, row: np.ndarray, t: float, s, outputs, theta_norm: float) -> None:
-        """Fill a record-table row at t from the augmented state s, the
-        outputs _eval returned for it and ||theta||."""
+        """Fill a record-table row at t from the augmented state s (a list
+        of floats), the outputs _eval returned for it and ||theta||."""
         z, q, eps_hat, alpha, v, u, zeta_rate, theta_rate, _ = outputs
         y_d, bounds, psis, _ = self.time_signals(t)
         energy = 0.0
         for i in range(self.n):
             energy += blf_value(z[i], psis[i])
-        row[:] = [t, *s.tolist(), *bounds, *psis, *z, *q, *eps_hat, *alpha, *v, u, *zeta_rate,
+        row[:] = [t, *s, *bounds, *psis, *z, *q, *eps_hat, *alpha, *v, u, *zeta_rate,
                   *theta_rate, energy, theta_norm, y_d]
 
 

@@ -93,13 +93,16 @@ class PlantSpec:
             total += term
         return total
 
-    def rhs(self, t: float, x, u: float) -> list:
+    def rhs(self, t: float, x, u: float, d=None) -> list:
         """Time derivative of the state under input u at time t, as a list
-        of floats."""
-        if len(x) != self.n:
-            raise PlantError(f"state has length {len(x)}, expected {self.n}")
+        of floats. d holds the disturbance values d_i(t) where the caller
+        has them already; otherwise they are evaluated here."""
+        drift = self.nonlinearity(x)  # checks the length of x
+        if d is None:
+            d = [sig.value(t) for sig in self.disturbances]
         last = self.n - 1
-        dist = self.disturbances
-        dx = [x[i + 1] + dist[i].value(t) for i in range(last)]
-        dx.append(self.nonlinearity(x) + self.beta * u + dist[last].value(t))
+        dx = []
+        for i in range(last):
+            dx.append(x[i + 1] + d[i])
+        dx.append(drift + self.beta * u + d[last])
         return dx

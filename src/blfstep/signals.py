@@ -4,7 +4,8 @@ Disturbances, the reference trajectory, and the constraint envelopes are
 all drawn from a small compositional family (constant, sinusoid,
 exponential decay, sum). Every member carries an analytic derivative, so
 nothing downstream ever needs numerical differentiation of an envelope
-or reference.
+or reference. value_and_derivative gives both from one evaluation of the
+member's exp, or of its sine and cosine at one argument.
 
 All members are bounded on [0, inf) by construction: every parameter
 must be a finite number, and an exponential with a negative decay rate
@@ -63,6 +64,9 @@ class Constant:
     def derivative(self, t: float) -> float:
         return 0.0
 
+    def value_and_derivative(self, t: float) -> tuple:
+        return self.c, 0.0
+
 
 @dataclass(frozen=True)
 class Sinusoid:
@@ -89,10 +93,15 @@ class Sinusoid:
         return self.amplitude * math.cos(arg)
 
     def derivative(self, t: float) -> float:
+        return self.value_and_derivative(t)[1]
+
+    def value_and_derivative(self, t: float) -> tuple:
         arg = self.angular_frequency * t + self.phase
         if self.kind == "sin":
-            return self.amplitude * self.angular_frequency * math.cos(arg)
-        return -self.amplitude * self.angular_frequency * math.sin(arg)
+            return (self.amplitude * math.sin(arg),
+                    self.amplitude * self.angular_frequency * math.cos(arg))
+        return (self.amplitude * math.cos(arg),
+                -self.amplitude * self.angular_frequency * math.sin(arg))
 
 
 @dataclass(frozen=True)
@@ -117,7 +126,11 @@ class ExpDecay:
         return self.a * math.exp(-self.b * t) + self.c
 
     def derivative(self, t: float) -> float:
-        return -self.a * self.b * math.exp(-self.b * t)
+        return self.value_and_derivative(t)[1]
+
+    def value_and_derivative(self, t: float) -> tuple:
+        decay = math.exp(-self.b * t)
+        return self.a * decay + self.c, -self.a * self.b * decay
 
 
 @dataclass(frozen=True)
@@ -138,10 +151,15 @@ class SignalSum:
         return total
 
     def derivative(self, t: float) -> float:
-        total = 0.0
+        return self.value_and_derivative(t)[1]
+
+    def value_and_derivative(self, t: float) -> tuple:
+        value = rate = 0.0
         for term in self.terms:
-            total += term.derivative(t)
-        return total
+            v, r = term.value_and_derivative(t)
+            value += v
+            rate += r
+        return value, rate
 
 
 TimeSignal = Union[Constant, Sinusoid, ExpDecay, SignalSum]

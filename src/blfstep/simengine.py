@@ -19,7 +19,10 @@ import numpy as np
 
 from .barrier import BarrierViolation
 from .controller import BacksteppingCascade, ConstraintConfig, GainConfig, Records
-from .observer import dhat_rate_final, dhat_rate_inner, initial_dhat
+from .observer import initial_dhat
+# ClosedLoop.rate inlines the observer rates; they stay bound here because
+# bench/tracing.py counts the observer layer through them.
+from .observer import dhat_rate_final, dhat_rate_inner  # noqa: F401
 from .approximator import RbfNetwork
 from .plant import PlantSpec
 from .signals import ConfigError, TimeSignal, finite_number, finite_numbers
@@ -180,17 +183,25 @@ class SimResult:
         return self.records.table[:, self.records.layout.state]
 
 
-def rk4_step(f, t: float, y, h: float):
-    """One classic fourth-order Runge-Kutta step of y' = f(t, y)."""
-    k1 = f(t, y)
-    k2 = f(t + 0.5 * h, y + (0.5 * h) * k1)
-    k3 = f(t + 0.5 * h, y + (0.5 * h) * k2)
+def rk4_step(f, t: float, y, h: float, k1=None):
+    """One classic fourth-order Runge-Kutta step of y' = f(t, y); k1 is
+    f(t, y) where the caller has it already."""
+    if k1 is None:
+        k1 = f(t, y)
+    half = 0.5 * h
+    k2 = f(t + half, y + half * k1)
+    k3 = f(t + half, y + half * k2)
     k4 = f(t + h, y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 class ClosedLoop:
-    """Augmented dynamics of plant + observer + gain search + weights."""
+    """Augmented dynamics of plant + observer + gain search + weights.
+
+    The disturbance values d_i(t) are kept in a one-entry memo keyed on
+    the float t, as the cascade keeps its time signals, so each is
+    evaluated once per distinct stage time.
+    """
 
     def __init__(self, plant: PlantSpec, cascade: BacksteppingCascade):
         self.plant = plant
@@ -198,23 +209,37 @@ class ClosedLoop:
         self.n = plant.n
         self.l = cascade.rbf.l
         self.dim = 3 * self.n + self.l
-
-    def split(self, s: np.ndarray):
-        n = self.n
-        return s[:n], s[n:2 * n], s[2 * n:3 * n], s[3 * n:]
+        self._neg_kobs = [-g for g in cascade.observer_gains]
+        self._memo_t = None
+        self._memo = None
 
     def derivative(self, t: float, s: np.ndarray) -> np.ndarray:
-        x, dhat, zeta, theta = self.split(s)
-        (_, _, eps_hat, _, _, u, zeta_rate, theta_rate, nn_out) = \
-            self.cascade._eval(t, x, dhat, zeta, theta)
+        """ds/dt at (t, s): one cascade pass on the state read once as
+        floats."""
         n = self.n
-        x = x.tolist()
-        kobs = self.cascade.observer_gains
-        rates = [dhat_rate_inner(kobs[i], x[i + 1], eps_hat[i]) for i in range(n - 1)]
-        rates.append(dhat_rate_final(kobs[n - 1], nn_out, u, eps_hat[n - 1]))
-        head = self.plant.rhs(t, x, u) + rates + zeta_rate
+        floats = s.tolist()
+        outputs = self.cascade._eval(t, floats[:n], floats[n:2 * n], floats[2 * n:3 * n], s[3 * n:])
+        return self.rate(t, floats, outputs)
+
+    def rate(self, t: float, floats: list, outputs) -> np.ndarray:
+        """ds/dt at t from the state as a list of floats and the outputs
+        of the cascade pass at that state."""
+        _, _, eps_hat, _, _, u, zeta_rate, theta_rate, nn_out = outputs
+        n = self.n
+        if t != self._memo_t:
+            self._memo = [sig.value(t) for sig in self.plant.disturbances]
+            self._memo_t = t
+        # the observer rates -k_i (x_{i+1} + eps_hat_i) and, at the last
+        # level, -k_n (nn_out + u + eps_hat_n), as observer.py states them
+        neg_kobs = self._neg_kobs
+        head = self.plant.rhs(t, floats[:n], u, self._memo)
+        for i in range(n - 1):
+            head.append(neg_kobs[i] * (floats[i + 1] + eps_hat[i]))
+        head.append(neg_kobs[n - 1] * (nn_out + u + eps_hat[n - 1]))
+        head += zeta_rate
         if isinstance(theta_rate, list):
-            return np.array(head + theta_rate, dtype=float)
+            head += theta_rate
+            return np.array(head, dtype=float)
         return np.concatenate((head, theta_rate))
 
 
@@ -227,9 +252,10 @@ def run(config: RunConfig) -> SimResult:
     the state leaves the representable range or a step's arithmetic
     overflows. Never continues past a violation.
 
-    Each accepted step makes one cascade pass; the metrics and, for the
-    kept steps, one row of the record table are built from it and from
-    the cascade's time signals at that step.
+    Each time point makes one cascade pass, on the state read once as
+    floats; the metrics, for the kept steps one row of the record table,
+    and the next step's k1 are built from it and from the cascade's time
+    signals at that time. A run of N steps makes 4N + 1 passes.
     """
     cascade = BacksteppingCascade(
         config.reference, config.constraints, config.gains, config.observer_gains, config.rbf
@@ -272,12 +298,13 @@ def run(config: RunConfig) -> SimResult:
     try:
         for k in range(steps + 1):
             t = k * h
-            x, dhat, zeta, theta = loop.split(s)
-            outputs = cascade._eval(t, x, dhat, zeta, theta)
+            floats = s.tolist()
+            x = floats[:n]
+            zeta = floats[2 * n:3 * n]
+            theta = s[3 * n:]
+            outputs = cascade._eval(t, x, floats[n:2 * n], zeta, theta)
             z, _, eps_hat, _, v, u, _, _, _ = outputs
 
-            x = x.tolist()
-            zeta = zeta.tolist()
             y_d, bounds, envelopes, _ = cascade.time_signals(t)
             if abs(y_d) > max_abs_y_d:
                 max_abs_y_d = abs(y_d)
@@ -306,7 +333,7 @@ def run(config: RunConfig) -> SimResult:
             if abs(u) > max_abs_u:
                 max_abs_u = abs(u)
             prev_eps_hat = eps_hat
-            theta_norm = math.sqrt(theta @ theta)  # what np.linalg.norm computes for a vector
+            theta_norm = math.sqrt(theta.dot(theta))  # what np.linalg.norm computes for a vector
             if theta_norm > max_theta_norm:
                 max_theta_norm = theta_norm
             if 2 * k >= steps:
@@ -314,12 +341,12 @@ def run(config: RunConfig) -> SimResult:
                 tail_count += 1
 
             if k % decimation == 0 or k == steps:
-                cascade.write_row(table[kept], t, s, outputs, theta_norm)
+                cascade.write_row(table[kept], t, floats, outputs, theta_norm)
                 kept += 1
 
-            if k == steps:
+            if k == steps:  # no step follows, so no rate is needed
                 break
-            s = rk4_step(deriv, t, s, h)
+            s = rk4_step(deriv, t, s, h, loop.rate(t, floats, outputs))
             if not np.isfinite(s).all():
                 raise NonFiniteState((k + 1) * h)
     except BarrierViolation as exc:

@@ -400,8 +400,8 @@ def test_component_rejects_a_field_that_is_not_a_number(sec6_config, make, value
     assert field in [path for path, _ in err.value.problems]
 
 
-# One cascade pass per time point: the metrics and the kept records come
-# from the same pass.
+# One cascade pass per time point: the metrics, the kept records and the
+# next step's k1 come from the same pass, so N steps make 4N + 1 passes.
 
 def test_flagship_makes_one_cascade_pass_per_time_point_and_four_per_step(sec6_config,
                                                                           monkeypatch):
@@ -414,7 +414,7 @@ def test_flagship_makes_one_cascade_pass_per_time_point_and_four_per_step(sec6_c
 
     monkeypatch.setattr(BacksteppingCascade, "_eval", counted)
     run(replace(sec6_config, horizon=0.2))
-    assert len(calls) == 200 * 4 + 201  # the value bench/selftest.py pins
+    assert len(calls) == 200 * 4 + 1
 
 
 def test_kept_records_equal_a_fresh_step_at_their_state(sec6_config):

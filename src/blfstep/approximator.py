@@ -40,6 +40,13 @@ def _float_array(values, name: str, ndim: int, problems: list):
     return np.array(rows, dtype=float)
 
 
+def lattice_problems(**counts) -> list:
+    """A (name, message) problem for each lattice count given by name (l,
+    dims) that is not an integer >= 1."""
+    return [(name, f"expected an integer >= 1, got {value!r}") for name, value in counts.items()
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1]
+
+
 def _grid_counts(nodes: int, dims: int) -> list:
     """Factor `nodes` into per-dimension lattice counts, product exactly
     `nodes`, as balanced as possible with larger counts on earlier axes."""
@@ -99,9 +106,7 @@ class RbfNetwork:
         2-D gives a 4 x 3 grid). An axis with a single point sits at the
         interval midpoint. All widths are equal.
         """
-        problems = [(name, f"expected an integer >= 1, got {value!r}")
-                    for name, value in (("l", nodes), ("dims", dims))
-                    if isinstance(value, bool) or not isinstance(value, int) or value < 1]
+        problems = lattice_problems(l=nodes, dims=dims)
         if problems:
             raise RbfError(problems)
         counts = _grid_counts(nodes, dims)

@@ -20,7 +20,7 @@ from importlib import resources
 
 import numpy as np
 
-from .approximator import RbfNetwork
+from .approximator import RbfNetwork, lattice_problems
 from .barrier import BarrierViolation
 from .controller import ConstraintConfig, GainConfig, RecordLayout, lyapunov_decay_rates
 from .plant import Monomial, PlantSpec
@@ -117,8 +117,13 @@ def _parse_rbf(record, n: int | None, problems: list) -> RbfNetwork | None:
         problems.append((path, "centers and widths must be given together or both omitted"))
         return None
     if "centers" not in record:
-        # the lattice's dimension is the plant order
-        return None if n is None else _build(RbfNetwork.lattice, path, problems, record["l"], n)
+        # the lattice's dimension is the plant order; without a plant only
+        # its node count is checked
+        if n is None:
+            problems += [(f"{path}.{name}", message)
+                         for name, message in lattice_problems(l=record["l"])]
+            return None
+        return _build(RbfNetwork.lattice, path, problems, record["l"], n)
     net = _build(RbfNetwork, path, problems, record["centers"], record["widths"])
     if net is not None and net.l != record["l"]:
         problems.append((f"{path}.centers", f"{net.l} centers listed but l = {record['l']!r}"))

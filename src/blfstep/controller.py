@@ -259,7 +259,8 @@ class BacksteppingCascade:
         return z0
 
     def time_signals(self, t: float):
-        """(y_d(t), (Psi_i(t)), (psi_i(t)), (dpsi_i/dt(t))) over the levels.
+        """(y_d(t), Psi, psi, psi_rate), the last three tuples over the
+        levels of Psi_i(t), psi_i(t) and dpsi_i/dt(t).
 
         Computed once per distinct t and reused while t repeats, as it
         does across an RK4 step (k1, the kept row and the run's

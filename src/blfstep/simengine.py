@@ -214,16 +214,20 @@ class ClosedLoop:
         self._memo = None
 
     def derivative(self, t: float, s: np.ndarray) -> np.ndarray:
-        """ds/dt at (t, s): one cascade pass on the state read once as
-        floats."""
+        """ds/dt at (t, s), from one cascade pass."""
+        return self.rate(t, *self.cascade_pass(t, s))
+
+    def cascade_pass(self, t: float, s: np.ndarray):
+        """(floats, outputs): the augmented state s read once as a list of
+        floats, and the outputs of the cascade pass at (t, s)."""
         n = self.n
         floats = s.tolist()
-        outputs = self.cascade._eval(t, floats[:n], floats[n:2 * n], floats[2 * n:3 * n], s[3 * n:])
-        return self.rate(t, floats, outputs)
+        return floats, self.cascade._eval(t, floats[:n], floats[n:2 * n], floats[2 * n:3 * n],
+                                          s[3 * n:])
 
     def rate(self, t: float, floats: list, outputs) -> np.ndarray:
-        """ds/dt at t from the state as a list of floats and the outputs
-        of the cascade pass at that state."""
+        """ds/dt at t from cascade_pass's floats and outputs at that
+        state."""
         _, _, eps_hat, _, _, u, zeta_rate, theta_rate, nn_out = outputs
         n = self.n
         if t != self._memo_t:
@@ -298,12 +302,11 @@ def run(config: RunConfig) -> SimResult:
     try:
         for k in range(steps + 1):
             t = k * h
-            floats = s.tolist()
+            floats, outputs = loop.cascade_pass(t, s)
+            z, _, eps_hat, _, v, u, _, _, _ = outputs
             x = floats[:n]
             zeta = floats[2 * n:3 * n]
             theta = s[3 * n:]
-            outputs = cascade._eval(t, x, floats[n:2 * n], zeta, theta)
-            z, _, eps_hat, _, v, u, _, _, _ = outputs
 
             y_d, bounds, envelopes, _ = cascade.time_signals(t)
             if abs(y_d) > max_abs_y_d:

@@ -411,6 +411,9 @@ BROKEN_SIGNAL = {"kind": "expdecay", "a": 1.0, "b": -0.5, "c": 1.1}
     pytest.param({("constraints", "Psi", 0): BROKEN_SIGNAL, ("constraints", "A", 0): 5.0,
                   ("constraints", "A", 1): -1.0},
                  ["constraints.Psi[0].b", "constraints.A[1]"], id="bound-skips-its-relation"),
+    # a lattice's dimension is the plant order, but its node count needs no plant
+    pytest.param({("plant", "beta"): math.nan, ("rbf", "l"): -1},
+                 ["plant.beta", "rbf.l"], id="beta-and-lattice-size"),
 ])
 def test_nested_part_failure_still_checks_the_record(changes, paths):
     doc = json.loads(sec6_text())

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,10 @@ from blfstep.controller import (
 from blfstep.observer import dhat_rate_final, dhat_rate_inner, estimate
 from blfstep.plant import Monomial, PlantSpec
 from blfstep.signals import Constant, ExpDecay, SignalSum, Sinusoid
-from blfstep.simengine import ClosedLoop
+from blfstep.cli import load_config_file, paper_sec6_path
+from blfstep.simengine import ClosedLoop, run
+
+from test_simengine import third_order_config
 
 PI = math.pi
 
@@ -310,6 +314,7 @@ SEC6_LOOP = ClosedLoop(
     ),
 )
 SEC6 = SEC6_LOOP.cascade
+SEC6_CONFIG = load_config_file(paper_sec6_path())
 
 small = st.floats(-0.4, 0.4, allow_nan=False)
 states = st.tuples(st.lists(small, min_size=2, max_size=2), st.lists(small, min_size=2, max_size=2),
@@ -418,3 +423,49 @@ def test_wide_weight_update_equals_reference(k, state):
             assert bits(g) == bits(r)
         assert bits(casc.step(tau, *parts).theta_rate) == bits(ref[7])
         assert bits(WIDE_LOOP.derivative(tau, s)) == bits(reference_derivative(WIDE_LOOP, tau, s))
+
+
+# A run's trajectory against a classic RK4 loop on the reference
+# derivative: five reference passes per step (the accepted state, then
+# k1 to k4), nothing reused and every time signal recomputed, so the
+# loop shares no code with the run's fused stage pass or its k1 reuse.
+
+def reference_trajectory(cfg):
+    loop = ClosedLoop(cfg.plant, BacksteppingCascade(cfg.reference, cfg.constraints, cfg.gains,
+                                                     cfg.observer_gains, cfg.rbf))
+    n, h = cfg.plant.n, cfg.step
+    s = np.zeros(loop.dim)
+    s[:n] = cfg.initial_x
+    z0 = np.array(cfg.initial_x)
+    z0[0] -= cfg.reference.value(0.0)
+    s[n:2 * n] = [-g * z for g, z in zip(cfg.observer_gains, z0)]  # eps_hat(0) = 0
+    rows = [s]
+    for k in range(int(round(cfg.horizon / h))):
+        t = k * h
+        reference_derivative(loop, t, s)  # the pass at the accepted state
+        k1 = reference_derivative(loop, t, s)
+        k2 = reference_derivative(loop, t + 0.5 * h, s + (0.5 * h) * k1)
+        k3 = reference_derivative(loop, t + 0.5 * h, s + (0.5 * h) * k2)
+        k4 = reference_derivative(loop, t + h, s + h * k3)
+        s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rows.append(s)
+    return np.array(rows)
+
+
+def _third_order(l=None):
+    cfg = third_order_config()
+    return cfg if l is None else replace(cfg, rbf=RbfNetwork.lattice(l, 3))
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(_third_order, id="third-order"),
+    # past _FLOAT_WEIGHTS_MAX weights: the array weight update
+    pytest.param(lambda: _third_order(30), id="third-order-l30"),
+    pytest.param(lambda: replace(SEC6_CONFIG, rbf=RbfNetwork.lattice(30, 2)), id="flagship-l30"),
+])
+def test_run_trajectory_equals_reference_rk4_loop(make):
+    cfg = replace(make(), horizon=0.3, decimation=1)
+    res = run(cfg)
+    want = reference_trajectory(cfg)
+    assert res.trajectory.shape == want.shape == (301, cfg.rbf.l + 3 * cfg.plant.n)
+    assert [bits(row) for row in res.trajectory] == [bits(row) for row in want]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from blfstep.observer import (
     estimate,
     initial_dhat,
 )
-from blfstep.simengine import rk4_step
+from blfstep.simengine import rk4_step, run
 
 
 def test_estimate_examples():
@@ -72,3 +73,30 @@ def test_estimation_error_decays_exponentially(gain):
         if round(t, 9) in checkpoints:
             err = eps - estimate(y[1], gain, y[0])
             assert abs(err - eps * math.exp(-gain * t)) < 1e-6
+
+
+def test_level_one_estimation_error_within_its_bound(sec6_config):
+    """Level 1 of the flagship against the simulator's truth.
+
+    The lumped uncertainty at level 1 is eps_1 = d_1(t) - y_d'(t) =
+    0.2 cos(pi t) - cos t, with |eps_1'| <= 0.2 pi + 1 = S. The observer
+    gives e_1' = -k_1 e_1 + eps_1' for e_1 = eps_1 - eps_hat_1, so at every
+    accepted step |e_1(t)| <= |e_1(0)| exp(-k_1 t) + (1 - exp(-k_1 t)) S / k_1.
+    Only the recorded eps_hat_1 is read from the run.
+    """
+    res = run(replace(sec6_config, horizon=3.0, decimation=1))
+    k1 = sec6_config.observer_gains[0]
+    assert k1 == 7.0
+    sup_rate = 0.2 * math.pi + 1.0
+    times = res.times.tolist()
+    errors = [0.2 * math.cos(math.pi * t) - math.cos(t) - eps_hat
+              for t, eps_hat in zip(times, res.records.columns(["eps_hat1"])[:, 0].tolist())]
+    assert len(errors) == 3001 and errors[0] == 0.2 - 1.0
+    worst = 0.0
+    for t, e in zip(times, errors):
+        decay = math.exp(-k1 * t)
+        bound = abs(errors[0]) * decay + (1.0 - decay) * sup_rate / k1
+        assert abs(e) <= bound, t
+        if t > 0:
+            worst = max(worst, abs(e) / bound)
+    assert 0.99 < worst < 1.0

@@ -417,6 +417,66 @@ def test_flagship_makes_one_cascade_pass_per_time_point_and_four_per_step(sec6_c
     assert len(calls) == 200 * 4 + 1
 
 
+def test_no_rate_is_taken_at_the_last_time_point(sec6_config, monkeypatch):
+    # the pass at t = horizon feeds the metrics and the last row only; a
+    # drift that would overflow there cannot fail a completed run
+    cfg = replace(sec6_config, horizon=0.2)
+    calls = []
+    original = PlantSpec.rhs
+
+    def rhs(self, *args):
+        calls.append(args[0])
+        if len(calls) > 200 * 4:  # any rate past the four per step
+            raise OverflowError("drift past the double range")
+        return original(self, *args)
+
+    monkeypatch.setattr(PlantSpec, "rhs", rhs)
+    res = run(cfg)
+    assert len(calls) == 200 * 4
+    assert res.times[-1] == 200 * cfg.step
+
+
+class CountedSignal:
+    """A time signal that records every time it is evaluated at."""
+
+    def __init__(self, signal):
+        self.signal = signal
+        self.times = []
+
+    def value(self, t):
+        self.times.append(t)
+        return self.signal.value(t)
+
+    def derivative(self, t):
+        self.times.append(t)
+        return self.signal.derivative(t)
+
+    def value_and_derivative(self, t):
+        self.times.append(t)
+        return self.signal.value_and_derivative(t)
+
+
+def test_time_signals_are_evaluated_once_per_distinct_stage_time(sec6_config):
+    cfg = sec6_config
+    reference = CountedSignal(cfg.reference)
+    bounds = [CountedSignal(b) for b in cfg.constraints.state_bounds]
+    disturbances = [CountedSignal(d) for d in cfg.plant.disturbances]
+    counted = replace(
+        cfg, horizon=0.2, reference=reference,
+        constraints=ConstraintConfig(bounds, cfg.constraints.virtual_bounds),
+        plant=replace(cfg.plant, disturbances=disturbances))
+    signals = [reference, *bounds, *disturbances]
+    for signal in signals:
+        signal.times.clear()  # the constraints read Psi_i(0) and its rate when built
+    run(counted)
+    h = cfg.step
+    stage_times = {t for k in range(200) for t in (k * h, k * h + 0.5 * h, k * h + h)}
+    stage_times.add(200 * h)
+    for signal in signals:
+        assert len(signal.times) == len(set(signal.times))
+        assert set(signal.times) == stage_times
+
+
 def test_kept_records_equal_a_fresh_step_at_their_state(sec6_config):
     cfg = replace(sec6_config, horizon=1.0)
     res = run(cfg)

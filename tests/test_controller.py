@@ -17,7 +17,6 @@ from blfstep.controller import (
 from blfstep.observer import dhat_rate_final, dhat_rate_inner, estimate
 from blfstep.plant import Monomial, PlantSpec
 from blfstep.signals import Constant, ExpDecay, SignalSum, Sinusoid
-from blfstep.cli import load_config_file, paper_sec6_path
 from blfstep.simengine import ClosedLoop, run
 
 from test_simengine import third_order_config
@@ -314,7 +313,6 @@ SEC6_LOOP = ClosedLoop(
     ),
 )
 SEC6 = SEC6_LOOP.cascade
-SEC6_CONFIG = load_config_file(paper_sec6_path())
 
 small = st.floats(-0.4, 0.4, allow_nan=False)
 states = st.tuples(st.lists(small, min_size=2, max_size=2), st.lists(small, min_size=2, max_size=2),
@@ -452,19 +450,15 @@ def reference_trajectory(cfg):
     return np.array(rows)
 
 
-def _third_order(l=None):
-    cfg = third_order_config()
-    return cfg if l is None else replace(cfg, rbf=RbfNetwork.lattice(l, 3))
-
-
 @pytest.mark.parametrize("make", [
-    pytest.param(_third_order, id="third-order"),
+    pytest.param(lambda sec6: third_order_config(), id="third-order"),
     # past _FLOAT_WEIGHTS_MAX weights: the array weight update
-    pytest.param(lambda: _third_order(30), id="third-order-l30"),
-    pytest.param(lambda: replace(SEC6_CONFIG, rbf=RbfNetwork.lattice(30, 2)), id="flagship-l30"),
+    pytest.param(lambda sec6: replace(third_order_config(), rbf=RbfNetwork.lattice(30, 3)),
+                 id="third-order-l30"),
+    pytest.param(lambda sec6: replace(sec6, rbf=RbfNetwork.lattice(30, 2)), id="flagship-l30"),
 ])
-def test_run_trajectory_equals_reference_rk4_loop(make):
-    cfg = replace(make(), horizon=0.3, decimation=1)
+def test_run_trajectory_equals_reference_rk4_loop(make, sec6_config):
+    cfg = replace(make(sec6_config), horizon=0.3, decimation=1)
     res = run(cfg)
     want = reference_trajectory(cfg)
     assert res.trajectory.shape == want.shape == (301, cfg.rbf.l + 3 * cfg.plant.n)

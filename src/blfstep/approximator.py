@@ -13,6 +13,10 @@ import numpy as np
 
 from .signals import ConfigError, finite_numbers
 
+# The default lattice: [LOW, HIGH] per axis, widths WIDTH, at most MAX_NODES nodes.
+LOW, HIGH, WIDTH = -2.0, 2.0, 2.0
+MAX_NODES = 10 ** 6
+
 
 class RbfError(ConfigError):
     """Network constructed with unusable centers or widths."""
@@ -42,9 +46,14 @@ def _float_array(values, name: str, ndim: int, problems: list):
 
 def lattice_problems(**counts) -> list:
     """A (name, message) problem for each lattice count given by name (l,
-    dims) that is not an integer >= 1."""
-    return [(name, f"expected an integer >= 1, got {value!r}") for name, value in counts.items()
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1]
+    dims) that is not an integer from 1 to MAX_NODES."""
+    problems = []
+    for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            problems.append((name, f"expected an integer >= 1, got {value!r}"))
+        elif value > MAX_NODES:
+            problems.append((name, f"must be at most {MAX_NODES}, got {value}"))
+    return problems
 
 
 def _grid_counts(nodes: int, dims: int) -> list:
@@ -96,27 +105,26 @@ class RbfNetwork:
         return self.centers.shape[1]
 
     @classmethod
-    def lattice(cls, nodes: int, dims: int, low: float = -2.0, high: float = 2.0,
-                width: float = 2.0) -> "RbfNetwork":
+    def lattice(cls, nodes: int, dims: int) -> "RbfNetwork":
         """Deterministic default layout: `nodes` centers on a uniform grid
-        over [low, high]^dims.
+        over [LOW, HIGH]^dims.
 
         The node count is factored into per-axis counts, as balanced as
         possible with the larger factor on the earlier axis (12 nodes in
         2-D gives a 4 x 3 grid). An axis with a single point sits at the
-        interval midpoint. All widths are equal.
+        interval midpoint. Every width is WIDTH.
         """
         problems = lattice_problems(l=nodes, dims=dims)
         if problems:
             raise RbfError(problems)
         counts = _grid_counts(nodes, dims)
         axes = [
-            np.linspace(low, high, m) if m > 1 else np.array([(low + high) / 2.0])
+            np.linspace(LOW, HIGH, m) if m > 1 else np.array([(LOW + HIGH) / 2.0])
             for m in counts
         ]
         mesh = np.meshgrid(*axes, indexing="ij")
         centers = np.stack([g.ravel() for g in mesh], axis=1)
-        return cls(centers, np.full(nodes, float(width)))
+        return cls(centers, np.full(nodes, WIDTH))
 
     def basis(self, zbar) -> np.ndarray:
         """Basis vector at input zbar; every component lies in (0, 1]."""

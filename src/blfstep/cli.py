@@ -24,7 +24,7 @@ from .approximator import RbfNetwork, lattice_problems
 from .barrier import BarrierViolation
 from .controller import ConstraintConfig, GainConfig, RecordLayout, lyapunov_decay_rates
 from .plant import Monomial, PlantSpec
-from .signals import ConfigError, SignalError, signal_from_dict, signal_to_dict
+from .signals import SIGNALS, ConfigError, build, check_keys, plain, read_record, write_record
 from .simengine import (
     InfeasibleInitialCondition,
     NonFiniteState,
@@ -35,83 +35,17 @@ from .simengine import (
 )
 
 
-def _record(value, path: str, allowed, required, problems: list) -> bool:
-    """Whether value is an object with the required keys and no others;
-    records a problem for each key at fault."""
-    if not isinstance(value, dict):
-        problems.append((path, "expected an object"))
-        return False
-    prefix = f"{path}." if path else ""
-    missing = [(prefix + key, "missing required field") for key in required if key not in value]
-    unknown = [(prefix + key, "unknown key") for key in sorted(set(value) - set(allowed))]
-    problems += missing + unknown
-    return not (missing or unknown)
-
-
-def _items(value, path: str, parse, problems: list) -> tuple | None:
-    """parse(item, path[i], problems) for each item of value, at the
-    document's own index, if value is a list; otherwise None after
-    recording a problem."""
-    if not isinstance(value, list):
-        problems.append((path, "expected a list"))
-        return None
-    return tuple(parse(item, f"{path}[{i}]", problems) for i, item in enumerate(value))
-
-
-def _build(make, path: str, problems: list, *args, **kwargs):
-    """make(*args, **kwargs), or None after recording the problems it
-    names under the record's path."""
-    try:
-        return make(*args, **kwargs)
-    except ConfigError as exc:
-        problems += exc.under(path)
-        return None
-
-
-def _parse_signal(record, path: str, problems: list):
-    try:
-        return signal_from_dict(record, path)
-    except SignalError as exc:
-        problems += exc.problems
-        return None
-
-
-# Each component record below is checked for its shape only: an object
-# with the allowed keys, its nested lists and records. The values go to
-# the component's constructor, which checks them. A nested part that fails
-# (a monomial, a signal) goes to it as None, in its place in the list, so
-# the record's own fields are still checked in the same attempt.
-
-def _parse_monomial(record, path: str, problems: list) -> Monomial | None:
-    keys = ("coeff", "exponents")
-    if not _record(record, path, keys, keys, problems):
-        return None
-    return _build(Monomial, path, problems, record["coeff"], record["exponents"])
-
-
-def _parse_plant(record, problems: list) -> PlantSpec | None:
-    path = "plant"
-    keys = ("n", "f", "beta", "disturbances")
-    if not _record(record, path, keys, keys, problems):
-        return None
-    monos = _items(record["f"], f"{path}.f", _parse_monomial, problems)
-    dist = _items(record["disturbances"], f"{path}.disturbances", _parse_signal, problems)
-    if monos is None or dist is None:
-        return None
-    return _build(PlantSpec, path, problems, record["n"], monos, record["beta"], dist)
-
-
-def _parse_constraints(record, problems: list) -> ConstraintConfig | None:
-    path = "constraints"
-    if not _record(record, path, ("Psi", "A"), ("Psi", "A"), problems):
-        return None
-    bounds = _items(record["Psi"], f"{path}.Psi", _parse_signal, problems)
-    return None if bounds is None else _build(ConstraintConfig, path, problems, bounds, record["A"])
+# The component record formats; see signals.read_record.
+_MONOMIAL = (Monomial, plain("coeff", "exponents"))
+_PLANT = (PlantSpec, (*plain("n"), ("f", "f", _MONOMIAL), *plain("beta"),
+                      ("disturbances", "disturbances", SIGNALS)))
+_CONSTRAINTS = (ConstraintConfig, (("Psi", "state_bounds", SIGNALS), ("A", "virtual_bounds", None)))
+_GAINS = (GainConfig, (*plain("k"), ("lambda", "lam", None), *plain("eta", "delta")))
 
 
 def _parse_rbf(record, n: int | None, problems: list) -> RbfNetwork | None:
     path = "rbf"
-    if not _record(record, path, ("l", "centers", "widths"), ("l",), problems):
+    if not check_keys(record, path, ("l", "centers", "widths"), ("l",), problems):
         return None
     if ("centers" in record) != ("widths" in record):
         problems.append((path, "centers and widths must be given together or both omitted"))
@@ -123,21 +57,12 @@ def _parse_rbf(record, n: int | None, problems: list) -> RbfNetwork | None:
             problems += [(f"{path}.{name}", message)
                          for name, message in lattice_problems(l=record["l"])]
             return None
-        return _build(RbfNetwork.lattice, path, problems, record["l"], n)
-    net = _build(RbfNetwork, path, problems, record["centers"], record["widths"])
+        return build(RbfNetwork.lattice, path, problems, record["l"], n)
+    net = build(RbfNetwork, path, problems, record["centers"], record["widths"])
     if net is not None and net.l != record["l"]:
         problems.append((f"{path}.centers", f"{net.l} centers listed but l = {record['l']!r}"))
         return None
     return net
-
-
-def _parse_gains(record, problems: list) -> GainConfig | None:
-    path = "gains"
-    if not _record(record, path, ("k", "lambda", "eta", "delta"), ("k", "lambda", "eta"),
-                   problems):
-        return None
-    return _build(GainConfig, path, problems,
-                  **{"lam" if key == "lambda" else key: value for key, value in record.items()})
 
 
 _TOP_KEYS = tuple(f.name for f in dataclasses.fields(RunConfig))
@@ -164,16 +89,16 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError([("(document)", "expected a JSON object")])
 
-    if not _record(doc, "", _TOP_KEYS, _TOP_REQUIRED, problems):
+    if not check_keys(doc, "", _TOP_KEYS, _TOP_REQUIRED, problems):
         raise ConfigError(problems)
 
-    plant = _parse_plant(doc["plant"], problems)
+    plant = read_record(doc["plant"], "plant", _PLANT, problems)
     components = dict(
         plant=plant,
-        constraints=_parse_constraints(doc["constraints"], problems),
+        constraints=read_record(doc["constraints"], "constraints", _CONSTRAINTS, problems),
         rbf=_parse_rbf(doc["rbf"], plant.n if plant else None, problems),
-        gains=_parse_gains(doc["gains"], problems),
-        reference=_parse_signal(doc["reference"], "reference", problems),
+        gains=read_record(doc["gains"], "gains", _GAINS, problems),
+        reference=read_record(doc["reference"], "reference", SIGNALS, problems),
     )
     if problems:
         check_run_fields(doc, problems)
@@ -184,29 +109,16 @@ def parse_config(text: str) -> RunConfig:
 def config_to_dict(config: RunConfig) -> dict:
     """Serialize a RunConfig back to its JSON document form."""
     doc = {
-        "plant": {
-            "n": config.plant.n,
-            "f": [{"coeff": m.coeff, "exponents": list(m.exponents)} for m in config.plant.f],
-            "beta": config.plant.beta,
-            "disturbances": [signal_to_dict(d) for d in config.plant.disturbances],
-        },
-        "constraints": {
-            "Psi": [signal_to_dict(b) for b in config.constraints.state_bounds],
-            "A": list(config.constraints.virtual_bounds),
-        },
+        "plant": write_record(config.plant, _PLANT),
+        "constraints": write_record(config.constraints, _CONSTRAINTS),
         "rbf": {
             "l": config.rbf.l,
             "centers": config.rbf.centers.tolist(),
             "widths": config.rbf.widths.tolist(),
         },
-        "gains": {
-            "k": list(config.gains.k),
-            "lambda": config.gains.lam,
-            "eta": config.gains.eta,
-            "delta": config.gains.delta,
-        },
+        "gains": write_record(config.gains, _GAINS),
         "observer_gains": list(config.observer_gains),
-        "reference": signal_to_dict(config.reference),
+        "reference": write_record(config.reference, SIGNALS),
         "horizon": config.horizon,
         "step": config.step,
         "decimation": config.decimation,

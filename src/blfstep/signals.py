@@ -11,10 +11,15 @@ All members are bounded on [0, inf) by construction: every parameter
 must be a finite number, and an exponential with a negative decay rate
 is rejected. The constructors raise SignalError naming every parameter
 at fault.
+
+The module also holds ConfigError and the one reader and writer of
+configuration records, read_record and write_record.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -36,10 +41,6 @@ class ConfigError(ValueError):
         lines = [f"  {path}: {message}" if path else f"  {message}"
                  for path, message in self.problems]
         super().__init__("invalid configuration:\n" + "\n".join(lines))
-
-    def under(self, path: str) -> list:
-        """The problems with each path prefixed by the record's path."""
-        return [(f"{path}.{p}" if p else path, m) for p, m in self.problems]
 
 
 class SignalError(ConfigError):
@@ -135,7 +136,8 @@ class ExpDecay:
 
 @dataclass(frozen=True)
 class SignalSum:
-    """Pointwise sum of one or more member signals."""
+    """Pointwise sum of one or more member signals. A term given as None
+    failed to build and was named by its builder: the sum is not built."""
 
     terms: tuple
 
@@ -143,6 +145,8 @@ class SignalSum:
         if not isinstance(self.terms, (list, tuple)) or not self.terms:
             raise SignalError([("terms", f"expected a non-empty list of signals, got {self.terms!r}")])
         object.__setattr__(self, "terms", tuple(self.terms))
+        if None in self.terms:
+            raise SignalError([])
 
     def value(self, t: float) -> float:
         total = 0.0
@@ -214,60 +218,111 @@ def finite_field(record, name: str, problems: list, path: str | None = None):
     return value
 
 
-# Each kind's class, required keys and optional keys.
+def check_keys(record, path: str, allowed, required, problems: list) -> bool:
+    """Whether record is an object with the required keys and no others;
+    records a problem for each key at fault."""
+    if not isinstance(record, dict):
+        problems.append((path, "expected an object"))
+        return False
+    prefix = f"{path}." if path else ""
+    missing = [(prefix + key, "missing required field") for key in required if key not in record]
+    unknown = [(prefix + key, "unknown key") for key in sorted(set(record) - set(allowed))]
+    problems += missing + unknown
+    return not (missing or unknown)
+
+
+def build(make, path: str, problems: list, *args, **kwargs):
+    """make(*args, **kwargs), or None after recording the problems it
+    names under the record's path."""
+    try:
+        return make(*args, **kwargs)
+    except ConfigError as exc:
+        problems += [(f"{path}.{p}" if p else path, m) for p, m in exc.problems]
+        return None
+
+
+# A record format is (class, fields), one (key, attribute, items) per JSON
+# key: the value is the constructor argument and the attribute so named,
+# and the key is optional exactly when the argument has a default. items is
+# None for a plain value, else the value lists records of the format items,
+# or tagged signals for SIGNALS, whose "kind" picks a format in _KINDS.
+SIGNALS = "tagged signal"
+_signature = functools.cache(inspect.signature)  # a format's required keys, per class
+
+
+def plain(*keys) -> tuple:
+    """Fields with plain values, each held under its key's own name."""
+    return tuple((key, key, None) for key in keys)
+
+
+def read_record(record, path: str, format, problems: list):
+    """The object the record at path describes, or None after recording a
+    problem for each key, item and value at fault. Each nested list is
+    read before the record gives up; a failed item goes to the constructor
+    as None, in its place, so the record's own values are still checked."""
+    if format is SIGNALS:
+        if not isinstance(record, dict):
+            problems.append((path, "expected an object"))
+            return None
+        kind = record.get("kind")
+        if not isinstance(kind, str) or kind not in _KINDS:
+            problems.append((f"{path}.kind", f"unknown signal kind {kind!r}"))
+            return None
+        format = _KINDS[kind]
+        if format is not _SINUSOID:  # only a Sinusoid holds its kind as a field
+            record = {key: value for key, value in record.items() if key != "kind"}
+    cls, fields = format
+    params = _signature(cls).parameters
+    required = [key for key, name, _ in fields if params[name].default is params[name].empty]
+    if not check_keys(record, path, [key for key, _, _ in fields], required, problems):
+        return None
+    values, lists_read = {}, True
+    for key, attribute, items in fields:
+        if key in record and items is None:
+            values[attribute] = record[key]
+        elif key in record and isinstance(record[key], list):
+            values[attribute] = tuple(read_record(item, f"{path}.{key}[{i}]", items, problems)
+                                      for i, item in enumerate(record[key]))
+        elif key in record:
+            problems.append((f"{path}.{key}", "expected a list"))
+            lists_read = False
+    return build(cls, path, problems, **values) if lists_read else None
+
+
+def write_record(obj, format) -> dict:
+    """The JSON object that read_record reads back as obj."""
+    if format is SIGNALS:
+        for kind, (cls, fields) in _KINDS.items():
+            if isinstance(obj, cls) and getattr(obj, "kind", kind) == kind:
+                return {"kind": kind, **write_record(obj, (cls, fields))}
+        raise SignalError(f"not a known signal type: {type(obj).__name__}")
+    record = {}
+    for key, attribute, items in format[1]:
+        value = getattr(obj, attribute)
+        record[key] = ([write_record(item, items) for item in value] if items is not None
+                       else list(value) if isinstance(value, tuple) else value)
+    return record
+
+
+_SINUSOID = (Sinusoid, plain("kind", "amplitude", "angular_frequency", "phase"))
 _KINDS = {
-    "constant": (Constant, ("c",), ()),
-    "sin": (Sinusoid, ("amplitude", "angular_frequency"), ("phase",)),
-    "cos": (Sinusoid, ("amplitude", "angular_frequency"), ("phase",)),
-    "expdecay": (ExpDecay, ("a", "b", "c"), ()),
-    "sum": (SignalSum, ("terms",), ()),
+    "constant": (Constant, plain("c")),
+    "sin": _SINUSOID, "cos": _SINUSOID,
+    "expdecay": (ExpDecay, plain("a", "b", "c")),
+    "sum": (SignalSum, (("terms", "terms", SIGNALS),)),
 }
 
 
 def signal_from_dict(record: object, path: str = "signal") -> TimeSignal:
-    """Parse a tagged signal record. Unknown keys or kinds are errors.
-
-    Checks the record's shape and leaves its values to the signal's
-    constructor. Every problem is named by its full path, e.g.
-    "constraints.Psi[1].terms[1].b".
-    """
-    if not isinstance(record, dict):
-        raise SignalError([(path, f"expected a tagged record, got {record!r}")])
-    kind = record.get("kind")
-    if not isinstance(kind, str) or kind not in _KINDS:
-        raise SignalError([(f"{path}.kind", f"unknown signal kind {kind!r}")])
-    cls, required, optional = _KINDS[kind]
-    problems = [(f"{path}.{key}", "missing required field") for key in required if key not in record]
-    unknown = set(record) - {"kind", *required, *optional}
-    if unknown:
-        problems.append((path, f"unknown keys {sorted(unknown)}"))
-    params = {key: record[key] for key in required + optional if key in record}
-    if kind in ("sin", "cos"):
-        params["kind"] = kind
-    if isinstance(params.get("terms"), (list, tuple)):
-        terms = []
-        for i, term in enumerate(params["terms"]):
-            try:
-                terms.append(signal_from_dict(term, f"{path}.terms[{i}]"))
-            except SignalError as exc:
-                problems += exc.problems
-        params["terms"] = terms
-    if problems:
+    """Parse a tagged signal record, naming each problem by its full path,
+    e.g. "constraints.Psi[1].terms[1].b"."""
+    problems = []
+    sig = read_record(record, path, SIGNALS, problems)
+    if sig is None:
         raise SignalError(problems)
-    try:
-        return cls(**params)
-    except SignalError as exc:
-        raise SignalError(exc.under(path)) from None
+    return sig
 
 
 def signal_to_dict(sig: TimeSignal) -> dict:
-    """Serialize a signal as the tagged record signal_from_dict reads,
-    e.g. {"kind": "expdecay", "a": ..., "b": ..., "c": ...}."""
-    for kind, (cls, required, optional) in _KINDS.items():
-        # a Sinusoid holds its kind, "sin" or "cos", as a field
-        if isinstance(sig, cls) and getattr(sig, "kind", kind) == kind:
-            record = {"kind": kind, **{key: getattr(sig, key) for key in required + optional}}
-            if "terms" in record:
-                record["terms"] = [signal_to_dict(term) for term in sig.terms]
-            return record
-    raise SignalError(f"not a known signal type: {type(sig).__name__}")
+    """Serialize a signal as the tagged record signal_from_dict reads."""
+    return write_record(sig, SIGNALS)

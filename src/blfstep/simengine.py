@@ -135,6 +135,10 @@ def check_run_fields(fields: dict, problems: list) -> dict:
     observer_gains = finite_numbers(fields["observer_gains"], ".observer_gains", problems)
     problems += [(f".observer_gains[{i}]", f"must be > 0, got {g}")
                  for i, g in enumerate(observer_gains or ()) if not g > 0]
+    limit = 2.0 ** 256  # the controller takes the last gain's fourth power, a float below this
+    if observer_gains and observer_gains[-1] >= limit:
+        problems.append((f".observer_gains[{len(observer_gains) - 1}]",
+                         f"must be below {limit:.6g}, got {observer_gains[-1]}"))
     initial_x = finite_numbers(fields.get("initial_x", RunConfig.initial_x), ".initial_x", problems)
     return {"horizon": horizon, "step": step, "observer_gains": observer_gains,
             "initial_x": initial_x}
@@ -253,8 +257,8 @@ def run(config: RunConfig) -> SimResult:
     Raises InfeasibleInitialCondition if some |z_i(0)| >= psi_i(0),
     BarrierViolation (with level and time) if an error coordinate reaches
     its envelope at any accepted step or RK4 stage, and NonFiniteState if
-    the state leaves the representable range or a step's arithmetic
-    overflows. Never continues past a violation.
+    the state leaves the representable range or a step's arithmetic fails
+    (an overflow, or sin or cos of inf). Never continues past a violation.
 
     Each time point makes one cascade pass, on the state read once as
     floats; the metrics, for the kept steps one row of the record table,
@@ -358,7 +362,9 @@ def run(config: RunConfig) -> SimResult:
         if math.isnan(exc.z) or math.isnan(exc.psi):
             raise NonFiniteState(exc.t if exc.t is not None else t) from exc
         raise
-    except OverflowError as exc:  # a float power past the double range in a step
+    except ConfigError:
+        raise
+    except (OverflowError, ValueError) as exc:  # the step's arithmetic, as above
         raise NonFiniteState((k + 1) * h) from exc
 
     if kept != rows:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from blfstep.approximator import RbfError, RbfNetwork
+from blfstep.approximator import MAX_NODES, RbfError, RbfNetwork, lattice_problems
 
 
 def small_net():
@@ -82,3 +82,11 @@ def test_lattice_counts_three_dims():
     assert net.l == 8 and net.n == 3
     for axis in range(3):
         assert sorted(set(net.centers[:, axis])) == [-2.0, 2.0]
+
+
+@pytest.mark.parametrize("nodes", [MAX_NODES + 1, 10 ** 400])
+def test_lattice_size_bounded_before_anything_is_built(nodes):
+    assert lattice_problems(l=nodes) == [("l", f"must be at most {MAX_NODES}, got {nodes}")]
+    with pytest.raises(RbfError) as err:
+        RbfNetwork.lattice(nodes, 2)
+    assert [path for path, _ in err.value.problems] == ["l"]

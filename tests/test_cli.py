@@ -424,6 +424,23 @@ def test_nested_part_failure_still_checks_the_record(changes, paths):
     assert [path for path, _ in err.value.problems] == paths
 
 
+@pytest.mark.parametrize("changes, problems", [
+    pytest.param({("constraints", "Psi", 1, "bogus"): 1.0},
+                 [("constraints.Psi[1].bogus", "unknown key")], id="unknown-key-in-a-bound"),
+    # the second list is read although the first is not a list
+    pytest.param({("plant", "f"): 3, ("plant", "disturbances"): "sin"},
+                 [("plant.f", "expected a list"), ("plant.disturbances", "expected a list")],
+                 id="two-non-lists"),
+])
+def test_record_problems_named_at_their_path(changes, problems):
+    doc = json.loads(sec6_text())
+    for path, value in changes.items():
+        _set(path, value)(doc)
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert err.value.problems == problems
+
+
 def _sec6_run(horizon):
     return blfstep.run(replace(blfstep.load_config_file(blfstep.paper_sec6_path()),
                                horizon=horizon))
@@ -485,6 +502,7 @@ def _assert_same_config(a, b):
 @settings(max_examples=300, deadline=None)
 @given(path=st.sampled_from(list(_doc_paths(json.loads(sec6_text())))), value=JSON_VALUES)
 @example(path=("rbf",), value={"l": 1, "centers": [{}], "widths": [1.0]})
+@example(path=("rbf", "l"), value=10 ** 400)
 def test_one_field_mutation_parses_or_is_config_error(path, value):
     doc = json.loads(sec6_text())
     _set(path, value)(doc)
@@ -501,6 +519,7 @@ def test_one_field_mutation_parses_or_is_config_error(path, value):
        value=st.floats(-3.0, 30.0) | st.integers(-3, 30) | JSON_VALUES)
 @example(path=("plant", "f", 0, "exponents"), value=[10 ** 400, 0])
 @example(path=("plant", "f", 0, "exponents"), value=[10 ** 300, 0])
+@example(path=("observer_gains", 1), value=1e200)
 def test_one_field_mutation_exits_0_1_or_2_without_traceback(path, value, tmp_path_factory):
     doc = json.loads(sec6_text())
     doc["horizon"] = 0.02
@@ -576,6 +595,37 @@ def test_overflowing_drift_ends_in_non_finite_state(tmp_path, capsys):
     assert main(["simulate", _drift_exponents_doc(tmp_path, [10 ** 300, 0], 3.0)]) == 2
     out, err = capsys.readouterr()
     assert out.startswith("run aborted\nstate: FAIL non-finite at t=") and err == ""
+
+
+def test_overflowing_signal_argument_ends_in_non_finite_state(tmp_path, capsys):
+    doc = json.loads(sec6_text())
+    doc["plant"]["disturbances"][0] = {"kind": "sin", "amplitude": 0.0,
+                                       "angular_frequency": 1e308, "phase": 1e308}
+    doc["horizon"] = 1.0
+    path = tmp_path / "signal.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "run aborted\nstate: FAIL non-finite at t=0.798\n" and err == ""
+
+
+@pytest.mark.parametrize("change, problem", [
+    pytest.param({"observer_gains": [7.0, 1e200]},
+                 (".observer_gains[1]", "must be below 1.15792e+77, got 1e+200"),
+                 id="observer-gain"),
+    pytest.param({"rbf": {"l": 10 ** 400}},
+                 ("rbf.l", f"must be at most 1000000, got {10 ** 400}"), id="lattice-size"),
+])
+def test_number_too_large_for_the_run_is_a_config_error(change, problem, tmp_path, capsys):
+    doc = {**json.loads(sec6_text()), **change}
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert err.value.problems == [problem]
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: invalid configuration:\n") and problem[0] in err
 
 
 class TestFileErrors:

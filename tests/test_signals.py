@@ -99,7 +99,7 @@ def test_dict_round_trip():
 
 
 def test_from_dict_rejects_unknown_keys():
-    with pytest.raises(SignalError, match="unknown keys"):
+    with pytest.raises(SignalError, match="signal.bogus: unknown key"):
         signal_from_dict({"kind": "constant", "c": 1.0, "bogus": 2})
 
 

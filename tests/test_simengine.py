@@ -144,6 +144,26 @@ class TestRun:
         with pytest.raises(NonFiniteState):
             run(cfg)
 
+    def test_signal_argument_past_the_float_range_is_non_finite_state(self):
+        # 1e308 * t + 1e308 passes the double range at t = 0.7977, and
+        # math.sin(inf) raises ValueError in the step that reaches it
+        overflowing = Sinusoid(0.0, 1e308, 1e308)
+        cfg = quiet_config(plant=PlantSpec(n=2, f=(), beta=1.0,
+                                           disturbances=(overflowing, Constant(0.0))))
+        with pytest.raises(NonFiniteState) as err:
+            run(cfg)
+        assert err.value.t == pytest.approx(0.798)
+
+    def test_config_error_in_a_step_is_not_non_finite_state(self):
+        class Failing(Constant):
+            def value(self, t):
+                raise SignalError("bad signal")
+
+        cfg = quiet_config(plant=PlantSpec(n=2, f=(), beta=1.0,
+                                           disturbances=(Failing(0.0), Constant(0.0))))
+        with pytest.raises(SignalError, match="bad signal"):
+            run(cfg)
+
     def test_run_is_deterministic(self):
         # delta large enough that the reciprocal term stays gentle
         gains = GainConfig(k=(5.0, 5.0), lam=14.0, eta=4.0, delta=1.0)

@@ -17,6 +17,13 @@ from .signals import ConfigError, finite_numbers
 LOW, HIGH, WIDTH = -2.0, 2.0, 2.0
 MAX_NODES = 10 ** 6
 
+# Up to this many nodes the weight update, and the basis over two axes,
+# cost less elementwise on Python floats than as numpy array operations,
+# whose fixed cost per call outweighs short vectors (crossover near 28
+# weights, measured with timeit). Both forms round every element
+# identically.
+_FLOAT_WEIGHTS_MAX = 24
+
 
 class RbfError(ConfigError):
     """Network constructed with unusable centers or widths."""
@@ -95,6 +102,12 @@ class RbfNetwork:
         self.widths = widths
         # -d/b is computed as d/(-b): IEEE division rounds both alike
         self._neg_widths = -widths
+        # A float-weight network over two axes computes its basis on Python
+        # floats, from each node's (c1, c2, -b); past two axes the array
+        # form is the faster one.
+        self._float_nodes = None
+        if self.float_weights and self.n == 2:
+            self._float_nodes = list(zip(*centers.T.tolist(), self._neg_widths.tolist()))
 
     @property
     def l(self) -> int:
@@ -103,6 +116,12 @@ class RbfNetwork:
     @property
     def n(self) -> int:
         return self.centers.shape[1]
+
+    @property
+    def float_weights(self) -> bool:
+        """Whether the weights are few enough (at most _FLOAT_WEIGHTS_MAX)
+        to be carried and updated as Python floats."""
+        return self.l <= _FLOAT_WEIGHTS_MAX
 
     @classmethod
     def lattice(cls, nodes: int, dims: int) -> "RbfNetwork":
@@ -127,9 +146,19 @@ class RbfNetwork:
         return cls(centers, np.full(nodes, WIDTH))
 
     def basis(self, zbar) -> np.ndarray:
-        """Basis vector at input zbar; every component lies in (0, 1]."""
-        diff = self.centers - np.asarray(zbar, dtype=float)
-        return np.exp(np.add.reduce(diff * diff, axis=1) / self._neg_widths)
+        """Basis vector at input zbar, a sequence of floats; every
+        component lies in (0, 1].
+
+        The float form rounds as the array form does: numpy sums a row of
+        fewer than 8 squared distances one after another, here d1 + d2.
+        np.exp stays numpy, whose results differ from math.exp's.
+        """
+        if self._float_nodes is None:
+            diff = self.centers - np.asarray(zbar, dtype=float)
+            return np.exp(np.add.reduce(diff * diff, axis=1) / self._neg_widths)
+        x1, x2 = zbar
+        return np.exp([((a - x1) * (a - x1) + (b - x2) * (b - x2)) / nb
+                       for a, b, nb in self._float_nodes])
 
     def norm_bound(self) -> float:
         """Upper bound on ||basis(zbar)||: sqrt(l), since each component <= 1."""

@@ -42,13 +42,6 @@ from .observer import estimate  # noqa: F401
 from .signals import ConfigError, TimeSignal, finite_field, finite_numbers
 
 
-# Up to this many weights the weight update costs less elementwise on
-# Python floats than as numpy array operations, whose fixed cost per call
-# outweighs short vectors (crossover near 28 weights, measured with
-# timeit). Both forms round every element identically.
-_FLOAT_WEIGHTS_MAX = 24
-
-
 class ControllerError(ConfigError):
     """Controller configuration is invalid."""
 
@@ -241,7 +234,7 @@ class BacksteppingCascade:
         self._level_gains = tuple(zip(gains.k, self.observer_gains))
         self._reciprocal = (gains.delta, self.observer_gains[-1] ** 4 / 8.0)
         self._weight_law = (gains.lam, self.observer_gains[-1] ** 2, gains.eta)
-        self._float_weights = rbf.l <= _FLOAT_WEIGHTS_MAX
+        self._float_weights = rbf.float_weights
         self.layout = RecordLayout(self.n, rbf.l)
         self._memo_t = None
         self._memo = None
@@ -275,12 +268,14 @@ class BacksteppingCascade:
 
     def _eval(self, t: float, x, dhat, zeta, theta):
         """Cascade pass; returns (z, q, eps_hat, alpha, v, u, zeta_rate,
-        theta_rate, nn_out) with per-level lists of floats. theta_rate is
-        a list of floats for up to _FLOAT_WEIGHTS_MAX weights and an array
-        beyond.
+        theta_rate, nn_out, weights) with per-level lists of floats.
+        theta_rate is a list of floats for a float-weight network (see
+        RbfNetwork.float_weights) and an array beyond; weights is theta as
+        one float64 array, the one the pass's dot reads.
 
         x, dhat and zeta are sequences of floats (lists in a run; arrays
-        give the same bits) and theta is an array. The scalar work runs on
+        give the same bits). theta is a sequence of floats for a
+        float-weight network and an array beyond. The scalar work runs on
         Python floats, which round exactly as numpy float64 scalars and
         elementwise array operations do. The barrier factor, the
         estimate, the gain search and the damped inverse are written out
@@ -288,6 +283,7 @@ class BacksteppingCascade:
         """
         last = self.n - 1
         phi = self.rbf.basis(x)
+        weights = np.asarray(theta, dtype=float)
         v_prev, _, psis, psi_rates = self.time_signals(t)
         z = []
         q = []
@@ -313,7 +309,7 @@ class BacksteppingCascade:
                 v.append(v_prev)
             else:
                 delta, reciprocal_gain = self._reciprocal
-                nn_out = float(theta.dot(phi))  # the BLAS dot that theta @ phi calls
+                nn_out = float(weights.dot(phi))  # the BLAS dot that theta @ phi calls
                 ai = (ki * zi + ei + 0.5 * qi - wall_rate + nn_out
                       + qi / (qi * qi + delta) * reciprocal_gain)
                 u = gain * ai
@@ -325,30 +321,31 @@ class BacksteppingCascade:
         lam, kn_sq, eta = self._weight_law
         qn = q[last]
         if self._float_weights:
-            theta_rate = [lam * (qn * p - kn_sq * w - eta * w)
-                          for p, w in zip(phi.tolist(), theta.tolist())]
+            theta_rate = [lam * (qn * p - kn_sq * w - eta * w) for p, w in zip(phi.tolist(), theta)]
         else:
-            theta_rate = lam * (qn * phi - kn_sq * theta - eta * theta)
-        return z, q, eps_hat, alpha, v, u, zeta_rate, theta_rate, nn_out
+            theta_rate = lam * (qn * phi - kn_sq * weights - eta * weights)
+        return z, q, eps_hat, alpha, v, u, zeta_rate, theta_rate, nn_out, weights
 
     def step(self, t: float, x, dhat, zeta, theta) -> StepRecord:
         """Full controller record at one instant (pure; repeat calls with
         the same inputs produce identical records)."""
         row = np.empty(self.layout.width)
-        self.write_row(row, t, np.concatenate((x, dhat, zeta, theta)).tolist(),
-                       self._eval(t, x, dhat, zeta, theta), math.sqrt(theta.dot(theta)))
+        outputs = self._eval(t, x, dhat, zeta, theta)
+        weights = outputs[-1]
+        self.write_row(row, t, [*x, *dhat, *zeta], outputs, math.sqrt(weights.dot(weights)))
         return self.layout.read(row)
 
     def write_row(self, row: np.ndarray, t: float, s, outputs, theta_norm: float) -> None:
-        """Fill a record-table row at t from the augmented state s (a list
-        of floats), the outputs _eval returned for it and ||theta||."""
-        z, q, eps_hat, alpha, v, u, zeta_rate, theta_rate, _ = outputs
+        """Fill a record-table row at t from the augmented state s (its
+        3n floats x, dhat, zeta come first; the weights are read from
+        outputs), the outputs _eval returned for it and ||theta||."""
+        z, q, eps_hat, alpha, v, u, zeta_rate, theta_rate, _, weights = outputs
         y_d, bounds, psis, _ = self.time_signals(t)
         energy = 0.0
         for i in range(self.n):
             energy += blf_value(z[i], psis[i])
-        row[:] = [t, *s, *bounds, *psis, *z, *q, *eps_hat, *alpha, *v, u, *zeta_rate,
-                  *theta_rate, energy, theta_norm, y_d]
+        row[:] = [t, *s[:3 * self.n], *weights.tolist(), *bounds, *psis, *z, *q, *eps_hat,
+                  *alpha, *v, u, *zeta_rate, *theta_rate, energy, theta_norm, y_d]
 
 
 def lyapunov_decay_rates(gains: GainConfig, observer_gains, basis_bound: float) -> np.ndarray:

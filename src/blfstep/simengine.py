@@ -2,10 +2,11 @@
 
 The augmented state stacks the plant state x, the observer auxiliary
 states dhat, the gain-search states zeta, and the approximator weights
-theta into one vector of dimension 3n + l, integrated with classic
-fourth-order Runge-Kutta at a fixed step. The barrier preconditions are
-checked at every stage evaluation, not just at accepted steps, because a
-stage state outside an envelope makes the controller math undefined.
+theta, 3n + l numbers, into one list (see ClosedLoop for its layout),
+integrated with classic fourth-order Runge-Kutta at a fixed step. The
+barrier preconditions are checked at every stage evaluation, not just at
+accepted steps, because a stage state outside an envelope makes the
+controller math undefined.
 Runs are deterministic: the same configuration produces bit-identical
 results.
 """
@@ -187,20 +188,32 @@ class SimResult:
         return self.records.table[:, self.records.layout.state]
 
 
-def rk4_step(f, t: float, y, h: float, k1=None):
+def rk4_step(f, t: float, y: list, h: float, k1=None) -> list:
     """One classic fourth-order Runge-Kutta step of y' = f(t, y); k1 is
-    f(t, y) where the caller has it already."""
+    f(t, y) where the caller has it already.
+
+    y and every rate f returns are lists of equal length whose entries
+    are floats or float64 arrays; each stage input and the combine are
+    formed entry by entry, as a + (h/2) * b and a + (h/6) * (k1 + 2 k2 +
+    2 k3 + k4), so an entry rounds as the same expression on an array
+    would."""
     if k1 is None:
         k1 = f(t, y)
     half = 0.5 * h
-    k2 = f(t + half, y + half * k1)
-    k3 = f(t + half, y + half * k2)
-    k4 = f(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = f(t + half, [a + half * b for a, b in zip(y, k1)])
+    k3 = f(t + half, [a + half * b for a, b in zip(y, k2)])
+    k4 = f(t + h, [a + h * b for a, b in zip(y, k3)])
+    sixth = h / 6.0
+    return [a + sixth * (p + 2.0 * q + 2.0 * r + w) for a, p, q, r, w in zip(y, k1, k2, k3, k4)]
 
 
 class ClosedLoop:
     """Augmented dynamics of plant + observer + gain search + weights.
+
+    The augmented state is a list: the 3n floats x, dhat and zeta, then
+    the l weights, as floats for a float-weight network (see
+    RbfNetwork.float_weights) and otherwise as one float64 array, the
+    list's last entry. A rate has the same layout.
 
     The disturbance values d_i(t) are kept in a one-entry memo keyed on
     the float t, as the cascade keeps its time signals, so each is
@@ -213,26 +226,37 @@ class ClosedLoop:
         self.n = plant.n
         self.l = cascade.rbf.l
         self.dim = 3 * self.n + self.l
+        self.float_weights = cascade.rbf.float_weights
         self._neg_kobs = [-g for g in cascade.observer_gains]
         self._memo_t = None
         self._memo = None
 
-    def derivative(self, t: float, s: np.ndarray) -> np.ndarray:
+    def state(self, x, dhat, zeta, theta) -> list:
+        """The augmented state in this loop's layout, from its four parts."""
+        head = np.concatenate((x, dhat, zeta)).tolist()
+        if self.float_weights:
+            return head + np.asarray(theta, dtype=float).tolist()
+        return head + [np.array(theta, dtype=float)]
+
+    def finite(self, s: list) -> bool:
+        """Whether every number in the augmented state s is finite."""
+        if self.float_weights:
+            return all(map(math.isfinite, s))
+        return all(map(math.isfinite, s[:-1])) and bool(np.isfinite(s[-1]).all())
+
+    def derivative(self, t: float, s: list) -> list:
         """ds/dt at (t, s), from one cascade pass."""
-        return self.rate(t, *self.cascade_pass(t, s))
+        return self.rate(t, s, self.cascade_pass(t, s))
 
-    def cascade_pass(self, t: float, s: np.ndarray):
-        """(floats, outputs): the augmented state s read once as a list of
-        floats, and the outputs of the cascade pass at (t, s)."""
+    def cascade_pass(self, t: float, s: list):
+        """The outputs of the cascade pass at (t, s)."""
         n = self.n
-        floats = s.tolist()
-        return floats, self.cascade._eval(t, floats[:n], floats[n:2 * n], floats[2 * n:3 * n],
-                                          s[3 * n:])
+        theta = s[3 * n:] if self.float_weights else s[3 * n]
+        return self.cascade._eval(t, s[:n], s[n:2 * n], s[2 * n:3 * n], theta)
 
-    def rate(self, t: float, floats: list, outputs) -> np.ndarray:
-        """ds/dt at t from cascade_pass's floats and outputs at that
-        state."""
-        _, _, eps_hat, _, _, u, zeta_rate, theta_rate, nn_out = outputs
+    def rate(self, t: float, s: list, outputs) -> list:
+        """ds/dt at t from cascade_pass's outputs at the state s."""
+        _, _, eps_hat, _, _, u, zeta_rate, theta_rate, nn_out, _ = outputs
         n = self.n
         if t != self._memo_t:
             self._memo = [sig.value(t) for sig in self.plant.disturbances]
@@ -240,15 +264,16 @@ class ClosedLoop:
         # the observer rates -k_i (x_{i+1} + eps_hat_i) and, at the last
         # level, -k_n (nn_out + u + eps_hat_n), as observer.py states them
         neg_kobs = self._neg_kobs
-        head = self.plant.rhs(t, floats[:n], u, self._memo)
+        head = self.plant.rhs(t, s[:n], u, self._memo)
         for i in range(n - 1):
-            head.append(neg_kobs[i] * (floats[i + 1] + eps_hat[i]))
+            head.append(neg_kobs[i] * (s[i + 1] + eps_hat[i]))
         head.append(neg_kobs[n - 1] * (nn_out + u + eps_hat[n - 1]))
         head += zeta_rate
-        if isinstance(theta_rate, list):
+        if self.float_weights:
             head += theta_rate
-            return np.array(head, dtype=float)
-        return np.concatenate((head, theta_rate))
+        else:
+            head.append(theta_rate)
+        return head
 
 
 def run(config: RunConfig) -> SimResult:
@@ -260,10 +285,10 @@ def run(config: RunConfig) -> SimResult:
     the state leaves the representable range or a step's arithmetic fails
     (an overflow, or sin or cos of inf). Never continues past a violation.
 
-    Each time point makes one cascade pass, on the state read once as
-    floats; the metrics, for the kept steps one row of the record table,
-    and the next step's k1 are built from it and from the cascade's time
-    signals at that time. A run of N steps makes 4N + 1 passes.
+    Each time point makes one cascade pass; the metrics, for the kept
+    steps one row of the record table, and the next step's k1 are built
+    from it and from the cascade's time signals at that time. A run of N
+    steps makes 4N + 1 passes.
     """
     cascade = BacksteppingCascade(
         config.reference, config.constraints, config.gains, config.observer_gains, config.rbf
@@ -277,9 +302,8 @@ def run(config: RunConfig) -> SimResult:
         if not (abs(z0[i]) < psi0):
             raise InfeasibleInitialCondition(i + 1, z0[i], psi0)
 
-    s = np.zeros(loop.dim)
-    s[:n] = config.initial_x
-    s[n:2 * n] = initial_dhat(config.observer_gains, z0)
+    s = loop.state(config.initial_x, initial_dhat(config.observer_gains, z0), np.zeros(n),
+                   np.zeros(l))
 
     steps = int(round(config.horizon / h)) if config.horizon > 0 else 0
     decimation = config.decimation
@@ -306,11 +330,10 @@ def run(config: RunConfig) -> SimResult:
     try:
         for k in range(steps + 1):
             t = k * h
-            floats, outputs = loop.cascade_pass(t, s)
-            z, _, eps_hat, _, v, u, _, _, _ = outputs
-            x = floats[:n]
-            zeta = floats[2 * n:3 * n]
-            theta = s[3 * n:]
+            outputs = loop.cascade_pass(t, s)
+            z, _, eps_hat, _, v, u, _, _, _, weights = outputs
+            x = s[:n]
+            zeta = s[2 * n:3 * n]
 
             y_d, bounds, envelopes, _ = cascade.time_signals(t)
             if abs(y_d) > max_abs_y_d:
@@ -340,7 +363,8 @@ def run(config: RunConfig) -> SimResult:
             if abs(u) > max_abs_u:
                 max_abs_u = abs(u)
             prev_eps_hat = eps_hat
-            theta_norm = math.sqrt(theta.dot(theta))  # what np.linalg.norm computes for a vector
+            # what np.linalg.norm computes for a vector, from the pass's array
+            theta_norm = math.sqrt(weights.dot(weights))
             if theta_norm > max_theta_norm:
                 max_theta_norm = theta_norm
             if 2 * k >= steps:
@@ -348,18 +372,18 @@ def run(config: RunConfig) -> SimResult:
                 tail_count += 1
 
             if k % decimation == 0 or k == steps:
-                cascade.write_row(table[kept], t, floats, outputs, theta_norm)
+                cascade.write_row(table[kept], t, s, outputs, theta_norm)
                 kept += 1
 
             if k == steps:  # no step follows, so no rate is needed
                 break
-            s = rk4_step(deriv, t, s, h, loop.rate(t, floats, outputs))
-            if not np.isfinite(s).all():
+            s = rk4_step(deriv, t, s, h, loop.rate(t, s, outputs))
+            if not loop.finite(s):
                 raise NonFiniteState((k + 1) * h)
     except BarrierViolation as exc:
-        # a NaN error coordinate means the state blew up, not that a
-        # finite trajectory crossed its envelope
-        if math.isnan(exc.z) or math.isnan(exc.psi):
+        # a NaN or infinite error coordinate means the state blew up, not
+        # that a finite trajectory crossed its envelope
+        if not (math.isfinite(exc.z) and math.isfinite(exc.psi)):
             raise NonFiniteState(exc.t if exc.t is not None else t) from exc
         raise
     except ConfigError:

@@ -125,9 +125,9 @@ def test_criterion_4_observer_exponential_rig(gain):
     eps, h = 1.0, 1e-5
 
     def field(t, y):
-        return np.array([eps, dhat_rate_inner(gain, 0.0, estimate(y[1], gain, y[0]))])
+        return [eps, dhat_rate_inner(gain, 0.0, estimate(y[1], gain, y[0]))]
 
-    y, t = np.array([0.0, 0.0]), 0.0
+    y, t = [0.0, 0.0], 0.0
     worst = 0.0
     for k in range(1, int(round(1.0 / h)) + 1):
         y = rk4_step(field, t, y, h)
@@ -141,11 +141,11 @@ def test_criterion_4_observer_exponential_rig(gain):
 
 def test_criterion_5_integrator_order():
     def global_error(h):
-        y, t = 1.0, 0.0
+        y, t = [1.0], 0.0
         for k in range(int(round(1.0 / h))):
-            y = rk4_step(lambda t, y: -y, t, y, h)
+            y = rk4_step(lambda t, y: [-y[0]], t, y, h)
             t = (k + 1) * h
-        return abs(y - math.exp(-1.0))
+        return abs(y[0] - math.exp(-1.0))
 
     ratio = global_error(1e-2) / global_error(5e-3)
     note(5, 14.0 <= ratio <= 18.0, f"halving the step shrank the error {ratio:.2f}x")

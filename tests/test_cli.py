@@ -609,6 +609,27 @@ def test_overflowing_signal_argument_ends_in_non_finite_state(tmp_path, capsys):
     assert out == "run aborted\nstate: FAIL non-finite at t=0.798\n" and err == ""
 
 
+@pytest.mark.parametrize("change, disturbance, printed", [
+    # the first observer gain drives z2 to inf at the first stage: the
+    # state blew up, no finite trajectory crossed an envelope
+    pytest.param({"observer_gains": [1e200, 7.0]}, None,
+                 "run aborted\nstate: FAIL non-finite at t=0.0005\n", id="infinite-z"),
+    pytest.param({}, {"kind": "constant", "c": 5.0},
+                 "run aborted\nconstraints: FAIL at level 2, t=0.222\n"
+                 "  |z| = 1.76876 reached psi = 1.44739\n", id="finite-crossing"),
+])
+def test_only_a_finite_crossing_reports_its_level(change, disturbance, printed, tmp_path,
+                                                  capsys):
+    doc = {**json.loads(sec6_text()), **change, "horizon": 1}
+    if disturbance is not None:
+        doc["plant"]["disturbances"][0] = disturbance
+    path = tmp_path / "crossing.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == printed and err == ""
+
+
 @pytest.mark.parametrize("change, problem", [
     pytest.param({"observer_gains": [7.0, 1e200]},
                  (".observer_gains[1]", "must be below 1.15792e+77, got 1e+200"),

@@ -208,6 +208,23 @@ def reference_basis(rbf, x):
     return np.exp(-(diff * diff).sum(axis=1) / rbf.widths)
 
 
+# A network of up to 24 nodes over two axes computes its basis on Python
+# floats, every other one on numpy arrays; both equal the reference bit
+# for bit, whether the input is a list or an array.
+@pytest.mark.parametrize("n", range(2, 10))
+@pytest.mark.parametrize("l", [1, 12, 24, 25])
+def test_basis_equals_reference(n, l):
+    rng = np.random.default_rng(100 * n + l)
+    rbf = RbfNetwork(rng.uniform(-2.0, 2.0, (l, n)), rng.uniform(0.3, 3.0, l))
+    for scale in (1e-3, 0.5, 2.0, 30.0):
+        for _ in range(25):
+            x = (scale * rng.standard_normal(n)).tolist()
+            got = rbf.basis(x)
+            assert isinstance(got, np.ndarray) and got.shape == (l,)
+            assert bits(got) == bits(reference_basis(rbf, x))
+            assert bits(rbf.basis(np.array(x))) == bits(got)
+
+
 def reference_eval(casc, t, x, dhat, zeta, theta):
     n = casc.n
     k = casc.gains.k
@@ -372,7 +389,7 @@ class TestFastPathMatchesReference:
         t = k * H
         for tau in (t, t + 0.5 * H, t + 0.5 * H, t + H, (k + 1) * H, t):
             ref = outcome(reference_derivative, SEC6_LOOP, tau, s)
-            got = outcome(SEC6_LOOP.derivative, tau, s)
+            got = outcome(SEC6_LOOP.derivative, tau, list(state))
             if isinstance(ref, tuple) or isinstance(got, tuple):  # a violation
                 assert got == ref
             else:
@@ -420,7 +437,9 @@ def test_wide_weight_update_equals_reference(k, state):
         for r, g in zip(ref, got):
             assert bits(g) == bits(r)
         assert bits(casc.step(tau, *parts).theta_rate) == bits(ref[7])
-        assert bits(WIDE_LOOP.derivative(tau, s)) == bits(reference_derivative(WIDE_LOOP, tau, s))
+        got = WIDE_LOOP.derivative(tau, WIDE_LOOP.state(*parts))
+        assert isinstance(got[-1], np.ndarray)  # the weights' rates, one block
+        assert bits(np.hstack(got)) == bits(reference_derivative(WIDE_LOOP, tau, s))
 
 
 # A run's trajectory against a classic RK4 loop on the reference
@@ -450,12 +469,33 @@ def reference_trajectory(cfg):
     return np.array(rows)
 
 
+def fourth_order_config():
+    """A damped fourth-order chain; its basis sums four axes."""
+    return replace(
+        third_order_config(),
+        plant=PlantSpec(n=4, f=(Monomial(-2.0, (0, 0, 0, 1)), Monomial(-1.0, (1, 0, 0, 0)),
+                                Monomial(-0.5, (0, 1, 1, 0))),
+                        beta=1.5, disturbances=(Constant(0.02), Constant(0.0), Constant(0.0),
+                                                Sinusoid(0.05, 1.0, 0.0, "sin"))),
+        constraints=ConstraintConfig((Constant(3.0), Constant(3.0), Constant(4.0), Constant(6.0)),
+                                     (0.6, 1.0, 1.5, 2.0)),
+        rbf=RbfNetwork.lattice(16, 4),
+        gains=GainConfig(k=(2.0, 2.0, 2.0, 2.0), lam=5.0, eta=2.0, delta=1.0),
+        observer_gains=(4.0, 4.0, 4.0, 6.0),
+        initial_x=(0.1, 0.0, 0.0, 0.0),
+    )
+
+
 @pytest.mark.parametrize("make", [
     pytest.param(lambda sec6: third_order_config(), id="third-order"),
     # past _FLOAT_WEIGHTS_MAX weights: the array weight update
     pytest.param(lambda sec6: replace(third_order_config(), rbf=RbfNetwork.lattice(30, 3)),
                  id="third-order-l30"),
     pytest.param(lambda sec6: replace(sec6, rbf=RbfNetwork.lattice(30, 2)), id="flagship-l30"),
+    # one on each side of _FLOAT_WEIGHTS_MAX: the last float layout, the first block one
+    pytest.param(lambda sec6: replace(sec6, rbf=RbfNetwork.lattice(24, 2)), id="flagship-l24"),
+    pytest.param(lambda sec6: replace(sec6, rbf=RbfNetwork.lattice(25, 2)), id="flagship-l25"),
+    pytest.param(lambda sec6: fourth_order_config(), id="fourth-order"),
 ])
 def test_run_trajectory_equals_reference_rk4_loop(make, sec6_config):
     cfg = replace(make(sec6_config), horizon=0.3, decimation=1)

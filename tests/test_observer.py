@@ -61,9 +61,9 @@ def test_estimation_error_decays_exponentially(gain):
 
     def field(t, y):
         z, dhat = y
-        return np.array([eps, dhat_rate_inner(gain, 0.0, estimate(dhat, gain, z))])
+        return [eps, dhat_rate_inner(gain, 0.0, estimate(dhat, gain, z))]
 
-    y = np.array([0.0, 0.0])  # err(0) = eps - estimate(0) = eps
+    y = [0.0, 0.0]  # err(0) = eps - estimate(0) = eps
     t = 0.0
     checkpoints = {0.1, 0.5, 1.0}
     steps = int(round(1.0 / h))

@@ -32,7 +32,7 @@ def oracle_csv(result) -> bytes:
     lines = [",".join(csv_header(n))]
     for t, state in zip(result.times.tolist(), np.array(result.trajectory)):
         x, dhat, zeta, theta = state[:n], state[n:2 * n], state[2 * n:3 * n], state[3 * n:]
-        z, _, eps_hat, _, v, u, _, _, _ = cascade._eval(t, x, dhat, zeta, theta)
+        z, _, eps_hat, _, v, u, *_ = cascade._eval(t, x, dhat, zeta, theta)
         row = [t, *x]
         row += [cfg.constraints.state_bounds[i].value(t) for i in range(n)]
         row += [cfg.constraints.envelope(i, t) for i in range(n)]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import blfstep
+from blfstep import simengine
 from blfstep.approximator import RbfError, RbfNetwork
 from blfstep.controller import BacksteppingCascade, ConstraintConfig, ControllerError, GainConfig
 from blfstep.plant import Monomial, PlantError, PlantSpec
@@ -42,37 +43,54 @@ def quiet_config(**overrides):
 
 class TestRk4:
     def test_exponential_single_step(self):
-        y1 = rk4_step(lambda t, y: -y, 0.0, 1.0, 0.1)
+        (y1,) = rk4_step(lambda t, y: [-y[0]], 0.0, [1.0], 0.1)
         assert abs(y1 - 0.9048375) < 1e-12
         assert abs(y1 - math.exp(-0.1)) < 2.5e-7
 
     def test_fourth_order_convergence(self):
         def global_error(h):
-            y, t = 1.0, 0.0
+            y, t = [1.0], 0.0
             n = int(round(1.0 / h))
             for k in range(n):
-                y = rk4_step(lambda t, y: -y, t, y, h)
+                y = rk4_step(lambda t, y: [-y[0]], t, y, h)
                 t = (k + 1) * h
-            return abs(y - math.exp(-1.0))
+            return abs(y[0] - math.exp(-1.0))
 
         ratio = global_error(1e-2) / global_error(5e-3)
         assert 14.0 <= ratio <= 18.0
 
     def test_zero_field_leaves_state_unchanged(self):
-        y = np.array([1.0, -2.0, 0.5])
-        out = rk4_step(lambda t, y: np.zeros(3), 0.0, y, 0.3)
-        assert np.array_equal(out, y)
+        y = [1.0, -2.0, 0.5]
+        out = rk4_step(lambda t, y: [0.0, 0.0, 0.0], 0.0, y, 0.3)
+        assert out == y
 
     def test_vector_harmonic_oscillator(self):
         def field(t, y):
-            return np.array([y[1], -y[0]])
+            return [y[1], -y[0]]
 
-        y, t, h = np.array([1.0, 0.0]), 0.0, 1e-3
+        y, t, h = [1.0, 0.0], 0.0, 1e-3
         for k in range(1000):
             y = rk4_step(field, t, y, h)
             t = (k + 1) * h
         assert y[0] == pytest.approx(math.cos(1.0), abs=1e-9)
         assert y[1] == pytest.approx(-math.sin(1.0), abs=1e-9)
+
+    def test_float_entries_and_an_array_entry_round_alike(self):
+        # the float layout and the block layout of the augmented state go
+        # through the same step; an array entry must round as its floats
+        def field(t, y):
+            return [-2.0 * v + math.sin(t) for v in y]
+
+        def block_field(t, y):
+            return [-2.0 * y[0] + math.sin(t), -2.0 * y[1] + math.sin(t)]
+
+        floats = [0.3, -1.7, 2.1]
+        block = [0.3, np.array([-1.7, 2.1])]
+        for k in range(50):
+            floats = rk4_step(field, k * 0.01, floats, 0.01)
+            block = rk4_step(block_field, k * 0.01, block, 0.01)
+        assert isinstance(block[1], np.ndarray)
+        assert [v.hex() for v in floats] == [v.hex() for v in [block[0], *block[1].tolist()]]
 
 
 class TestClosedLoopDerivative:
@@ -81,28 +99,45 @@ class TestClosedLoopDerivative:
         cascade = BacksteppingCascade(cfg.reference, cfg.constraints, cfg.gains,
                                       cfg.observer_gains, cfg.rbf)
         loop = ClosedLoop(cfg.plant, cascade)
-        ds = loop.derivative(0.0, np.zeros(loop.dim))
-        assert ds.shape == (18,)
+        ds = loop.derivative(0.0, [0.0] * loop.dim)
+        assert len(ds) == 18
         assert ds[0] == pytest.approx(0.2, abs=1e-15)
-        assert np.all(ds[1:] == 0.0)
+        assert all(v == 0.0 for v in ds[1:])
 
     def test_equilibrium_of_quiet_loop(self):
         cfg = quiet_config()
         cascade = BacksteppingCascade(cfg.reference, cfg.constraints, cfg.gains,
                                       cfg.observer_gains, cfg.rbf)
         loop = ClosedLoop(cfg.plant, cascade)
-        assert np.all(loop.derivative(0.0, np.zeros(loop.dim)) == 0.0)
+        assert all(v == 0.0 for v in loop.derivative(0.0, [0.0] * loop.dim))
 
-    def test_dimension_contract(self):
-        cfg = quiet_config()
+    @staticmethod
+    def quiet_loop(l):
+        cfg = quiet_config(rbf=RbfNetwork.lattice(l, 2))
         cascade = BacksteppingCascade(cfg.reference, cfg.constraints, cfg.gains,
                                       cfg.observer_gains, cfg.rbf)
-        loop = ClosedLoop(cfg.plant, cascade)
+        return ClosedLoop(cfg.plant, cascade)
+
+    def test_dimension_contract(self):
+        # up to 24 weights ride in the state as floats
+        loop = self.quiet_loop(4)
         assert loop.dim == 3 * 2 + 4
         rng = np.random.default_rng(1)
-        s = np.zeros(loop.dim)
-        s[:2] = rng.uniform(-0.5, 0.5, 2)
-        assert loop.derivative(0.1, s).shape == (loop.dim,)
+        s = loop.state(rng.uniform(-0.5, 0.5, 2), np.zeros(2), np.zeros(2), np.zeros(4))
+        ds = loop.derivative(0.1, s)
+        assert len(s) == len(ds) == loop.dim
+        assert all(isinstance(v, float) for v in s + ds)
+
+    def test_dimension_contract_of_the_weight_block(self):
+        # past 24 weights they ride as one array, the state's last entry
+        loop = self.quiet_loop(30)
+        assert loop.dim == 3 * 2 + 30
+        rng = np.random.default_rng(1)
+        s = loop.state(rng.uniform(-0.5, 0.5, 2), np.zeros(2), np.zeros(2), np.zeros(30))
+        ds = loop.derivative(0.1, s)
+        assert len(s) == len(ds) == 3 * 2 + 1
+        assert all(isinstance(v, float) for v in s[:-1] + ds[:-1])
+        assert s[-1].shape == ds[-1].shape == (30,)
 
 
 class TestRun:
@@ -111,6 +146,34 @@ class TestRun:
         assert list(res.times) == [0.0]
         assert res.trajectory.shape == (1, 10)
         assert len(res.records) == 1
+
+    @pytest.mark.parametrize("l", [12, 30])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_ends_in_non_finite_state(self, sec6_config, monkeypatch, l,
+                                                        bad):
+        # one weight turns non-finite in the second step: in the float
+        # layout it is a float of the state, in the block layout an entry
+        # of its last array
+        calls = []
+        step = simengine.rk4_step
+
+        def spoiled(*args):
+            s = step(*args)
+            calls.append(args[1])
+            if len(calls) == 2:
+                if isinstance(s[-1], np.ndarray):
+                    s[-1] = s[-1].copy()
+                    s[-1][l // 2] = bad
+                else:
+                    s[-l // 2] = bad
+            return s
+
+        monkeypatch.setattr(simengine, "rk4_step", spoiled)
+        cfg = replace(sec6_config, rbf=RbfNetwork.lattice(l, 2), horizon=0.01)
+        with pytest.raises(NonFiniteState) as err:
+            run(cfg)
+        assert err.value.t == 2 * cfg.step
+        assert len(calls) == 2
 
     def test_infeasible_initial_condition_names_level(self, sec6_config):
         cfg = blfstep.load_config_file(blfstep.paper_sec6_path())
@@ -535,8 +598,9 @@ def test_rk4_agrees_with_dop853(sec6_config, horizon, tol):
     cascade = BacksteppingCascade(cfg.reference, cfg.constraints, cfg.gains,
                                   cfg.observer_gains, cfg.rbf)
     loop = ClosedLoop(cfg.plant, cascade)
-    sol = integrate.solve_ivp(loop.derivative, (0.0, res.times[-1]), res.trajectory[0],
-                              method="DOP853", rtol=1e-10, atol=1e-12, t_eval=res.times)
+    sol = integrate.solve_ivp(lambda t, y: loop.derivative(t, y.tolist()), (0.0, res.times[-1]),
+                              res.trajectory[0], method="DOP853", rtol=1e-10, atol=1e-12,
+                              t_eval=res.times)
     assert sol.success, sol.message
     n = cfg.plant.n
     assert np.max(np.abs(res.trajectory[:, :n] - sol.y[:n].T)) <= tol

@@ -30,8 +30,8 @@ def main() -> None:
     loop = ClosedLoop(cfg.plant, BacksteppingCascade(cfg.reference, cfg.constraints, cfg.gains,
                                                      cfg.observer_gains, cfg.rbf))
     start = time.perf_counter()
-    sol = solve_ivp(loop.derivative, (0.0, res.times[-1]), res.trajectory[0], method="DOP853",
-                    rtol=1e-10, atol=1e-12, t_eval=res.times)
+    sol = solve_ivp(lambda t, y: loop.derivative(t, y.tolist()), (0.0, res.times[-1]),
+                    res.trajectory[0], method="DOP853", rtol=1e-10, atol=1e-12, t_eval=res.times)
     dop_s = time.perf_counter() - start
     if not sol.success:
         raise SystemExit(f"DOP853 failed: {sol.message}")

@@ -17,6 +17,10 @@ from .signals import ConfigError, finite_numbers
 LOW, HIGH, WIDTH = -2.0, 2.0, 2.0
 MAX_NODES = 10 ** 6
 
+# The default of centers and widths in an rbf record: not listed, so the
+# lattice. JSON null is listed, and is no list of numbers.
+_LATTICE = object()
+
 # Up to this many nodes the weight update, and the basis over two axes,
 # cost less elementwise on Python floats than as numpy array operations,
 # whose fixed cost per call outweighs short vectors (crossover near 28
@@ -144,6 +148,23 @@ class RbfNetwork:
         mesh = np.meshgrid(*axes, indexing="ij")
         centers = np.stack([g.ravel() for g in mesh], axis=1)
         return cls(centers, np.full(nodes, WIDTH))
+
+    @classmethod
+    def read(cls, l, centers=_LATTICE, widths=_LATTICE, *, dims) -> "RbfNetwork":
+        """The network an rbf record describes: its l listed centers and
+        widths, or without them the default lattice of l nodes over dims
+        axes, the plant order. With dims None (the plant failed to build)
+        only the lattice's node count is checked, and nothing is built."""
+        if (centers is _LATTICE) != (widths is _LATTICE):
+            raise RbfError("centers and widths must be given together or both omitted")
+        if centers is _LATTICE:
+            if dims is None:
+                raise RbfError(lattice_problems(l=l))
+            return cls.lattice(l, dims)
+        net = cls(centers, widths)
+        if net.l != l:
+            raise RbfError([("centers", f"{net.l} centers listed but l = {l!r}")])
+        return net
 
     def basis(self, zbar) -> np.ndarray:
         """Basis vector at input zbar, a sequence of floats; every

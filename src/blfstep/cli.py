@@ -14,119 +14,75 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from importlib import resources
 
 import numpy as np
 
-from .approximator import RbfNetwork, lattice_problems
+from .approximator import RbfNetwork
 from .barrier import BarrierViolation
 from .controller import ConstraintConfig, GainConfig, RecordLayout, lyapunov_decay_rates
 from .plant import Monomial, PlantSpec
-from .signals import SIGNALS, ConfigError, build, check_keys, plain, read_record, write_record
+from .signals import SIGNALS, ConfigError, plain, read_record, write_record
 from .simengine import (
     InfeasibleInitialCondition,
     NonFiniteState,
     RunConfig,
     SimResult,
-    check_run_fields,
     run,
 )
 
 
-# The component record formats; see signals.read_record.
+# The run document's record formats; see signals.read_record.
 _MONOMIAL = (Monomial, plain("coeff", "exponents"))
-_PLANT = (PlantSpec, (*plain("n"), ("f", "f", _MONOMIAL), *plain("beta"),
-                      ("disturbances", "disturbances", SIGNALS)))
-_CONSTRAINTS = (ConstraintConfig, (("Psi", "state_bounds", SIGNALS), ("A", "virtual_bounds", None)))
+_PLANT = (PlantSpec, (*plain("n"), ("f", "f", [_MONOMIAL]), *plain("beta"),
+                      ("disturbances", "disturbances", [SIGNALS])))
+_CONSTRAINTS = (ConstraintConfig, (("Psi", "state_bounds", [SIGNALS]),
+                                    ("A", "virtual_bounds", None)))
 _GAINS = (GainConfig, (*plain("k"), ("lambda", "lam", None), *plain("eta", "delta")))
 
 
-def _parse_rbf(record, n: int | None, problems: list) -> RbfNetwork | None:
-    path = "rbf"
-    if not check_keys(record, path, ("l", "centers", "widths"), ("l",), problems):
-        return None
-    if ("centers" in record) != ("widths" in record):
-        problems.append((path, "centers and widths must be given together or both omitted"))
-        return None
-    if "centers" not in record:
-        # the lattice's dimension is the plant order; without a plant only
-        # its node count is checked
-        if n is None:
-            problems += [(f"{path}.{name}", message)
-                         for name, message in lattice_problems(l=record["l"])]
-            return None
-        return build(RbfNetwork.lattice, path, problems, record["l"], n)
-    net = build(RbfNetwork, path, problems, record["centers"], record["widths"])
-    if net is not None and net.l != record["l"]:
-        problems.append((f"{path}.centers", f"{net.l} centers listed but l = {record['l']!r}"))
-        return None
-    return net
+def _rbf(values) -> tuple:
+    """The rbf record's format: a default lattice spans the plant order,
+    unknown when the plant failed."""
+    plant = values.get("plant")
+    return (functools.partial(RbfNetwork.read, dims=plant.n if plant else None),
+            plain("l", "centers", "widths"))
 
 
-_TOP_KEYS = tuple(f.name for f in dataclasses.fields(RunConfig))
-_TOP_REQUIRED = (
-    "plant", "constraints", "rbf", "gains", "observer_gains", "reference", "initial_x",
-)
+_RUN = (RunConfig, (("plant", "plant", _PLANT), ("constraints", "constraints", _CONSTRAINTS),
+                    ("rbf", "rbf", _rbf), ("gains", "gains", _GAINS), *plain("observer_gains"),
+                    ("reference", "reference", SIGNALS),
+                    *plain("initial_x", "horizon", "step", "decimation", "output_path")))
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a JSON run configuration.
 
-    Checks the document's shape and hands the values to the component
-    constructors and to RunConfig, which check them. Raises ConfigError
-    carrying (path, message) diagnostics for every problem found, named
-    as the document names the field; unknown keys are errors. When a
-    component fails, the run-level fields are still checked, so both are
-    named in one attempt.
+    Reads the document as the record format _RUN: read_record checks its
+    shape and hands the values to the component constructors and to
+    RunConfig, which check them. Raises ConfigError carrying (path,
+    message) diagnostics for every problem found, named as the document
+    names the field; unknown keys are errors. When a component fails, the
+    run-level fields are still checked, so both are named in one attempt.
     """
-    problems = []
     try:
         doc = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer literal past the digit limit
         raise ConfigError([("(document)", f"malformed JSON: {exc}")]) from exc
-    if not isinstance(doc, dict):
-        raise ConfigError([("(document)", "expected a JSON object")])
-
-    if not check_keys(doc, "", _TOP_KEYS, _TOP_REQUIRED, problems):
+    problems = []
+    config = read_record(doc, "", _RUN, problems)
+    if config is None:
         raise ConfigError(problems)
-
-    plant = read_record(doc["plant"], "plant", _PLANT, problems)
-    components = dict(
-        plant=plant,
-        constraints=read_record(doc["constraints"], "constraints", _CONSTRAINTS, problems),
-        rbf=_parse_rbf(doc["rbf"], plant.n if plant else None, problems),
-        gains=read_record(doc["gains"], "gains", _GAINS, problems),
-        reference=read_record(doc["reference"], "reference", SIGNALS, problems),
-    )
-    if problems:
-        check_run_fields(doc, problems)
-        raise ConfigError(problems)
-    return RunConfig(**{**doc, **components})
+    return config
 
 
 def config_to_dict(config: RunConfig) -> dict:
-    """Serialize a RunConfig back to its JSON document form."""
-    doc = {
-        "plant": write_record(config.plant, _PLANT),
-        "constraints": write_record(config.constraints, _CONSTRAINTS),
-        "rbf": {
-            "l": config.rbf.l,
-            "centers": config.rbf.centers.tolist(),
-            "widths": config.rbf.widths.tolist(),
-        },
-        "gains": write_record(config.gains, _GAINS),
-        "observer_gains": list(config.observer_gains),
-        "reference": write_record(config.reference, SIGNALS),
-        "horizon": config.horizon,
-        "step": config.step,
-        "decimation": config.decimation,
-        "initial_x": list(config.initial_x),
-    }
-    if config.output_path is not None:
-        doc["output_path"] = config.output_path
-    return doc
+    """Serialize a RunConfig back to its JSON document form, with every
+    field written: an unset output_path as None (JSON null)."""
+    return write_record(config, _RUN)
 
 
 def paper_sec6_path() -> str:
@@ -200,7 +156,8 @@ def emit_report(outcome) -> str:
     n = cfg.plant.n
     passed = verdict_code(result) == 0
     t, z1 = result.records.columns(["t", "z1"]).T
-    tail_start = t[-1] / 2.0 if len(t) else 0.0
+    end = t[-1] if len(t) else 0.0  # the last accepted time, round(horizon / step) steps in
+    tail_start = end / 2.0
 
     early = np.abs(z1[t <= 2.0])
     late = np.abs(z1[t >= tail_start])
@@ -219,7 +176,7 @@ def emit_report(outcome) -> str:
     lines.append(_ratio_line("max |eps_hat_i|", m.max_abs_eps_hat))
     lines.append(_ratio_line("max |d eps_hat_i/dt| (diagnostic)", m.max_abs_eps_hat_rate))
     lines.append(f"tracking transient decay: {'PASS' if transient_ok else 'FAIL'}")
-    lines.append(f"  rmse of y - y_d over [{tail_start:g}, {cfg.horizon:g}]: "
+    lines.append(f"  rmse of y - y_d over [{tail_start:g}, {end:g}]: "
                  f"{m.tracking_rmse_tail:.6g}")
     lines.append("")
 

@@ -218,36 +218,15 @@ def finite_field(record, name: str, problems: list, path: str | None = None):
     return value
 
 
-def check_keys(record, path: str, allowed, required, problems: list) -> bool:
-    """Whether record is an object with the required keys and no others;
-    records a problem for each key at fault."""
-    if not isinstance(record, dict):
-        problems.append((path, "expected an object"))
-        return False
-    prefix = f"{path}." if path else ""
-    missing = [(prefix + key, "missing required field") for key in required if key not in record]
-    unknown = [(prefix + key, "unknown key") for key in sorted(set(record) - set(allowed))]
-    problems += missing + unknown
-    return not (missing or unknown)
-
-
-def build(make, path: str, problems: list, *args, **kwargs):
-    """make(*args, **kwargs), or None after recording the problems it
-    names under the record's path."""
-    try:
-        return make(*args, **kwargs)
-    except ConfigError as exc:
-        problems += [(f"{path}.{p}" if p else path, m) for p, m in exc.problems]
-        return None
-
-
-# A record format is (class, fields), one (key, attribute, items) per JSON
-# key: the value is the constructor argument and the attribute so named,
-# and the key is optional exactly when the argument has a default. items is
-# None for a plain value, else the value lists records of the format items,
-# or tagged signals for SIGNALS, whose "kind" picks a format in _KINDS.
+# A record format is (make, fields), one (key, attribute, items) per JSON
+# key: the value is the argument of make and the attribute so named, and
+# the key is optional exactly when the argument has a default. items is
+# None for a plain value, a format for one nested record, [format] for a
+# list of records, or a function of the values read before it (by
+# attribute) that gives one of these. SIGNALS is the format of a tagged
+# signal, whose "kind" picks a format in _KINDS.
 SIGNALS = "tagged signal"
-_signature = functools.cache(inspect.signature)  # a format's required keys, per class
+_signature = functools.cache(inspect.signature)  # a format's required keys, per constructor
 
 
 def plain(*keys) -> tuple:
@@ -257,13 +236,15 @@ def plain(*keys) -> tuple:
 
 def read_record(record, path: str, format, problems: list):
     """The object the record at path describes, or None after recording a
-    problem for each key, item and value at fault. Each nested list is
-    read before the record gives up; a failed item goes to the constructor
-    as None, in its place, so the record's own values are still checked."""
+    problem for each key, item and value at fault. Every nested record is
+    read before the record gives up; a failed one goes to make as None, in
+    its place, so the record's own values are still checked. The
+    document's own path is empty: make's problems keep their names."""
+    if not isinstance(record, dict):
+        problems.append((path, "expected an object") if path
+                        else ("(document)", "expected a JSON object"))
+        return None
     if format is SIGNALS:
-        if not isinstance(record, dict):
-            problems.append((path, "expected an object"))
-            return None
         kind = record.get("kind")
         if not isinstance(kind, str) or kind not in _KINDS:
             problems.append((f"{path}.kind", f"unknown signal kind {kind!r}"))
@@ -271,22 +252,40 @@ def read_record(record, path: str, format, problems: list):
         format = _KINDS[kind]
         if format is not _SINUSOID:  # only a Sinusoid holds its kind as a field
             record = {key: value for key, value in record.items() if key != "kind"}
-    cls, fields = format
-    params = _signature(cls).parameters
-    required = [key for key, name, _ in fields if params[name].default is params[name].empty]
-    if not check_keys(record, path, [key for key, _, _ in fields], required, problems):
+    make, fields = format
+    params = _signature(getattr(make, "func", make)).parameters  # a partial's are its function's
+    prefix = f"{path}." if path else ""
+    missing = [(prefix + key, "missing required field") for key, name, _ in fields
+               if key not in record and params[name].default is params[name].empty]
+    unknown = [(prefix + key, "unknown key")
+               for key in sorted(set(record) - {key for key, _, _ in fields})]
+    if missing or unknown:
+        problems += missing + unknown
         return None
     values, lists_read = {}, True
     for key, attribute, items in fields:
-        if key in record and items is None:
-            values[attribute] = record[key]
-        elif key in record and isinstance(record[key], list):
-            values[attribute] = tuple(read_record(item, f"{path}.{key}[{i}]", items, problems)
-                                      for i, item in enumerate(record[key]))
-        elif key in record:
-            problems.append((f"{path}.{key}", "expected a list"))
+        if key not in record:
+            continue
+        value = record[key]
+        if callable(items):
+            items = items(values)
+        if items is None:
+            values[attribute] = value
+        elif not isinstance(items, list):
+            values[attribute] = read_record(value, prefix + key, items, problems)
+        elif isinstance(value, list):
+            values[attribute] = tuple(read_record(item, f"{prefix}{key}[{i}]", items[0], problems)
+                                      for i, item in enumerate(value))
+        else:
+            problems.append((prefix + key, "expected a list"))
             lists_read = False
-    return build(cls, path, problems, **values) if lists_read else None
+    if not lists_read:
+        return None
+    try:
+        return make(**values)
+    except ConfigError as exc:
+        problems += [(prefix + p if p else path, m) for p, m in exc.problems]
+        return None
 
 
 def write_record(obj, format) -> dict:
@@ -299,8 +298,16 @@ def write_record(obj, format) -> dict:
     record = {}
     for key, attribute, items in format[1]:
         value = getattr(obj, attribute)
-        record[key] = ([write_record(item, items) for item in value] if items is not None
-                       else list(value) if isinstance(value, tuple) else value)
+        if callable(items):
+            items = items(vars(obj))
+        if isinstance(items, list):
+            record[key] = [write_record(item, items[0]) for item in value]
+        elif items is not None:
+            record[key] = write_record(value, items)
+        elif isinstance(value, np.ndarray):  # an rbf's centers and widths
+            record[key] = value.tolist()
+        else:
+            record[key] = list(value) if isinstance(value, tuple) else value
     return record
 
 
@@ -309,7 +316,7 @@ _KINDS = {
     "constant": (Constant, plain("c")),
     "sin": _SINUSOID, "cos": _SINUSOID,
     "expdecay": (ExpDecay, plain("a", "b", "c")),
-    "sum": (SignalSum, (("terms", "terms", SIGNALS),)),
+    "sum": (SignalSum, (("terms", "terms", [SIGNALS]),)),
 }
 
 

@@ -26,7 +26,7 @@ from .observer import initial_dhat
 from .observer import dhat_rate_final, dhat_rate_inner  # noqa: F401
 from .approximator import RbfNetwork
 from .plant import PlantSpec
-from .signals import ConfigError, TimeSignal, finite_number, finite_numbers
+from .signals import ConfigError, TimeSignal, finite_field, finite_numbers
 
 
 class InfeasibleInitialCondition(RuntimeError):
@@ -59,11 +59,14 @@ _MAX_STEPS = 2 ** 53
 class RunConfig:
     """Everything one simulation run needs.
 
-    Valid by construction: __post_init__ checks the run-level fields
-    (through check_run_fields) and the relations between the components,
-    and raises ConfigError naming every field at fault. Each component
-    checks its own fields when it is built. The fields are frozen; build
-    a variant with dataclasses.replace, which checks it again.
+    Valid by construction: __post_init__ checks the run-level fields and
+    the relations between the components, and raises ConfigError naming
+    every field at fault, as the JSON document names it (".horizon",
+    "rbf.centers"). Each component checks its own fields when it is
+    built. A component given as None failed to build and was named by its
+    builder: the run-level fields are still checked, the relations are
+    not, and the run is not built. The fields are frozen; build a variant
+    with dataclasses.replace, which checks it again.
     """
 
     plant: PlantSpec
@@ -72,77 +75,56 @@ class RunConfig:
     gains: GainConfig
     observer_gains: tuple
     reference: TimeSignal
+    initial_x: tuple
     horizon: float = 20.0
     step: float = 1e-3
     decimation: int = 10
-    initial_x: tuple = ()
     output_path: str | None = None
 
     def __post_init__(self) -> None:
         problems = []
-        own = check_run_fields(vars(self), problems)
+        horizon = finite_field(self, "horizon", problems, ".horizon")
+        if horizon is not None and horizon < 0:
+            problems.append((".horizon", f"must be >= 0, got {horizon}"))
+        step = finite_field(self, "step", problems, ".step")
+        if step is not None and not step > 0:
+            problems.append((".step", f"must be > 0, got {step}"))
+        if not problems and horizon / step > _MAX_STEPS:
+            message = f"horizon / step = {horizon / step:.6g} steps, more than 2**53"
+            problems += [(".horizon", message), (".step", message)]
+        decimation = self.decimation
+        if isinstance(decimation, bool) or not isinstance(decimation, int):
+            problems.append((".decimation", f"expected an integer, got {decimation!r}"))
+        elif decimation < 1:
+            problems.append((".decimation", f"must be >= 1, got {decimation}"))
+        if self.output_path is not None and not isinstance(self.output_path, str):
+            problems.append((".output_path", f"expected a string, got {self.output_path!r}"))
+        observer_gains = finite_numbers(self.observer_gains, ".observer_gains", problems)
+        problems += [(f".observer_gains[{i}]", f"must be > 0, got {g}")
+                     for i, g in enumerate(observer_gains or ()) if not g > 0]
+        limit = 2.0 ** 256  # the controller takes the last gain's fourth power, a float below this
+        if observer_gains and observer_gains[-1] >= limit:
+            problems.append((f".observer_gains[{len(observer_gains) - 1}]",
+                             f"must be below {limit:.6g}, got {observer_gains[-1]}"))
+        initial_x = finite_numbers(self.initial_x, ".initial_x", problems)
+        if None in (self.plant, self.constraints, self.rbf, self.gains, self.reference):
+            raise ConfigError(problems)
         n = self.plant.n
         if self.constraints.n != n:
             problems.append(("constraints.Psi", f"{self.constraints.n} levels for a plant of order {n}"))
         if len(self.gains.k) != n:
             problems.append(("gains.k", f"need {n} gains, got {len(self.gains.k)}"))
-        if own["observer_gains"] is not None and len(own["observer_gains"]) != n:
-            problems.append((".observer_gains", f"need {n} gains, got {len(own['observer_gains'])}"))
-        if own["initial_x"] is not None and len(own["initial_x"]) != n:
-            problems.append((".initial_x", f"need {n} entries, got {len(own['initial_x'])}"))
+        if observer_gains is not None and len(observer_gains) != n:
+            problems.append((".observer_gains", f"need {n} gains, got {len(observer_gains)}"))
+        if initial_x is not None and len(initial_x) != n:
+            problems.append((".initial_x", f"need {n} entries, got {len(initial_x)}"))
         if self.rbf.n != n:
             problems.append(("rbf.centers", f"centers have dimension {self.rbf.n}, "
                                             f"expected the plant order {n}"))
         if problems:
             raise ConfigError(problems)
-        for name, value in own.items():
-            object.__setattr__(self, name, value)
-
-
-def check_run_fields(fields: dict, problems: list) -> dict:
-    """RunConfig's checks on its run-level fields, the ones that need no
-    component.
-
-    fields maps names to values, a RunConfig's or a JSON document's; a
-    run-level field left out takes its default. Appends a (path, message)
-    problem for each field at fault and returns the checked numbers as
-    RunConfig keeps them.
-    """
-    horizon = step = None
-    before = len(problems)
-    try:
-        horizon = finite_number(fields.get("horizon", RunConfig.horizon))
-        if horizon < 0:
-            problems.append((".horizon", f"must be >= 0, got {horizon}"))
-    except ValueError as exc:
-        problems.append((".horizon", str(exc)))
-    try:
-        step = finite_number(fields.get("step", RunConfig.step))
-        if not step > 0:
-            problems.append((".step", f"must be > 0, got {step}"))
-    except ValueError as exc:
-        problems.append((".step", str(exc)))
-    if len(problems) == before and horizon / step > _MAX_STEPS:  # both are valid here
-        message = f"horizon / step = {horizon / step:.6g} steps, more than 2**53"
-        problems += [(".horizon", message), (".step", message)]
-    decimation = fields.get("decimation", RunConfig.decimation)
-    if isinstance(decimation, bool) or not isinstance(decimation, int):
-        problems.append((".decimation", f"expected an integer, got {decimation!r}"))
-    elif decimation < 1:
-        problems.append((".decimation", f"must be >= 1, got {decimation}"))
-    output_path = fields.get("output_path", RunConfig.output_path)
-    if output_path is not None and not isinstance(output_path, str):
-        problems.append((".output_path", f"expected a string, got {output_path!r}"))
-    observer_gains = finite_numbers(fields["observer_gains"], ".observer_gains", problems)
-    problems += [(f".observer_gains[{i}]", f"must be > 0, got {g}")
-                 for i, g in enumerate(observer_gains or ()) if not g > 0]
-    limit = 2.0 ** 256  # the controller takes the last gain's fourth power, a float below this
-    if observer_gains and observer_gains[-1] >= limit:
-        problems.append((f".observer_gains[{len(observer_gains) - 1}]",
-                         f"must be below {limit:.6g}, got {observer_gains[-1]}"))
-    initial_x = finite_numbers(fields.get("initial_x", RunConfig.initial_x), ".initial_x", problems)
-    return {"horizon": horizon, "step": step, "observer_gains": observer_gains,
-            "initial_x": initial_x}
+        object.__setattr__(self, "observer_gains", observer_gains)
+        object.__setattr__(self, "initial_x", initial_x)
 
 
 @dataclass

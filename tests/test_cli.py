@@ -1,9 +1,10 @@
 import hashlib
+import inspect
 import io
 import json
 import math
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,8 @@ import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
 
 import blfstep
+from blfstep import cli, signals
+from blfstep.approximator import RbfNetwork
 from blfstep.cli import (
     ConfigError,
     config_to_dict,
@@ -21,6 +24,10 @@ from blfstep.cli import (
     parse_config,
     verdict_code,
 )
+from blfstep.signals import SIGNALS, ExpDecay, SignalSum, Sinusoid
+from blfstep.simengine import RunConfig
+
+from test_simengine import third_order_config
 
 
 def sec6_text():
@@ -52,8 +59,17 @@ class TestParse:
     def test_empty_document_names_missing_fields(self):
         with pytest.raises(ConfigError) as err:
             parse_config("{}")
-        assert any(path == "plant" for path, _ in err.value.problems)
+        assert [path for path, _ in err.value.problems] == [
+            "plant", "constraints", "rbf", "gains", "observer_gains", "reference", "initial_x"]
         assert all(msg == "missing required field" for _, msg in err.value.problems)
+
+    def test_null_centers_and_widths_are_not_the_lattice(self):
+        doc = json.loads(sec6_text())
+        doc["rbf"] = {"l": 12, "centers": None, "widths": None}
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(doc))
+        assert err.value.problems == [("rbf.centers", "expected a list of rows, got None"),
+                                      ("rbf.widths", "expected a list of numbers, got None")]
 
     def test_zero_beta_rejected_with_key(self):
         doc = json.loads(sec6_text())
@@ -97,6 +113,59 @@ class TestParse:
         assert (again.horizon, again.step, again.decimation) == (
             cfg.horizon, cfg.step, cfg.decimation)
         assert again.initial_x == cfg.initial_x
+
+    def test_round_trip_of_every_field_kind(self):
+        # explicit centers, a sum signal, a third-order plant and an output path
+        base = third_order_config()
+        cfg = replace(base, rbf=RbfNetwork(base.rbf.centers.tolist(), [1.5] * base.rbf.l),
+                      reference=SignalSum((Sinusoid(0.3, 0.5), ExpDecay(0.1, 2.0, 0.0))),
+                      output_path="run.csv")
+        doc = config_to_dict(cfg)
+        again = parse_config(json.dumps(doc))
+        _assert_same_config(again, cfg)
+        assert config_to_dict(again) == doc
+        assert doc["reference"]["kind"] == "sum" and doc["output_path"] == "run.csv"
+
+    def test_unset_output_path_is_written_as_null(self, sec6_config):
+        doc = config_to_dict(sec6_config)
+        assert doc["output_path"] is None
+        assert parse_config(json.dumps(doc)).output_path is None
+
+
+def _formats():
+    """Every record format the run document uses, _RUN first. The rbf
+    format is taken without a plant."""
+    found, todo = {}, [cli._RUN]
+    while todo:
+        format = todo.pop(0)
+        if id(format) in found:
+            continue
+        found[id(format)] = format
+        for _, _, items in format[1]:
+            if callable(items):
+                items = items({})
+            if isinstance(items, list):
+                (items,) = items
+            if items is SIGNALS:
+                todo += signals._KINDS.values()
+            elif items is not None:
+                todo.append(items)
+    return list(found.values())
+
+
+def test_run_format_names_each_run_config_field_once():
+    attributes = [attribute for _, attribute, _ in cli._RUN[1]]
+    assert sorted(attributes) == sorted(f.name for f in fields(RunConfig))
+
+
+@pytest.mark.parametrize("format", _formats(), ids=lambda f: getattr(f[0], "__name__", "rbf"))
+def test_format_names_every_constructor_parameter(format):
+    make, record_fields = format
+    bound = getattr(make, "keywords", {})  # what the format fixes, not the document
+    params = [name for name in inspect.signature(make).parameters if name not in bound]
+    attributes = [attribute for _, attribute, _ in record_fields]
+    assert sorted(attributes) == sorted(params)
+    assert len({key for key, _, _ in record_fields}) == len(record_fields)
 
 
 class TestCsv:
@@ -439,6 +508,18 @@ def test_record_problems_named_at_their_path(changes, problems):
     with pytest.raises(ConfigError) as err:
         parse_config(json.dumps(doc))
     assert err.value.problems == problems
+
+
+def test_rmse_window_ends_at_the_last_accepted_time(tmp_path, capsys):
+    # round(1.0006 / 1e-3) = 1001 steps: the run ends at t = 1001 * 1e-3, past the horizon
+    doc = {**json.loads(sec6_text()), "horizon": 1.0006}
+    path, out = tmp_path / "doc.json", tmp_path / "run.csv"
+    path.write_text(json.dumps(doc))
+    main(["simulate", str(path), "--out", str(out)])
+    last = float(out.read_text().splitlines()[-1].split(",")[0])
+    assert last == 1001 * 1e-3
+    assert f"  rmse of y - y_d over [0.5005, {last:g}]: " in capsys.readouterr().out
+    assert f"{last:g}" == "1.001"
 
 
 def _sec6_run(horizon):

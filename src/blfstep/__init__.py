@@ -57,6 +57,7 @@ from .simengine import (
     RunConfig,
     RunMetrics,
     SimResult,
+    pass_source,
     rk4_step,
     run,
 )

@@ -106,12 +106,6 @@ class RbfNetwork:
         self.widths = widths
         # -d/b is computed as d/(-b): IEEE division rounds both alike
         self._neg_widths = -widths
-        # A float-weight network over two axes computes its basis on Python
-        # floats, from each node's (c1, c2, -b); past two axes the array
-        # form is the faster one.
-        self._float_nodes = None
-        if self.float_weights and self.n == 2:
-            self._float_nodes = list(zip(*centers.T.tolist(), self._neg_widths.tolist()))
 
     @property
     def l(self) -> int:
@@ -170,16 +164,12 @@ class RbfNetwork:
         """Basis vector at input zbar, a sequence of floats; every
         component lies in (0, 1].
 
-        The float form rounds as the array form does: numpy sums a row of
-        fewer than 8 squared distances one after another, here d1 + d2.
-        np.exp stays numpy, whose results differ from math.exp's.
+        numpy sums a row of fewer than 8 squared distances one after
+        another, so the generated pass's two-axis float form, np.exp of
+        the list of ((c1 - x1)^2 + (c2 - x2)^2) / (-b), rounds alike.
         """
-        if self._float_nodes is None:
-            diff = self.centers - np.asarray(zbar, dtype=float)
-            return np.exp(np.add.reduce(diff * diff, axis=1) / self._neg_widths)
-        x1, x2 = zbar
-        return np.exp([((a - x1) * (a - x1) + (b - x2) * (b - x2)) / nb
-                       for a, b, nb in self._float_nodes])
+        diff = self.centers - np.asarray(zbar, dtype=float)
+        return np.exp(np.add.reduce(diff * diff, axis=1) / self._neg_widths)
 
     def norm_bound(self) -> float:
         """Upper bound on ||basis(zbar)||: sqrt(l), since each component <= 1."""

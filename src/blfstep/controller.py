@@ -23,6 +23,10 @@ behaved trajectories; releasing the reserve at the envelope's own
 initial contraction rate keeps the error tube positive whenever the
 initial split is feasible (A_{i-1} < Psi_i(0)). Positivity is still
 re-checked every step through the barrier evaluation.
+
+The pass itself is generated per cascade from its constants and
+compiled once (see passgen): BacksteppingCascade._eval and step call it
+without a plant, and a run calls it with the plant as its closed loop.
 """
 
 from __future__ import annotations
@@ -34,11 +38,12 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .approximator import RbfNetwork
-from .barrier import BarrierViolation, blf_value
-# _eval inlines these helpers; they stay bound here because
-# bench/tracing.py counts the barrier and observer layers through them.
+from .barrier import blf_value
+# The generated pass inlines these helpers; they stay bound here because
+# bench/tracing.py patches the barrier and observer layers through them.
 from .barrier import damped_inverse, nussbaum, q_value  # noqa: F401
 from .observer import estimate  # noqa: F401
+from .passgen import compile_pass
 from .signals import ConfigError, TimeSignal, finite_field, finite_numbers
 
 
@@ -205,11 +210,14 @@ class BacksteppingCascade:
     virtual control of level i feeds the error coordinate of level i+1
     with no time lag.
 
-    The time-only signals y_d(t), Psi_i(t), psi_i(t) and dpsi_i/dt are
-    kept in a one-entry memo keyed on the float t (see time_signals).
-    They are a pure function of t, so a repeat call at the same t reuses
-    them unchanged and the cascade stays pure: repeat calls with the same
-    inputs give identical outputs, whatever was evaluated in between.
+    The map is the generated pass (see passgen); _eval and step are its
+    entry points here. The time-only signals y_d(t), Psi_i(t), psi_i(t)
+    and dpsi_i/dt are kept in a one-entry memo keyed on the float t (see
+    time_signals), and a compiled pass starts from it and then keeps its
+    own. They are a pure function of t, so a repeat call at the same t
+    reuses them unchanged and the cascade stays pure: repeat calls with
+    the same inputs give identical outputs, whatever was evaluated in
+    between.
     """
 
     def __init__(self, reference: TimeSignal, constraints: ConstraintConfig,
@@ -229,15 +237,10 @@ class BacksteppingCascade:
                 raise ControllerError(f"observer gain k_eps[{i + 1}] must be > 0, got {g}")
         if rbf.n != self.n:
             raise ControllerError(f"approximator input dimension {rbf.n} does not match order {self.n}")
-        # The per-run constants of the pass, bound once: (k_i, k_eps_i) per
-        # level, the final level's reciprocal term and the weight law.
-        self._level_gains = tuple(zip(gains.k, self.observer_gains))
-        self._reciprocal = (gains.delta, self.observer_gains[-1] ** 4 / 8.0)
-        self._weight_law = (gains.lam, self.observer_gains[-1] ** 2, gains.eta)
-        self._float_weights = rbf.float_weights
         self.layout = RecordLayout(self.n, rbf.l)
         self._memo_t = None
         self._memo = None
+        self._pass = None  # the generated cascade pass, compiled by the first _eval
 
     def initial_errors(self, x0) -> np.ndarray:
         """Error coordinates at t = 0 for a run started at rest.
@@ -255,10 +258,10 @@ class BacksteppingCascade:
         """(y_d(t), Psi, psi, psi_rate), the last three tuples over the
         levels of Psi_i(t), psi_i(t) and dpsi_i/dt(t).
 
-        Computed once per distinct t and reused while t repeats, as it
-        does across an RK4 step (k1, the kept row and the run's
-        metrics share t, k2 and k3 share t + h/2). A t that differs in
-        the last bit is a new time.
+        Computed once per distinct t and reused while t repeats. A t that
+        differs in the last bit is a new time. A run reads the t = 0
+        signals here before it compiles its pass, which starts from this
+        memo.
         """
         if t != self._memo_t:
             levels = [self.constraints.level_signals(i, t) for i in range(self.n)]
@@ -267,80 +270,37 @@ class BacksteppingCascade:
         return self._memo
 
     def _eval(self, t: float, x, dhat, zeta, theta):
-        """Cascade pass; returns (z, q, eps_hat, alpha, v, u, zeta_rate,
-        theta_rate, nn_out, weights) with per-level lists of floats.
-        theta_rate is a list of floats for a float-weight network (see
-        RbfNetwork.float_weights) and an array beyond; weights is theta as
-        one float64 array, the one the pass's dot reads.
+        """Cascade pass; returns its outputs (z, q, eps_hat, alpha, v, u,
+        zeta_rate, theta_rate, nn_out, weights, y_d, Psi, psi), as
+        passgen describes them.
 
-        x, dhat and zeta are sequences of floats (lists in a run; arrays
-        give the same bits). theta is a sequence of floats for a
-        float-weight network and an array beyond. The scalar work runs on
-        Python floats, which round exactly as numpy float64 scalars and
-        elementwise array operations do. The barrier factor, the
-        estimate, the gain search and the damped inverse are written out
-        here as barrier.py and observer.py state them.
+        x, dhat and zeta are sequences of floats (arrays give the same
+        bits). theta is a sequence of floats for a float-weight network
+        (see RbfNetwork.float_weights) and an array beyond. The pass is
+        the generated one (see passgen), without a plant, compiled at the
+        first call.
         """
-        last = self.n - 1
-        phi = self.rbf.basis(x)
-        weights = np.asarray(theta, dtype=float)
-        v_prev, _, psis, psi_rates = self.time_signals(t)
-        z = []
-        q = []
-        eps_hat = []
-        alpha = []
-        zeta_rate = []
-        v = []
-        u = 0.0
-        nn_out = 0.0
-        for i, (ki, gi) in enumerate(self._level_gains):
-            zi = x[i] - v_prev
-            psi = psis[i]
-            if not (abs(zi) < psi):
-                raise BarrierViolation(zi, psi, level=i + 1, t=t)
-            qi = zi / ((psi - zi) * (psi + zi))
-            ei = dhat[i] + gi * zi
-            wall_rate = (zi / psi) * psi_rates[i]
-            search = zeta[i]
-            gain = search * search * math.cos(search)
-            if i < last:
-                ai = ki * zi + ei + qi - wall_rate
-                v_prev = gain * ai
-                v.append(v_prev)
-            else:
-                delta, reciprocal_gain = self._reciprocal
-                nn_out = float(weights.dot(phi))  # the BLAS dot that theta @ phi calls
-                ai = (ki * zi + ei + 0.5 * qi - wall_rate + nn_out
-                      + qi / (qi * qi + delta) * reciprocal_gain)
-                u = gain * ai
-            z.append(zi)
-            q.append(qi)
-            eps_hat.append(ei)
-            alpha.append(ai)
-            zeta_rate.append(qi * ai)
-        lam, kn_sq, eta = self._weight_law
-        qn = q[last]
-        if self._float_weights:
-            theta_rate = [lam * (qn * p - kn_sq * w - eta * w) for p, w in zip(phi.tolist(), theta)]
-        else:
-            theta_rate = lam * (qn * phi - kn_sq * weights - eta * weights)
-        return z, q, eps_hat, alpha, v, u, zeta_rate, theta_rate, nn_out, weights
+        if self._pass is None:
+            self._pass = compile_pass(self)
+        s = [*x, *dhat, *zeta, *theta] if self.rbf.float_weights else [*x, *dhat, *zeta, theta]
+        outputs = []
+        self._pass(t, s, False, outputs)
+        return outputs
 
     def step(self, t: float, x, dhat, zeta, theta) -> StepRecord:
         """Full controller record at one instant (pure; repeat calls with
         the same inputs produce identical records)."""
         row = np.empty(self.layout.width)
         outputs = self._eval(t, x, dhat, zeta, theta)
-        weights = outputs[-1]
+        weights = outputs[9]
         self.write_row(row, t, [*x, *dhat, *zeta], outputs, math.sqrt(weights.dot(weights)))
         return self.layout.read(row)
 
     def write_row(self, row: np.ndarray, t: float, s, outputs, theta_norm: float) -> None:
         """Fill a record-table row at t from the augmented state s (its
         3n floats x, dhat, zeta come first; the weights are read from
-        outputs), the outputs _eval returned for it and ||theta||."""
-        z, q, eps_hat, alpha, v, u, zeta_rate, theta_rate, _, weights = outputs
-        y_d, bounds, psis, _ = self.time_signals(t)
+        outputs), the outputs of a pass at it and ||theta||."""
+        z, q, eps_hat, alpha, v, u, zeta_rate, theta_rate, _, weights, y_d, bounds, psis = outputs
         energy = 0.0
         for i in range(self.n):
             energy += blf_value(z[i], psis[i])

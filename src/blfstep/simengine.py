@@ -3,10 +3,12 @@
 The augmented state stacks the plant state x, the observer auxiliary
 states dhat, the gain-search states zeta, and the approximator weights
 theta, 3n + l numbers, into one list (see ClosedLoop for its layout),
-integrated with classic fourth-order Runge-Kutta at a fixed step. The
-barrier preconditions are checked at every stage evaluation, not just at
-accepted steps, because a stage state outside an envelope makes the
-controller math undefined.
+integrated with classic fourth-order Runge-Kutta at a fixed step. Each
+run compiles one closed-loop pass from its configuration (see passgen)
+and calls it at every time point and RK4 stage; pass_source gives its
+text. The barrier preconditions are checked at every stage evaluation,
+not just at accepted steps, because a stage state outside an envelope
+makes the controller math undefined.
 Runs are deterministic: the same configuration produces bit-identical
 results.
 """
@@ -21,10 +23,11 @@ import numpy as np
 from .barrier import BarrierViolation
 from .controller import BacksteppingCascade, ConstraintConfig, GainConfig, Records
 from .observer import initial_dhat
-# ClosedLoop.rate inlines the observer rates; they stay bound here because
-# bench/tracing.py counts the observer layer through them.
+# The generated pass inlines the observer rates; they stay bound here
+# because bench/tracing.py patches the observer layer through them.
 from .observer import dhat_rate_final, dhat_rate_inner  # noqa: F401
 from .approximator import RbfNetwork
+from .passgen import compile_pass, generate
 from .plant import PlantSpec
 from .signals import ConfigError, TimeSignal, finite_field, finite_numbers
 
@@ -99,6 +102,8 @@ class RunConfig:
             problems.append((".decimation", f"must be >= 1, got {decimation}"))
         if self.output_path is not None and not isinstance(self.output_path, str):
             problems.append((".output_path", f"expected a string, got {self.output_path!r}"))
+        elif self.output_path == "":  # not a path; unset is null
+            problems.append((".output_path", "expected a file path, got an empty string"))
         observer_gains = finite_numbers(self.observer_gains, ".observer_gains", problems)
         problems += [(f".observer_gains[{i}]", f"must be > 0, got {g}")
                      for i, g in enumerate(observer_gains or ()) if not g > 0]
@@ -197,9 +202,11 @@ class ClosedLoop:
     RbfNetwork.float_weights) and otherwise as one float64 array, the
     list's last entry. A rate has the same layout.
 
-    The disturbance values d_i(t) are kept in a one-entry memo keyed on
-    the float t, as the cascade keeps its time signals, so each is
-    evaluated once per distinct stage time.
+    compiled_pass is the loop's generated pass (see passgen), compiled
+    when the loop is built: compiled_pass(t, s) is ds/dt, and with a list
+    as outputs it also gives the pass's outputs. It keeps the disturbance
+    values d_i(t) of the last distinct t, as the cascade keeps its time
+    signals, so each is evaluated once per distinct stage time.
     """
 
     def __init__(self, plant: PlantSpec, cascade: BacksteppingCascade):
@@ -209,9 +216,7 @@ class ClosedLoop:
         self.l = cascade.rbf.l
         self.dim = 3 * self.n + self.l
         self.float_weights = cascade.rbf.float_weights
-        self._neg_kobs = [-g for g in cascade.observer_gains]
-        self._memo_t = None
-        self._memo = None
+        self.compiled_pass = compile_pass(cascade, plant)
 
     def state(self, x, dhat, zeta, theta) -> list:
         """The augmented state in this loop's layout, from its four parts."""
@@ -227,35 +232,16 @@ class ClosedLoop:
         return all(map(math.isfinite, s[:-1])) and bool(np.isfinite(s[-1]).all())
 
     def derivative(self, t: float, s: list) -> list:
-        """ds/dt at (t, s), from one cascade pass."""
-        return self.rate(t, s, self.cascade_pass(t, s))
+        """ds/dt at (t, s), from one pass."""
+        return self.compiled_pass(t, s)
 
-    def cascade_pass(self, t: float, s: list):
-        """The outputs of the cascade pass at (t, s)."""
-        n = self.n
-        theta = s[3 * n:] if self.float_weights else s[3 * n]
-        return self.cascade._eval(t, s[:n], s[n:2 * n], s[2 * n:3 * n], theta)
 
-    def rate(self, t: float, s: list, outputs) -> list:
-        """ds/dt at t from cascade_pass's outputs at the state s."""
-        _, _, eps_hat, _, _, u, zeta_rate, theta_rate, nn_out, _ = outputs
-        n = self.n
-        if t != self._memo_t:
-            self._memo = [sig.value(t) for sig in self.plant.disturbances]
-            self._memo_t = t
-        # the observer rates -k_i (x_{i+1} + eps_hat_i) and, at the last
-        # level, -k_n (nn_out + u + eps_hat_n), as observer.py states them
-        neg_kobs = self._neg_kobs
-        head = self.plant.rhs(t, s[:n], u, self._memo)
-        for i in range(n - 1):
-            head.append(neg_kobs[i] * (s[i + 1] + eps_hat[i]))
-        head.append(neg_kobs[n - 1] * (nn_out + u + eps_hat[n - 1]))
-        head += zeta_rate
-        if self.float_weights:
-            head += theta_rate
-        else:
-            head.append(theta_rate)
-        return head
+def pass_source(config: RunConfig) -> str:
+    """The source of the pass a run of config compiles (see passgen)."""
+    cascade = BacksteppingCascade(
+        config.reference, config.constraints, config.gains, config.observer_gains, config.rbf
+    )
+    return generate(cascade, config.plant)
 
 
 def run(config: RunConfig) -> SimResult:
@@ -267,22 +253,23 @@ def run(config: RunConfig) -> SimResult:
     the state leaves the representable range or a step's arithmetic fails
     (an overflow, or sin or cos of inf). Never continues past a violation.
 
-    Each time point makes one cascade pass; the metrics, for the kept
-    steps one row of the record table, and the next step's k1 are built
-    from it and from the cascade's time signals at that time. A run of N
-    steps makes 4N + 1 passes.
+    Each time point makes one pass of the compiled closed loop; the
+    metrics, for the kept steps one row of the record table, and the next
+    step's k1 come from it. rk4_step calls the same pass at the three
+    later stages, so a run of N steps makes 4N + 1 passes.
     """
     cascade = BacksteppingCascade(
         config.reference, config.constraints, config.gains, config.observer_gains, config.rbf
     )
-    loop = ClosedLoop(config.plant, cascade)
-    n, l = loop.n, loop.l
-    h = config.step
-
     z0 = cascade.initial_errors(config.initial_x)
     for i, psi0 in enumerate(cascade.time_signals(0.0)[2]):
         if not (abs(z0[i]) < psi0):
             raise InfeasibleInitialCondition(i + 1, z0[i], psi0)
+
+    # built after the t = 0 signals were read: the pass starts from them
+    loop = ClosedLoop(config.plant, cascade)
+    n, l = loop.n, loop.l
+    h = config.step
 
     s = loop.state(config.initial_x, initial_dhat(config.observer_gains, z0), np.zeros(n),
                    np.zeros(l))
@@ -308,16 +295,17 @@ def run(config: RunConfig) -> SimResult:
     tail_count = 0
     prev_eps_hat = None
 
-    deriv = loop.derivative
+    closed_loop_pass = loop.compiled_pass
+    outputs = []
     try:
         for k in range(steps + 1):
             t = k * h
-            outputs = loop.cascade_pass(t, s)
-            z, _, eps_hat, _, v, u, _, _, _, weights = outputs
+            # no step follows the last time point, so no rate is taken there
+            k1 = closed_loop_pass(t, s, k < steps, outputs)
+            z, _, eps_hat, _, v, u, _, _, _, weights, y_d, bounds, envelopes = outputs
             x = s[:n]
             zeta = s[2 * n:3 * n]
 
-            y_d, bounds, envelopes, _ = cascade.time_signals(t)
             if abs(y_d) > max_abs_y_d:
                 max_abs_y_d = abs(y_d)
             for i in range(n):
@@ -357,9 +345,9 @@ def run(config: RunConfig) -> SimResult:
                 cascade.write_row(table[kept], t, s, outputs, theta_norm)
                 kept += 1
 
-            if k == steps:  # no step follows, so no rate is needed
+            if k == steps:
                 break
-            s = rk4_step(deriv, t, s, h, loop.rate(t, s, outputs))
+            s = rk4_step(closed_loop_pass, t, s, h, k1)
             if not loop.finite(s):
                 raise NonFiniteState((k + 1) * h)
     except BarrierViolation as exc:

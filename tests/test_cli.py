@@ -430,6 +430,19 @@ def test_nested_signal_error_names_its_field(mutate, field, tmp_path, capsys):
         f"{field}: exponential rate must be >= 0 for boundedness, got -0.5"], lines
 
 
+def test_empty_output_path_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # "" is no path; before it was read as unset, and the run wrote no CSV
+    doc = {**json.loads(sec6_text()), "horizon": 0.1, "output_path": ""}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "  .output_path: expected a file path, got an empty string" in captured.err.splitlines()
+    assert "verdict" not in captured.out
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+
 def test_integer_literal_past_the_digit_limit_is_config_error():
     # json.loads raises a plain ValueError past the int conversion limit
     text = sec6_text().replace('"eta": 4.0', '"eta": 1' + "0" * 5000)

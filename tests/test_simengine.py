@@ -1,4 +1,5 @@
 import math
+import traceback
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
@@ -424,7 +425,8 @@ INVALID_RUN_FIELDS = {
     "step": _BAD_NUMBER | st.floats(max_value=0.0) | st.floats(5e-324, 1e-16),
     "decimation": (st.none() | st.booleans() | st.integers(max_value=0) | st.floats()
                    | st.text(max_size=3)),
-    "output_path": st.booleans() | st.integers() | st.floats() | st.lists(st.text(max_size=2)),
+    "output_path": (st.just("") | st.booleans() | st.integers() | st.floats()
+                    | st.lists(st.text(max_size=2))),
     "initial_x": _bad_vector(positive=False),
     "observer_gains": _bad_vector(positive=True),
 }
@@ -483,19 +485,30 @@ def test_component_rejects_a_field_that_is_not_a_number(sec6_config, make, value
     assert field in [path for path, _ in err.value.problems]
 
 
-# One cascade pass per time point: the metrics, the kept records and the
-# next step's k1 come from the same pass, so N steps make 4N + 1 passes.
+# One pass per time point: the metrics, the kept records and the next
+# step's k1 come from the same pass, so N steps make 4N + 1 passes. The
+# passes are counted by wrapping the pass the run compiles.
+
+def counting_compile(monkeypatch, count):
+    """Make every loop's compiled pass call count(t, rate) first."""
+    compile_pass = simengine.compile_pass
+
+    def compile_counted(*args):
+        closed_loop_pass = compile_pass(*args)
+
+        def counted(t, s, rate=True, outputs=None):
+            count(t, rate)
+            return closed_loop_pass(t, s, rate, outputs)
+
+        return counted
+
+    monkeypatch.setattr(simengine, "compile_pass", compile_counted)
+
 
 def test_flagship_makes_one_cascade_pass_per_time_point_and_four_per_step(sec6_config,
                                                                           monkeypatch):
     calls = []
-    original = BacksteppingCascade._eval
-
-    def counted(self, *args):
-        calls.append(args[0])
-        return original(self, *args)
-
-    monkeypatch.setattr(BacksteppingCascade, "_eval", counted)
+    counting_compile(monkeypatch, lambda t, rate: calls.append(t))
     run(replace(sec6_config, horizon=0.2))
     assert len(calls) == 200 * 4 + 1
 
@@ -505,18 +518,32 @@ def test_no_rate_is_taken_at_the_last_time_point(sec6_config, monkeypatch):
     # drift that would overflow there cannot fail a completed run
     cfg = replace(sec6_config, horizon=0.2)
     calls = []
-    original = PlantSpec.rhs
 
-    def rhs(self, *args):
-        calls.append(args[0])
-        if len(calls) > 200 * 4:  # any rate past the four per step
-            raise OverflowError("drift past the double range")
-        return original(self, *args)
+    def count(t, rate):
+        if rate:
+            calls.append(t)
+            if len(calls) > 200 * 4:  # any rate past the four per step
+                raise OverflowError("drift past the double range")
 
-    monkeypatch.setattr(PlantSpec, "rhs", rhs)
+    counting_compile(monkeypatch, count)
     res = run(cfg)
     assert len(calls) == 200 * 4
     assert res.times[-1] == 200 * cfg.step
+
+
+def test_a_crossing_is_raised_from_the_line_pass_source_shows(sec6_config):
+    # the run compiles pass_source(config) under a filename that names it;
+    # a constant push d1 = 5 carries level 2 across its envelope
+    cfg = replace(sec6_config, horizon=0.3, plant=replace(
+        sec6_config.plant, disturbances=(Constant(5.0), sec6_config.plant.disturbances[1])))
+    with pytest.raises(blfstep.BarrierViolation) as err:
+        run(cfg)
+    assert (err.value.level, err.value.t) == (2, 0.222)
+    frame, line = list(traceback.walk_tb(err.value.__traceback__))[-1]
+    code = frame.f_code
+    assert (code.co_filename, code.co_name) == ("<blfstep pass n=2 l=12>", "closed_loop_pass")
+    source = simengine.pass_source(cfg)
+    assert source.splitlines()[line - 1].strip() == "raise BarrierViolation(z2, psi2, level=2, t=t)"
 
 
 class CountedSignal:

@@ -262,14 +262,16 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 1
 
-    overrides = {name: value for name, value in (("step", args.step), ("horizon", args.horizon))
-                 if value is not None}
+    # each flag given overrides its field, which RunConfig checks again
+    flags = {"step": ("--step", args.step), "horizon": ("--horizon", args.horizon),
+             "output_path": ("--out", args.out)}
+    overrides = {name: value for name, (_, value) in flags.items() if value is not None}
     if overrides:
         try:
             config = dataclasses.replace(config, **overrides)
         except ConfigError as exc:
             for path, message in exc.problems:
-                print(f"error: --{path.lstrip('.')}: {message}", file=sys.stderr)
+                print(f"error: {flags[path.lstrip('.')][0]}: {message}", file=sys.stderr)
             return 1
 
     try:
@@ -277,11 +279,10 @@ def main(argv=None) -> int:
     except (BarrierViolation, InfeasibleInitialCondition, NonFiniteState) as exc:
         outcome = exc
 
-    out_path = args.out or config.output_path
     report = emit_report(outcome)
     try:
-        if out_path and isinstance(outcome, SimResult):
-            emit_csv(outcome, out_path)
+        if config.output_path is not None and isinstance(outcome, SimResult):
+            emit_csv(outcome, config.output_path)
         if args.report:
             with open(args.report, "w", encoding="utf-8") as fh:
                 fh.write(report)

@@ -26,7 +26,7 @@ re-checked every step through the barrier evaluation.
 
 The pass itself is generated per cascade from its constants and
 compiled once (see passgen): BacksteppingCascade._eval and step call it
-without a plant, and a run calls it with the plant as its closed loop.
+without a plant, and a run compiles it with the plant into its loop.
 """
 
 from __future__ import annotations
@@ -270,9 +270,9 @@ class BacksteppingCascade:
         return self._memo
 
     def _eval(self, t: float, x, dhat, zeta, theta):
-        """Cascade pass; returns its outputs (z, q, eps_hat, alpha, v, u,
-        zeta_rate, theta_rate, nn_out, weights, y_d, Psi, psi), as
-        passgen describes them.
+        """Cascade pass; returns the tuple of its outputs (z, q, eps_hat,
+        alpha, v, u, zeta_rate, theta_rate, nn_out, weights, y_d, Psi,
+        psi), as passgen describes them.
 
         x, dhat and zeta are sequences of floats (arrays give the same
         bits). theta is a sequence of floats for a float-weight network
@@ -282,10 +282,9 @@ class BacksteppingCascade:
         """
         if self._pass is None:
             self._pass = compile_pass(self)
-        s = [*x, *dhat, *zeta, *theta] if self.rbf.float_weights else [*x, *dhat, *zeta, theta]
-        outputs = []
-        self._pass(t, s, False, outputs)
-        return outputs
+        if self.rbf.float_weights:
+            return self._pass(t, *x, *dhat, *zeta, *theta)
+        return self._pass(t, *x, *dhat, *zeta, theta)
 
     def step(self, t: float, x, dhat, zeta, theta) -> StepRecord:
         """Full controller record at one instant (pure; repeat calls with

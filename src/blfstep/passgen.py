@@ -1,10 +1,10 @@
-"""The closed-loop pass, generated once per run from its constants.
+"""The closed-loop pass and the run loop, generated once per run.
 
-One Python function carries the whole pass at a time t and an augmented
-state s: the time signals, the RBF basis, the cascade levels, the weight
+The pass carries the whole closed loop at a time t and an augmented
+state: the time signals, the RBF basis, the cascade levels, the weight
 law, and, for a closed loop, the plant and observer rates. It is written
 from the loop's constants and compiled once. The levels are unrolled,
-the state is unpacked into locals, and the gains, centers, widths, drift
+the state is held in locals, and the gains, centers, widths, drift
 monomials and beta appear as repr literals, which read back as the same
 floats. Every expression keeps the operation order of the maths below
 and the same numpy calls (np.exp of the basis list, the BLAS dot
@@ -30,26 +30,59 @@ and the plant and observer rates are
     x_i' = x_{i+1} + d_i(t),  x_n' = f(x) + beta u + d_n(t)
     dhat_i' = -k_eps_i (x_{i+1} + eps_hat_i),  dhat_n' = -k_eps_n (theta . phi + u + eps_hat_n)
 
-The generated function is
+Over two axes with float weights, the basis forms each squared distance
+(c - x_i)^2 once per distinct center coordinate and each node as
+np.exp of the list of (G + H) / (-b), as numpy's row sum of fewer than 8
+squares adds them; otherwise it is RbfNetwork.basis. The state, in
+every signature below, is x1..xn, dhat1..dhatn, zeta1..zetan and the
+weights: w1..wl as floats for a float-weight network (see
+RbfNetwork.float_weights), else one float64 array theta.
 
-    closed_loop_pass(t, s, rate=True, outputs=None)
+A cascade without a plant compiles to
 
-It returns ds/dt in the state's layout (see simengine.ClosedLoop). Given
-a list as outputs, it first fills it with the pass's outputs
+    cascade_pass(t, state...) -> (z, q, eps_hat, alpha, v, u, zeta_rate,
+                                  theta_rate, nn_out, weights, y_d, Psi, psi)
 
-    z, q, eps_hat, alpha, v, u, zeta_rate, theta_rate, nn_out, weights, y_d, Psi, psi
+where z to alpha, v, zeta_rate, Psi and psi are per-level tuples,
+theta_rate is a tuple of floats for a float-weight network and an array
+beyond, and weights is theta as the array the dot read. A closed loop
+compiles to two functions:
 
-where z to alpha, v, zeta_rate, Psi and psi are per-level lists,
-theta_rate is a list of floats for a float-weight network and an array
-beyond, and weights is theta as the array the dot read. With rate false
-it then stops and returns None. A cascade without a plant compiles to
-cascade_pass, which only fills outputs.
+    rates(t, state...) -> ds/dt, a tuple in the state's order
+    integrate(rates, write_row, table, steps, h, decimation, state...) -> metrics
+
+integrate is the whole run. At each time point t = k h, k = 0..steps, it
+makes the pass inline, with its outputs as locals, and then, in this
+order:
+
+  - updates the metrics: max |y_d|; per level the ratios |x_i| / Psi_i
+    and |z_i| / psi_i, the first t at which |x_i - z_i| exceeds the
+    reserve Psi_i - psi_i, max |zeta_i|, max |eps_hat_i| and, from the
+    second point on, max |eps_hat_i - its previous value| / h; then
+    max |v_i|, max |u|, ||theta|| (the square root of the weights' dot
+    with themselves, as np.linalg.norm forms it) and its max, and from
+    k >= steps / 2 on the tail sum of z_1^2;
+  - at every decimation-th point and the last one, calls
+    write_row(table[row], t, (x, dhat, zeta), outputs, ||theta||), the
+    outputs as cascade_pass returns them;
+  - stops at the last point, where no rate is taken;
+  - takes the plant and observer rates as k1, calls rates at t + h/2,
+    t + h/2 and t + h on the stage inputs y + (h/2) k1, y + (h/2) k2 and
+    y + h k3, and combines y + (h/6)(k1 + 2 k2 + 2 k3 + k4) entry by
+    entry, as rk4_step forms them;
+  - checks that every state entry is finite.
+
+It returns the run's metrics as a dict of RunMetrics fields. A state that
+left the finite range, or an overflow, a ZeroDivisionError or a
+ValueError (other than a ConfigError) in step k, ends it in
+NonFiniteState at t = (k + 1) h.
 
 The time signals of the last distinct t, and the disturbances of the last
-distinct t a rate was taken at, are kept in the closure: a pure function
-of t, evaluated once per distinct stage time. The pass starts from the
-cascade's own time-signal memo, so a run that read the signals at t = 0
-before its first pass does not read them again.
+distinct t a rate was taken at, are kept in the closure and shared by
+all the functions: a pure function of t, evaluated once per distinct
+stage time. They start from the cascade's own time-signal memo, so a run
+that read the signals at t = 0 before it compiled the loop does not read
+them again.
 """
 
 from __future__ import annotations
@@ -59,9 +92,21 @@ import math
 import numpy as np
 
 from .barrier import BarrierViolation
+from .signals import ConfigError
 
-_GLOBALS = {"exp": math.exp, "cos": math.cos, "np_exp": np.exp, "asarray": np.asarray,
-            "BarrierViolation": BarrierViolation}
+
+class NonFiniteState(RuntimeError):
+    """The integrated state left the representable range (NaN or overflow)."""
+
+    def __init__(self, t: float):
+        self.t = t
+        super().__init__(f"state became non-finite at t={t:.6g}")
+
+
+_GLOBALS = {"exp": math.exp, "cos": math.cos, "sqrt": math.sqrt, "isfinite": math.isfinite,
+            "np_exp": np.exp, "np_isfinite": np.isfinite, "asarray": np.asarray,
+            "BarrierViolation": BarrierViolation, "ConfigError": ConfigError,
+            "NonFiniteState": NonFiniteState}
 
 
 def _lit(value) -> str:
@@ -82,130 +127,255 @@ def _unpack(names: list) -> str:
     return ", ".join(names) + ("," if len(names) == 1 else "")
 
 
-def generate(cascade, plant=None) -> str:
-    """The source of the pass for a cascade and, for the closed loop, its
-    plant: one factory, make, whose closed_loop_pass (cascade_pass without
-    a plant) is the pass."""
-    n, rbf = cascade.n, cascade.rbf
-    floats = rbf.float_weights
-    x, dhat, zeta = _names("x", n), _names("dhat", n), _names("zeta", n)
-    z, q, e, a = _names("z", n), _names("q", n), _names("e", n), _names("a", n)
-    v, psi, big_psi = _names("v", n - 1), _names("psi", n), _names("Psi", n)
-    w, p, dw = _names("w", rbf.l), _names("p", rbf.l), _names("dw", rbf.l)
-    memo = ["memo_t", "y_d"] + [name for i in range(n) for name in (big_psi[i], psi[i], f"dpsi{i + 1}")]
-    dist = _names("d", n) if plant is not None else []
-    name = "closed_loop_pass" if plant is not None else "cascade_pass"
+def _tuple(names: list) -> str:
+    return f"({_unpack(names)})"
 
-    head = [
-        "def make(reference, bounds, disturbances, basis, memo_t, memo):",
-        "    reference = reference.value",
-        f"    {_unpack(_names('bound', n))} = [b.value_and_derivative for b in bounds]",
-        f"    {_unpack(memo[1:])} = [None] * {len(memo) - 1}",
-        "    if memo_t is not None:",
-        f"        y_d, ({_unpack(big_psi)}), ({_unpack(psi)}), ({_unpack(_names('dpsi', n))}) = memo",
-    ]
-    if plant is not None:
-        head += [f"    {_unpack(_names('dist', n))} = [d.value for d in disturbances]",
-                 f"    dist_t = {' = '.join(dist)} = None"]
-        memo += ["dist_t"] + dist
-    body = [f"def {name}(t, s, rate=True, outputs=None):",
-            f"    nonlocal {', '.join(memo)}"]
-    theta = w if floats else ["theta"]
-    body.append(f"    {_unpack(x + dhat + zeta + theta)} = s")
 
-    # the basis: np.exp of a list of the two-axis distances over -b, which
-    # numpy's row sum of fewer than 8 squares gives alike; else the array form
-    if floats and n == 2:
-        terms = [f"(({_lit(c1)} - x1) * ({_lit(c1)} - x1) + ({_lit(c2)} - x2) * ({_lit(c2)} - x2))"
-                 f" / {_lit(-b)}"
-                 for (c1, c2), b in zip(rbf.centers.tolist(), rbf.widths.tolist())]
-        body.append("    phi = np_exp([" + ",\n                  ".join(terms) + "])")
-    else:
-        body.append(f"    phi = basis(({_unpack(x)}))")
+def _indent(lines: list, depth: int) -> list:
+    return [" " * depth + line if line else "" for text in lines for line in text.split("\n")]
 
-    # the time signals, as ConstraintConfig.level_signals states them
-    body.append("    if t != memo_t:")
-    for i, (reserve, r) in enumerate(zip(cascade.constraints.virtual_bounds,
-                                         cascade.constraints.release_rates)):
-        j = i + 1
-        if reserve == 0.0:
-            body += [f"        Psi{j}, dpsi{j} = bound{j}(t)", f"        psi{j} = Psi{j}"]
+
+class _Loop:
+    """The names and the code sections of one generated cascade or loop."""
+
+    def __init__(self, cascade, plant):
+        self.cascade, self.plant = cascade, plant
+        n, rbf = cascade.n, cascade.rbf
+        self.n, self.rbf, self.floats = n, rbf, rbf.float_weights
+        self.x, self.dhat, self.zeta = _names("x", n), _names("dhat", n), _names("zeta", n)
+        self.weights = _names("w", rbf.l) if self.floats else ["theta"]
+        self.state = self.x + self.dhat + self.zeta + self.weights
+        self.z, self.q, self.e, self.a = (_names(p, n) for p in ("z", "q", "e", "a"))
+        self.v = _names("v", n - 1)
+        self.big_psi, self.psi, self.dpsi = _names("Psi", n), _names("psi", n), _names("dpsi", n)
+        self.dzeta = _names("dzeta", n)
+        self.dweights = _names("dw", rbf.l) if self.floats else ["dtheta"]
+        self.rates = _names("dx", n) + _names("ddhat", n) + self.dzeta + self.dweights
+        self.memo = ["memo_t", "y_d"] + self.big_psi + self.psi + self.dpsi
+        if plant is not None:
+            self.memo += ["dist_t"] + _names("d", n)
+
+    def head(self) -> list:
+        """The factory's start: the signals' bound methods and the memo."""
+        n = self.n
+        lines = ["def make(reference, bounds, disturbances, basis, memo_t, memo):",
+                 "    reference = reference.value",
+                 f"    {_unpack(_names('bound', n))} = [b.value_and_derivative for b in bounds]",
+                 f"    {_unpack(self.memo[1:2 + 3 * n])} = [None] * {1 + 3 * n}",
+                 "    if memo_t is not None:",
+                 f"        y_d, {_tuple(self.big_psi)}, {_tuple(self.psi)}, {_tuple(self.dpsi)}"
+                 " = memo"]
+        if self.plant is not None:
+            lines += [f"    {_unpack(_names('dist', n))} = [d.value for d in disturbances]",
+                      f"    dist_t = {' = '.join(_names('d', n))} = None"]
+        return lines
+
+    def pass_(self) -> list:
+        """The pass at (t, state), up to the weight law and zeta rates."""
+        n, rbf, floats = self.n, self.rbf, self.floats
+        lines = []
+        if floats and n == 2:
+            squares = []
+            for axis, sign in ((0, "g"), (1, "h")):
+                coords = dict.fromkeys(_lit(c) for c in rbf.centers[:, axis].tolist())
+                names = {c: f"{sign}{i + 1}" for i, c in enumerate(coords)}
+                lines += [f"{name} = ({c} - x{axis + 1}) * ({c} - x{axis + 1})"
+                          for c, name in names.items()]
+                squares.append(names)
+            terms = [f"({squares[0][_lit(c1)]} + {squares[1][_lit(c2)]}) / {_lit(-b)}"
+                     for (c1, c2), b in zip(rbf.centers.tolist(), rbf.widths.tolist())]
+            lines.append("phi = np_exp([" + ",\n              ".join(terms) + "])")
         else:
-            body += [f"        Psi{j}, dpsi{j} = bound{j}(t)",
-                     f"        held = exp(-{_lit(r)} * t)",
-                     f"        psi{j} = Psi{j} - {_lit(reserve)} * held",
-                     f"        dpsi{j} = dpsi{j} + {_lit(r)} * {_lit(reserve)} * held"]
-    body += ["        y_d = reference(t)", "        memo_t = t"]
+            lines.append(f"phi = basis({_tuple(self.x)})")
 
-    gains, kobs = cascade.gains, cascade.observer_gains
-    reciprocal_gain = kobs[-1] ** 4 / 8.0
-    for i, (k, g) in enumerate(zip(gains.k, kobs)):
-        j = i + 1
-        prev = "y_d" if i == 0 else f"v{i}"
-        body += [f"    z{j} = x{j} - {prev}",
-                 f"    if not (abs(z{j}) < psi{j}):",
-                 f"        raise BarrierViolation(z{j}, psi{j}, level={j}, t=t)",
-                 f"    q{j} = z{j} / ((psi{j} - z{j}) * (psi{j} + z{j}))",
-                 f"    e{j} = dhat{j} + {_lit(g)} * z{j}"]
-        if j < n:
-            body += [f"    a{j} = {_lit(k)} * z{j} + e{j} + q{j} - (z{j} / psi{j}) * dpsi{j}",
-                     f"    v{j} = zeta{j} * zeta{j} * cos(zeta{j}) * a{j}"]
+        # the time signals, as ConstraintConfig.level_signals states them
+        lines.append("if t != memo_t:")
+        for i, (reserve, r) in enumerate(zip(self.cascade.constraints.virtual_bounds,
+                                             self.cascade.constraints.release_rates)):
+            j = i + 1
+            lines.append(f"    Psi{j}, dpsi{j} = bound{j}(t)")
+            if reserve == 0.0:
+                lines.append(f"    psi{j} = Psi{j}")
+            else:
+                lines += [f"    held = exp(-{_lit(r)} * t)",
+                          f"    psi{j} = Psi{j} - {_lit(reserve)} * held",
+                          f"    dpsi{j} = dpsi{j} + {_lit(r)} * {_lit(reserve)} * held"]
+        lines += ["    y_d = reference(t)", "    memo_t = t"]
+
+        gains, kobs = self.cascade.gains, self.cascade.observer_gains
+        reciprocal_gain = kobs[-1] ** 4 / 8.0
+        for i, (k, g) in enumerate(zip(gains.k, kobs)):
+            j = i + 1
+            prev = "y_d" if i == 0 else f"v{i}"
+            lines += [f"z{j} = x{j} - {prev}",
+                      f"if not (abs(z{j}) < psi{j}):",
+                      f"    raise BarrierViolation(z{j}, psi{j}, level={j}, t=t)",
+                      f"q{j} = z{j} / ((psi{j} - z{j}) * (psi{j} + z{j}))",
+                      f"e{j} = dhat{j} + {_lit(g)} * z{j}"]
+            if j < n:
+                lines += [f"a{j} = {_lit(k)} * z{j} + e{j} + q{j} - (z{j} / psi{j}) * dpsi{j}",
+                          f"v{j} = zeta{j} * zeta{j} * cos(zeta{j}) * a{j}"]
+            else:
+                theta = f"[{', '.join(self.weights)}]" if floats else "theta"
+                lines += [f"weights = asarray({theta})",
+                          "nn = float(weights.dot(phi))",
+                          f"a{j} = ({_lit(k)} * z{j} + e{j} + 0.5 * q{j} - (z{j} / psi{j}) * dpsi{j}"
+                          f" + nn + q{j} / (q{j} * q{j} + {_lit(gains.delta)})"
+                          f" * {_lit(reciprocal_gain)})",
+                          f"u = zeta{j} * zeta{j} * cos(zeta{j}) * a{j}"]
+            lines.append(f"dzeta{j} = q{j} * a{j}")
+
+        lam, kn_sq, eta = _lit(gains.lam), _lit(kobs[-1] ** 2), _lit(gains.eta)
+        qn = f"q{n}"
+        if floats:
+            p = _names("p", rbf.l)
+            lines.append(f"{_unpack(p)} = phi.tolist()")
+            lines += [f"dw{j + 1} = {lam} * ({qn} * {p[j]} - {kn_sq} * {w} - {eta} * {w})"
+                      for j, w in enumerate(self.weights)]
         else:
-            body += [f"    weights = asarray({'s[%d:]' % (3 * n) if floats else 'theta'})",
-                     "    nn = float(weights.dot(phi))",
-                     f"    a{j} = ({_lit(k)} * z{j} + e{j} + 0.5 * q{j} - (z{j} / psi{j}) * dpsi{j}"
-                     f" + nn + q{j} / (q{j} * q{j} + {_lit(gains.delta)}) * {_lit(reciprocal_gain)})",
-                     f"    u = zeta{j} * zeta{j} * cos(zeta{j}) * a{j}"]
+            lines.append(f"dtheta = {lam} * ({qn} * phi - {kn_sq} * weights - {eta} * weights)")
+        return lines
 
-    lam, kn_sq, eta = _lit(gains.lam), _lit(kobs[-1] ** 2), _lit(gains.eta)
-    qn = f"q{n}"
-    if floats:
-        body.append(f"    {_unpack(p)} = phi.tolist()")
-        body += [f"    dw{j + 1} = {lam} * ({qn} * {p[j]} - {kn_sq} * {w[j]} - {eta} * {w[j]})"
-                 for j in range(rbf.l)]
-        theta_rate = f"[{', '.join(dw)}]"
-    else:
-        body.append(f"    theta_rate = {lam} * ({qn} * phi - {kn_sq} * weights - {eta} * weights)")
-        theta_rate = "theta_rate"
-    zeta_rate = [f"{q[i]} * {a[i]}" for i in range(n)]
-    body += ["    if outputs is not None:",
-             f"        outputs[:] = ([{', '.join(z)}], [{', '.join(q)}], [{', '.join(e)}],\n"
-             f"                      [{', '.join(a)}], [{', '.join(v)}], u, [{', '.join(zeta_rate)}],\n"
-             f"                      {theta_rate},\n"
-             f"                      nn, weights, y_d, [{', '.join(big_psi)}], [{', '.join(psi)}])"]
+    def outputs(self) -> str:
+        """The pass's outputs, in cascade_pass's order."""
+        dweights = _tuple(self.dweights) if self.floats else "dtheta"
+        groups = [_tuple(self.z), _tuple(self.q), _tuple(self.e), _tuple(self.a), _tuple(self.v),
+                  "u", _tuple(self.dzeta), dweights, "nn", "weights", "y_d",
+                  _tuple(self.big_psi), _tuple(self.psi)]
+        return "(" + ", ".join(groups) + ")"
 
-    if plant is not None:
-        body += ["        if not rate:", "            return None",
-                 "    if t != dist_t:"]
-        body += [f"        d{j} = dist{j}(t)" for j in range(1, n + 1)]
-        body.append("        dist_t = t")
+    def plant_rates(self) -> list:
+        """The plant and observer rates at (t, state), after the pass."""
+        n, plant, kobs = self.n, self.plant, self.cascade.observer_gains
+        lines = ["if t != dist_t:"]
+        lines += [f"    d{j} = dist{j}(t)" for j in range(1, n + 1)]
+        lines.append("    dist_t = t")
         # the drift as PlantSpec.nonlinearity sums it: from 0.0, each
         # monomial its coefficient times its powers, left to right
         drift = ["0.0"] + [" * ".join([_lit(coeff)] + [f"x{j + 1} ** {e!r}" for j, e in powers])
                            for coeff, powers in plant._drift]
-        body.append(f"    drift = {' + '.join(drift)}")
-        neg_kobs = [_lit(-g) for g in kobs]
-        rates = [f"x{j + 1} + d{j}" for j in range(1, n)]
-        rates.append(f"drift + {_lit(plant.beta)} * u + d{n}")
-        rates += [f"{neg_kobs[i]} * (x{i + 2} + e{i + 1})" for i in range(n - 1)]
-        rates.append(f"{neg_kobs[n - 1]} * (nn + u + e{n})")
-        rates += zeta_rate + (dw if floats else ["theta_rate"])
-        body.append("    return [" + ",\n            ".join(rates) + "]")
+        lines.append(f"drift = {' + '.join(drift)}")
+        lines += [f"dx{j} = x{j + 1} + d{j}" for j in range(1, n)]
+        lines.append(f"dx{n} = drift + {_lit(plant.beta)} * u + d{n}")
+        lines += [f"ddhat{j} = {_lit(-kobs[j - 1])} * (x{j + 1} + e{j})" for j in range(1, n)]
+        lines.append(f"ddhat{n} = {_lit(-kobs[n - 1])} * (nn + u + e{n})")
+        return lines
 
-    lines = head + ["", *("    " + line for text in body for line in text.split("\n")),
-                    f"    return {name}", ""]
-    return "\n".join(lines)
+    def metrics(self) -> tuple:
+        """The metric locals' start, their update at a time point, and the
+        dict of RunMetrics fields they end as."""
+        n = self.n
+        per_level = {"ratio_x": "max_constraint_ratio", "ratio_z": "max_error_ratio",
+                     "max_zeta": "max_abs_zeta", "max_e": "max_abs_eps_hat",
+                     "max_de": "max_abs_eps_hat_rate"}
+        start = [" = ".join([f"{m}{j}" for m in per_level for j in range(1, n + 1)]
+                            + _names("max_v", n - 1)
+                            + ["max_y_d", "max_u", "max_norm", "tail", "0.0"]),
+                 f"{' = '.join(_names('reserve', n))} = None",
+                 "tail_count = 0"]
+        update = ["if abs(y_d) > max_y_d:", "    max_y_d = abs(y_d)"]
+        for j in range(1, n + 1):
+            update += [f"ratio = abs(x{j}) / Psi{j}",
+                       f"if ratio > ratio_x{j}:", f"    ratio_x{j} = ratio",
+                       f"ratio = abs(z{j}) / psi{j}",
+                       f"if ratio > ratio_z{j}:", f"    ratio_z{j} = ratio",
+                       f"if reserve{j} is None and abs(x{j} - z{j}) > Psi{j} - psi{j}:",
+                       f"    reserve{j} = t",
+                       f"if abs(zeta{j}) > max_zeta{j}:", f"    max_zeta{j} = abs(zeta{j})",
+                       f"if abs(e{j}) > max_e{j}:", f"    max_e{j} = abs(e{j})"]
+        update.append("if k:")
+        for j in range(1, n + 1):
+            update += [f"    ratio = abs(e{j} - last_e{j}) / h",
+                       f"    if ratio > max_de{j}:", f"        max_de{j} = ratio"]
+        update.append(f"{_unpack(_names('last_e', n))} = {_unpack(self.e)}")
+        for j in range(1, n):
+            update += [f"if abs(v{j}) > max_v{j}:", f"    max_v{j} = abs(v{j})"]
+        update += ["if abs(u) > max_u:", "    max_u = abs(u)",
+                   "norm = sqrt(weights.dot(weights))",
+                   "if norm > max_norm:", "    max_norm = norm",
+                   "if 2 * k >= steps:", "    tail += z1 ** 2", "    tail_count += 1"]
+        fields = [f"{name}=asarray([{', '.join(_names(m, n))}])" for m, name in per_level.items()]
+        fields += [f"observed_max_abs_v=asarray([{', '.join(_names('max_v', n - 1))}])",
+                   "tracking_rmse_tail=sqrt(tail / tail_count)", "max_abs_u=max_u",
+                   "final_theta_norm=norm", "max_abs_y_d=max_y_d", "max_theta_norm=max_norm",
+                   f"reserve_exceeded_at=[{', '.join(_names('reserve', n))}]"]
+        return start, update, "dict(" + ",\n     ".join(fields) + ")"
+
+    def step(self) -> list:
+        """The RK4 stages after k1 and the combine, then the finiteness check."""
+        k2, k3, k4 = ([f"k{s}_{i + 1}" for i in range(len(self.state))] for s in (2, 3, 4))
+        lines = []
+        for time, scale, rates, out in (("t + half", "half", self.rates, k2),
+                                        ("t + half", "half", k2, k3), ("t + h", "h", k3, k4)):
+            inputs = [f"{y} + {scale} * {r}" for y, r in zip(self.state, rates)]
+            lines.append(f"{_unpack(out)} = rates({time},\n    " + ",\n    ".join(inputs) + ")")
+        lines += [f"{y} = {y} + sixth * ({a} + 2.0 * {b} + 2.0 * {c} + {d})"
+                  for y, a, b, c, d in zip(self.state, self.rates, k2, k3, k4)]
+        if self.floats:
+            finite = [f"isfinite({y})" for y in self.state]
+        else:
+            finite = [f"isfinite({y})" for y in self.state[:-1]] + ["np_isfinite(theta).all()"]
+        lines += ["if not (" + "\n        and ".join(finite) + "):",
+                  "    raise NonFiniteState((k + 1) * h)"]
+        return lines
+
+
+def generate(cascade, plant=None) -> str:
+    """The source for a cascade and, for the closed loop, its plant: one
+    factory, make, which returns cascade_pass without a plant and the pair
+    (rates, integrate) with one."""
+    g = _Loop(cascade, plant)
+    state = ", ".join(g.state)
+    nonlocal_ = f"    nonlocal {', '.join(g.memo)}"
+    if plant is None:
+        body = [f"def cascade_pass(t, {state}):", nonlocal_,
+                *_indent(g.pass_(), 4), *_indent(["return " + g.outputs()], 4)]
+        tail = "    return cascade_pass"
+    else:
+        start, update, fields = g.metrics()
+        body = [f"def rates(t, {state}):", nonlocal_,
+                *_indent(g.pass_() + g.plant_rates(), 4),
+                f"    return {_tuple(g.rates)}",
+                "",
+                f"def integrate(rates, write_row, table, steps, h, decimation, {state}):",
+                nonlocal_,
+                "    half = 0.5 * h",
+                "    sixth = h / 6.0",
+                *_indent(start, 4),
+                "    kept = 0",
+                "    try:",
+                "        for k in range(steps + 1):",
+                "            t = k * h",
+                *_indent(g.pass_() + update, 12),
+                "            if k % decimation == 0 or k == steps:",
+                *_indent([f"write_row(table[kept], t, {_tuple(g.x + g.dhat + g.zeta)},\n"
+                          f"          {g.outputs()}, norm)"], 16),
+                "                kept += 1",
+                "            if k == steps:",
+                "                break",
+                *_indent(g.plant_rates() + g.step(), 12),
+                "    except ConfigError:",
+                "        raise",
+                "    except (OverflowError, ValueError, ZeroDivisionError) as exc:",
+                "        raise NonFiniteState((k + 1) * h) from exc",
+                *_indent(["return " + fields], 4)]
+        tail = "    return rates, integrate"
+    return "\n".join(g.head() + [""] + _indent(body, 4) + [tail, ""])
 
 
 def compile_pass(cascade, plant=None):
-    """The pass for a cascade and, for the closed loop, its plant, compiled
-    under a filename that names it, such as <blfstep pass n=2 l=12>, so
-    tracebacks and profiles point at it; generate gives its text."""
+    """make's result for a cascade and, for the closed loop, its plant,
+    compiled under a filename that names it, such as <blfstep pass n=2
+    l=12> (<blfstep cascade pass ...> without a plant), so tracebacks and
+    profiles point at it; generate gives its text."""
     kind = "pass" if plant is not None else "cascade pass"
     filename = f"<blfstep {kind} n={cascade.n} l={cascade.rbf.l}>"
     namespace = dict(_GLOBALS)
     exec(compile(generate(cascade, plant), filename, "exec"), namespace)
-    return namespace["make"](
+    # popped, so that no cycle through the namespace holds the compiled
+    # code: it is freed with the functions make returns, not by a later
+    # garbage collection
+    return namespace.pop("make")(
         cascade.reference, cascade.constraints.state_bounds,
         plant.disturbances if plant is not None else (), cascade.rbf.basis,
         cascade._memo_t, cascade._memo)

@@ -3,14 +3,24 @@
 The augmented state stacks the plant state x, the observer auxiliary
 states dhat, the gain-search states zeta, and the approximator weights
 theta, 3n + l numbers, into one list (see ClosedLoop for its layout),
-integrated with classic fourth-order Runge-Kutta at a fixed step. Each
-run compiles one closed-loop pass from its configuration (see passgen)
-and calls it at every time point and RK4 stage; pass_source gives its
-text. The barrier preconditions are checked at every stage evaluation,
-not just at accepted steps, because a stage state outside an envelope
-makes the controller math undefined.
-Runs are deterministic: the same configuration produces bit-identical
-results.
+integrated with classic fourth-order Runge-Kutta at a fixed step.
+
+Each run compiles its whole loop from its configuration (see passgen),
+and pass_source gives the text. The generated integrate holds the state
+in locals from step to step. At each time point it makes one pass
+inline, updates the metrics in the order passgen states (max |y_d|; per
+level the two ratios, the reserve, |zeta|, |eps_hat| and its rate; then
+|v|, |u|, ||theta|| and the tail sum of z_1^2), writes the kept rows of
+the record table, and takes k1 from the same pass. It calls the
+generated rates at the three later RK4 stages, combines the stages entry
+by entry, and checks that the new state is finite. run keeps the
+feasibility check, the table, the mapping of a non-finite barrier
+crossing to NonFiniteState and the RunMetrics the loop returns.
+
+The barrier preconditions are checked at every stage evaluation, not
+just at accepted steps, because a stage state outside an envelope makes
+the controller math undefined. Runs are deterministic: the same
+configuration produces bit-identical results.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ from .observer import initial_dhat
 # because bench/tracing.py patches the observer layer through them.
 from .observer import dhat_rate_final, dhat_rate_inner  # noqa: F401
 from .approximator import RbfNetwork
-from .passgen import compile_pass, generate
+from .passgen import NonFiniteState, compile_pass, generate
 from .plant import PlantSpec
 from .signals import ConfigError, TimeSignal, finite_field, finite_numbers
 
@@ -43,14 +53,6 @@ class InfeasibleInitialCondition(RuntimeError):
             f"initial error at level {level} is infeasible: |z({level})(0)| = {abs(z0):.6g} "
             f">= psi({level})(0) = {psi0:.6g}"
         )
-
-
-class NonFiniteState(RuntimeError):
-    """The integrated state left the representable range (NaN or overflow)."""
-
-    def __init__(self, t: float):
-        self.t = t
-        super().__init__(f"state became non-finite at t={t:.6g}")
 
 
 # Past 2**53 steps a step index k no longer converts to a distinct float,
@@ -183,7 +185,7 @@ def rk4_step(f, t: float, y: list, h: float, k1=None) -> list:
     are floats or float64 arrays; each stage input and the combine are
     formed entry by entry, as a + (h/2) * b and a + (h/6) * (k1 + 2 k2 +
     2 k3 + k4), so an entry rounds as the same expression on an array
-    would."""
+    would. A run's generated loop forms its stages and combine alike."""
     if k1 is None:
         k1 = f(t, y)
     half = 0.5 * h
@@ -202,11 +204,11 @@ class ClosedLoop:
     RbfNetwork.float_weights) and otherwise as one float64 array, the
     list's last entry. A rate has the same layout.
 
-    compiled_pass is the loop's generated pass (see passgen), compiled
-    when the loop is built: compiled_pass(t, s) is ds/dt, and with a list
-    as outputs it also gives the pass's outputs. It keeps the disturbance
-    values d_i(t) of the last distinct t, as the cascade keeps its time
-    signals, so each is evaluated once per distinct stage time.
+    rates and integrate are the loop's generated functions (see passgen),
+    compiled when the loop is built: rates(t, *s) is ds/dt as a tuple, and
+    integrate is the whole run loop. They keep the disturbance values
+    d_i(t) of the last distinct t, as the cascade keeps its time signals,
+    so each is evaluated once per distinct stage time.
     """
 
     def __init__(self, plant: PlantSpec, cascade: BacksteppingCascade):
@@ -216,7 +218,7 @@ class ClosedLoop:
         self.l = cascade.rbf.l
         self.dim = 3 * self.n + self.l
         self.float_weights = cascade.rbf.float_weights
-        self.compiled_pass = compile_pass(cascade, plant)
+        self.rates, self.integrate = compile_pass(cascade, plant)
 
     def state(self, x, dhat, zeta, theta) -> list:
         """The augmented state in this loop's layout, from its four parts."""
@@ -225,19 +227,14 @@ class ClosedLoop:
             return head + np.asarray(theta, dtype=float).tolist()
         return head + [np.array(theta, dtype=float)]
 
-    def finite(self, s: list) -> bool:
-        """Whether every number in the augmented state s is finite."""
-        if self.float_weights:
-            return all(map(math.isfinite, s))
-        return all(map(math.isfinite, s[:-1])) and bool(np.isfinite(s[-1]).all())
-
     def derivative(self, t: float, s: list) -> list:
         """ds/dt at (t, s), from one pass."""
-        return self.compiled_pass(t, s)
+        return list(self.rates(t, *s))
 
 
 def pass_source(config: RunConfig) -> str:
-    """The source of the pass a run of config compiles (see passgen)."""
+    """The whole source a run of config compiles: its pass, its rates and
+    its run loop (see passgen)."""
     cascade = BacksteppingCascade(
         config.reference, config.constraints, config.gains, config.observer_gains, config.rbf
     )
@@ -251,12 +248,13 @@ def run(config: RunConfig) -> SimResult:
     BarrierViolation (with level and time) if an error coordinate reaches
     its envelope at any accepted step or RK4 stage, and NonFiniteState if
     the state leaves the representable range or a step's arithmetic fails
-    (an overflow, or sin or cos of inf). Never continues past a violation.
+    (an overflow, a division by zero, or sin or cos of inf). Never
+    continues past a violation.
 
-    Each time point makes one pass of the compiled closed loop; the
-    metrics, for the kept steps one row of the record table, and the next
-    step's k1 come from it. rk4_step calls the same pass at the three
-    later stages, so a run of N steps makes 4N + 1 passes.
+    The loop itself is the generated integrate (see passgen): one pass per
+    time point for the metrics, the kept rows of the record table and the
+    step's k1, and one call of rates at each of the three later RK4
+    stages, so a run of N steps makes 4N + 1 passes.
     """
     cascade = BacksteppingCascade(
         config.reference, config.constraints, config.gains, config.observer_gains, config.rbf
@@ -266,116 +264,20 @@ def run(config: RunConfig) -> SimResult:
         if not (abs(z0[i]) < psi0):
             raise InfeasibleInitialCondition(i + 1, z0[i], psi0)
 
-    # built after the t = 0 signals were read: the pass starts from them
+    # built after the t = 0 signals were read: the loop starts from them
     loop = ClosedLoop(config.plant, cascade)
-    n, l = loop.n, loop.l
-    h = config.step
-
-    s = loop.state(config.initial_x, initial_dhat(config.observer_gains, z0), np.zeros(n),
-                   np.zeros(l))
-
+    s = loop.state(config.initial_x, initial_dhat(config.observer_gains, z0),
+                   np.zeros(loop.n), np.zeros(loop.l))
+    h, decimation = config.step, config.decimation
     steps = int(round(config.horizon / h)) if config.horizon > 0 else 0
-    decimation = config.decimation
-    layout = cascade.layout
-    rows = steps // decimation + 1 + (steps % decimation > 0)
-    table = np.empty((rows, layout.width))
-    kept = 0
-
-    max_constraint_ratio = [0.0] * n
-    max_error_ratio = [0.0] * n
-    max_abs_v = [0.0] * (n - 1)
-    max_abs_zeta = [0.0] * n
-    max_abs_eps_hat = [0.0] * n
-    max_eps_hat_rate = [0.0] * n
-    reserve_exceeded_at = [None] * n
-    max_abs_u = 0.0
-    max_abs_y_d = 0.0
-    max_theta_norm = 0.0
-    tail_sq_sum = 0.0
-    tail_count = 0
-    prev_eps_hat = None
-
-    closed_loop_pass = loop.compiled_pass
-    outputs = []
+    table = np.empty((steps // decimation + 1 + (steps % decimation > 0), cascade.layout.width))
     try:
-        for k in range(steps + 1):
-            t = k * h
-            # no step follows the last time point, so no rate is taken there
-            k1 = closed_loop_pass(t, s, k < steps, outputs)
-            z, _, eps_hat, _, v, u, _, _, _, weights, y_d, bounds, envelopes = outputs
-            x = s[:n]
-            zeta = s[2 * n:3 * n]
-
-            if abs(y_d) > max_abs_y_d:
-                max_abs_y_d = abs(y_d)
-            for i in range(n):
-                bound = bounds[i]
-                envelope = envelopes[i]
-                cr = abs(x[i]) / bound
-                if cr > max_constraint_ratio[i]:
-                    max_constraint_ratio[i] = cr
-                er = abs(z[i]) / envelope
-                if er > max_error_ratio[i]:
-                    max_error_ratio[i] = er
-                if reserve_exceeded_at[i] is None and abs(x[i] - z[i]) > bound - envelope:
-                    reserve_exceeded_at[i] = t
-                if abs(zeta[i]) > max_abs_zeta[i]:
-                    max_abs_zeta[i] = abs(zeta[i])
-                if abs(eps_hat[i]) > max_abs_eps_hat[i]:
-                    max_abs_eps_hat[i] = abs(eps_hat[i])
-                if prev_eps_hat is not None:
-                    rate = abs(eps_hat[i] - prev_eps_hat[i]) / h
-                    if rate > max_eps_hat_rate[i]:
-                        max_eps_hat_rate[i] = rate
-            for i, vi in enumerate(v):
-                if abs(vi) > max_abs_v[i]:
-                    max_abs_v[i] = abs(vi)
-            if abs(u) > max_abs_u:
-                max_abs_u = abs(u)
-            prev_eps_hat = eps_hat
-            # what np.linalg.norm computes for a vector, from the pass's array
-            theta_norm = math.sqrt(weights.dot(weights))
-            if theta_norm > max_theta_norm:
-                max_theta_norm = theta_norm
-            if 2 * k >= steps:
-                tail_sq_sum += z[0] ** 2
-                tail_count += 1
-
-            if k % decimation == 0 or k == steps:
-                cascade.write_row(table[kept], t, s, outputs, theta_norm)
-                kept += 1
-
-            if k == steps:
-                break
-            s = rk4_step(closed_loop_pass, t, s, h, k1)
-            if not loop.finite(s):
-                raise NonFiniteState((k + 1) * h)
+        metrics = loop.integrate(loop.rates, cascade.write_row, table, steps, h, decimation, *s)
     except BarrierViolation as exc:
         # a NaN or infinite error coordinate means the state blew up, not
         # that a finite trajectory crossed its envelope
         if not (math.isfinite(exc.z) and math.isfinite(exc.psi)):
-            raise NonFiniteState(exc.t if exc.t is not None else t) from exc
+            raise NonFiniteState(exc.t) from exc
         raise
-    except ConfigError:
-        raise
-    except (OverflowError, ValueError) as exc:  # the step's arithmetic, as above
-        raise NonFiniteState((k + 1) * h) from exc
-
-    if kept != rows:
-        raise RuntimeError(f"wrote {kept} record rows, expected {rows}")
     table.flags.writeable = False
-    metrics = RunMetrics(
-        tracking_rmse_tail=math.sqrt(tail_sq_sum / tail_count),
-        max_constraint_ratio=np.array(max_constraint_ratio),
-        max_error_ratio=np.array(max_error_ratio),
-        max_abs_u=max_abs_u,
-        final_theta_norm=theta_norm,
-        max_abs_y_d=max_abs_y_d,
-        observed_max_abs_v=np.array(max_abs_v),
-        max_abs_zeta=np.array(max_abs_zeta),
-        max_abs_eps_hat=np.array(max_abs_eps_hat),
-        max_theta_norm=max_theta_norm,
-        max_abs_eps_hat_rate=np.array(max_eps_hat_rate),
-        reserve_exceeded_at=reserve_exceeded_at,
-    )
-    return SimResult(Records(table, layout), metrics, config)
+    return SimResult(Records(table, cascade.layout), RunMetrics(**metrics), config)

@@ -443,6 +443,15 @@ def test_empty_output_path_is_a_config_error(tmp_path, capsys, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
 
 
+def test_empty_out_flag_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # --out "" is no path; before it was read as no flag, and the run wrote no CSV
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", blfstep.paper_sec6_path(), "--horizon", "0.01", "--out", ""]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: --out: expected a file path, got an empty string\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_integer_literal_past_the_digit_limit_is_config_error():
     # json.loads raises a plain ValueError past the int conversion limit
     text = sec6_text().replace('"eta": 4.0', '"eta": 1' + "0" * 5000)
@@ -701,6 +710,20 @@ def test_overflowing_signal_argument_ends_in_non_finite_state(tmp_path, capsys):
     assert main(["simulate", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == "run aborted\nstate: FAIL non-finite at t=0.798\n" and err == ""
+
+
+def test_underflowing_envelope_ends_in_non_finite_state(tmp_path, capsys):
+    # psi1 = 1e-200 squares to 0.0, so the barrier factor of z1 = 0 at rest
+    # divides by zero in the first step
+    doc = json.loads(sec6_text())
+    doc["constraints"] = {"Psi": [{"kind": "constant", "c": 1e-200},
+                                  {"kind": "constant", "c": 1.0}], "A": [0.0, 0.0]}
+    doc["horizon"] = 0.1
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "run aborted\nstate: FAIL non-finite at t=0.001\n" and err == ""
 
 
 @pytest.mark.parametrize("change, disturbance, printed", [

@@ -208,9 +208,11 @@ def reference_basis(rbf, x):
     return np.exp(-(diff * diff).sum(axis=1) / rbf.widths)
 
 
-# A network of up to 24 nodes over two axes computes its basis on Python
-# floats, every other one on numpy arrays; both equal the reference bit
-# for bit, whether the input is a list or an array.
+# RbfNetwork.basis works on numpy arrays for every network and equals the
+# reference bit for bit, whether the input is a list or an array. The
+# generated pass forms the basis of a network of up to 24 nodes over two
+# axes itself, on Python floats; the pass and trajectory oracles below
+# check that form.
 @pytest.mark.parametrize("n", range(2, 10))
 @pytest.mark.parametrize("l", [1, 12, 24, 25])
 def test_basis_equals_reference(n, l):

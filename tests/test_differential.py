@@ -7,10 +7,13 @@ side of the float-weight limit, gains and a short horizon. The run must
 equal the reference RK4 loop of test_controller, which shares no pass
 code with the package, bit for bit, or both must end alike: a barrier
 violation at the same level and time, or a state that left the finite
-range.
+range. A completed run's metrics must equal, bit for bit, a plain Python
+fold over the reference pass at every time point, and every recorded row
+must hold |z_i| < psi_i.
 """
 
 import math
+from dataclasses import fields
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
@@ -48,7 +51,7 @@ STATE_BOUNDS = (st.builds(Constant, st.floats(0.5, 3.0))
 
 @st.composite
 def configs(draw):
-    n = draw(st.integers(2, 4))
+    n = draw(st.integers(2, 5))
     monomials = st.builds(Monomial, st.floats(-3.0, 3.0),
                           st.lists(st.integers(0, 3), min_size=n, max_size=n))
     plant = PlantSpec(n=n, f=tuple(draw(st.lists(monomials, max_size=3))),
@@ -98,11 +101,69 @@ def violation(exc):
 
 def run_outcome(cfg):
     try:
-        return run(cfg).trajectory
+        return run(cfg)
     except BarrierViolation as exc:
         return violation(exc)
     except NonFiniteState:
         return ("non-finite",)
+
+
+def reference_metrics(cfg, rows):
+    """RunMetrics' fields, folded in plain Python over the reference pass
+    at every time point of the reference trajectory rows."""
+    cascade = BacksteppingCascade(cfg.reference, cfg.constraints, cfg.gains,
+                                  cfg.observer_gains, cfg.rbf)
+    n, h, steps = cfg.plant.n, cfg.step, len(rows) - 1
+    got = {"max_constraint_ratio": [0.0] * n, "max_error_ratio": [0.0] * n,
+           "observed_max_abs_v": [0.0] * (n - 1), "max_abs_zeta": [0.0] * n,
+           "max_abs_eps_hat": [0.0] * n, "max_abs_eps_hat_rate": [0.0] * n,
+           "reserve_exceeded_at": [None] * n,
+           "max_abs_u": 0.0, "max_abs_y_d": 0.0, "max_theta_norm": 0.0}
+    tail, tail_count, previous = 0.0, 0, None
+    for k, row in enumerate(rows):
+        t = k * h
+        z, _, eps_hat, _, v, u, *_ = reference_eval(cascade, t, row[:n], row[n:2 * n],
+                                                    row[2 * n:3 * n], row[3 * n:])
+        x, zeta = row[:n].tolist(), row[2 * n:3 * n].tolist()
+        z, eps_hat, v = z.tolist(), eps_hat.tolist(), v.tolist()
+        bounds = [cfg.constraints.state_bound(i, t) for i in range(n)]
+        envelopes = [cfg.constraints.envelope(i, t) for i in range(n)]
+        norm = float(np.linalg.norm(row[3 * n:]))
+        candidates = {"max_constraint_ratio": [abs(a) / b for a, b in zip(x, bounds)],
+                      "max_error_ratio": [abs(a) / b for a, b in zip(z, envelopes)],
+                      "observed_max_abs_v": [abs(a) for a in v],
+                      "max_abs_zeta": [abs(a) for a in zeta],
+                      "max_abs_eps_hat": [abs(a) for a in eps_hat],
+                      "max_abs_u": abs(u), "max_abs_y_d": abs(cfg.reference.value(t)),
+                      "max_theta_norm": norm}
+        if previous is not None:
+            candidates["max_abs_eps_hat_rate"] = [abs(a - b) / h
+                                                  for a, b in zip(eps_hat, previous)]
+        for name, values in candidates.items():
+            if isinstance(values, list):
+                got[name] = [c if c > m else m for m, c in zip(got[name], values)]
+            elif values > got[name]:
+                got[name] = values
+        for i in range(n):
+            if (got["reserve_exceeded_at"][i] is None
+                    and abs(x[i] - z[i]) > bounds[i] - envelopes[i]):
+                got["reserve_exceeded_at"][i] = t
+        previous = eps_hat
+        if 2 * k >= steps:
+            tail += z[0] ** 2
+            tail_count += 1
+    got["tracking_rmse_tail"] = math.sqrt(tail / tail_count)
+    got["final_theta_norm"] = norm
+    return got
+
+
+def assert_metrics_equal(metrics, want):
+    for field in fields(metrics):
+        value = getattr(metrics, field.name)
+        if field.name == "reserve_exceeded_at":
+            assert value == want[field.name]
+        else:
+            assert bits(value) == bits(want[field.name]), field.name
 
 
 def reference_outcome(cfg):
@@ -143,5 +204,9 @@ def test_run_equals_the_reference_loop_on_drawn_configurations(cfg):
     got, want = run_outcome(cfg), reference_outcome(cfg)
     if isinstance(want, tuple) or isinstance(got, tuple):
         assert got == want
-    else:
-        assert [bits(row) for row in got] == [bits(row) for row in want]
+        return
+    assert [bits(row) for row in got.trajectory] == [bits(row) for row in want]
+    assert_metrics_equal(got.metrics, reference_metrics(cfg, want))
+    layout = got.records.layout
+    z, psi = got.records.columns(layout.names["z"]), got.records.columns(layout.names["psi"])
+    assert (np.abs(z) < psi).all()

@@ -1,4 +1,5 @@
 import math
+import sys
 import traceback
 from dataclasses import FrozenInstanceError, fields, replace
 
@@ -152,29 +153,36 @@ class TestRun:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_weight_ends_in_non_finite_state(self, sec6_config, monkeypatch, l,
                                                         bad):
-        # one weight turns non-finite in the second step: in the float
-        # layout it is a float of the state, in the block layout an entry
-        # of its last array
+        # one weight turns non-finite in the second step: the run's loop
+        # takes the last stage's rates from the loop it built, and there
+        # one weight's rate is spoiled, in the float layout a float of the
+        # rates, in the block layout an entry of their last array
         calls = []
-        step = simengine.rk4_step
 
-        def spoiled(*args):
-            s = step(*args)
-            calls.append(args[1])
-            if len(calls) == 2:
-                if isinstance(s[-1], np.ndarray):
-                    s[-1] = s[-1].copy()
-                    s[-1][l // 2] = bad
-                else:
-                    s[-l // 2] = bad
-            return s
+        class Spoiled(ClosedLoop):
+            def __init__(self, *args):
+                super().__init__(*args)
+                rates = self.rates
 
-        monkeypatch.setattr(simengine, "rk4_step", spoiled)
+                def spoiled(t, *s):
+                    ds = list(rates(t, *s))
+                    calls.append(t)
+                    if len(calls) == 6:  # k4 of the second step
+                        if isinstance(ds[-1], np.ndarray):
+                            ds[-1] = ds[-1].copy()
+                            ds[-1][l // 2] = bad
+                        else:
+                            ds[-l // 2] = bad
+                    return tuple(ds)
+
+                self.rates = spoiled
+
+        monkeypatch.setattr(simengine, "ClosedLoop", Spoiled)
         cfg = replace(sec6_config, rbf=RbfNetwork.lattice(l, 2), horizon=0.01)
         with pytest.raises(NonFiniteState) as err:
             run(cfg)
         assert err.value.t == 2 * cfg.step
-        assert len(calls) == 2
+        assert len(calls) == 2 * 3
 
     def test_infeasible_initial_condition_names_level(self, sec6_config):
         cfg = blfstep.load_config_file(blfstep.paper_sec6_path())
@@ -486,49 +494,58 @@ def test_component_rejects_a_field_that_is_not_a_number(sec6_config, make, value
 
 
 # One pass per time point: the metrics, the kept records and the next
-# step's k1 come from the same pass, so N steps make 4N + 1 passes. The
-# passes are counted by wrapping the pass the run compiles.
+# step's k1 come from the pass the run's loop makes inline there, and each
+# of the three later RK4 stages calls the loop's generated rates, so N
+# steps make 4N + 1 passes. The rates calls are counted under a profile
+# hook, by the code they run.
 
-def counting_compile(monkeypatch, count):
-    """Make every loop's compiled pass call count(t, rate) first."""
-    compile_pass = simengine.compile_pass
+def rates_calls(fn):
+    """fn()'s result and the t of every call of a generated rates in it."""
+    times = []
 
-    def compile_counted(*args):
-        closed_loop_pass = compile_pass(*args)
+    def hook(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_name == "rates" and code.co_filename.startswith("<blfstep"):
+            times.append(frame.f_locals["t"])
 
-        def counted(t, s, rate=True, outputs=None):
-            count(t, rate)
-            return closed_loop_pass(t, s, rate, outputs)
-
-        return counted
-
-    monkeypatch.setattr(simengine, "compile_pass", compile_counted)
-
-
-def test_flagship_makes_one_cascade_pass_per_time_point_and_four_per_step(sec6_config,
-                                                                          monkeypatch):
-    calls = []
-    counting_compile(monkeypatch, lambda t, rate: calls.append(t))
-    run(replace(sec6_config, horizon=0.2))
-    assert len(calls) == 200 * 4 + 1
+    sys.setprofile(hook)
+    try:
+        return fn(), times
+    finally:
+        sys.setprofile(None)
 
 
-def test_no_rate_is_taken_at_the_last_time_point(sec6_config, monkeypatch):
+def test_flagship_makes_one_cascade_pass_per_time_point_and_four_per_step(sec6_config):
+    # at decimation 1 every time point writes one row
+    res, calls = rates_calls(lambda: run(replace(sec6_config, horizon=0.2, decimation=1)))
+    assert len(res.times) == 200 + 1
+    assert len(calls) + len(res.times) == 200 * 4 + 1
+
+
+def test_no_rate_is_taken_at_the_last_time_point(sec6_config):
     # the pass at t = horizon feeds the metrics and the last row only; a
-    # drift that would overflow there cannot fail a completed run
-    cfg = replace(sec6_config, horizon=0.2)
-    calls = []
+    # disturbance that would overflow there cannot fail a completed run.
+    # The disturbances are read where a rate is taken, and the horizon is
+    # one that the last step's k4 stage time (N - 1) h + h misses by a bit.
+    h = sec6_config.step
+    steps = next(k for k in range(150, 260) if (k - 1) * h + h != k * h)
+    end = steps * h
 
-    def count(t, rate):
-        if rate:
-            calls.append(t)
-            if len(calls) > 200 * 4:  # any rate past the four per step
+    class Overflowing(CountedSignal):
+        def value(self, t):
+            if t == end:
                 raise OverflowError("drift past the double range")
+            return super().value(t)
 
-    counting_compile(monkeypatch, count)
-    res = run(cfg)
-    assert len(calls) == 200 * 4
-    assert res.times[-1] == 200 * cfg.step
+    disturbances = [Overflowing(d) for d in sec6_config.plant.disturbances]
+    cfg = replace(sec6_config, horizon=end,
+                  plant=replace(sec6_config.plant, disturbances=disturbances))
+    res, calls = rates_calls(lambda: run(cfg))
+    assert len(calls) == 3 * steps
+    assert res.times[-1] == end
+    rate_times = {t for k in range(steps) for t in (k * h, k * h + 0.5 * h, k * h + h)}
+    for signal in disturbances:
+        assert set(signal.times) == rate_times  # k1 at each of the N earlier points, and k2 to k4
 
 
 def test_a_crossing_is_raised_from_the_line_pass_source_shows(sec6_config):
@@ -541,7 +558,7 @@ def test_a_crossing_is_raised_from_the_line_pass_source_shows(sec6_config):
     assert (err.value.level, err.value.t) == (2, 0.222)
     frame, line = list(traceback.walk_tb(err.value.__traceback__))[-1]
     code = frame.f_code
-    assert (code.co_filename, code.co_name) == ("<blfstep pass n=2 l=12>", "closed_loop_pass")
+    assert (code.co_filename, code.co_name) == ("<blfstep pass n=2 l=12>", "rates")
     source = simengine.pass_source(cfg)
     assert source.splitlines()[line - 1].strip() == "raise BarrierViolation(z2, psi2, level=2, t=t)"
 

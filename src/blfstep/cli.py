@@ -262,17 +262,24 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 1
 
-    # each flag given overrides its field, which RunConfig checks again
-    flags = {"step": ("--step", args.step), "horizon": ("--horizon", args.horizon),
-             "output_path": ("--out", args.out)}
-    overrides = {name: value for name, (_, value) in flags.items() if value is not None}
+    # each flag given overrides its field, which RunConfig checks again; a
+    # problem is named after its flag where one was given, else its path
+    flags = {".step": ("--step", args.step), ".horizon": ("--horizon", args.horizon),
+             ".output_path": ("--out", args.out)}
+    overrides = {path[1:]: value for path, (_, value) in flags.items() if value is not None}
+    problems = []
     if overrides:
         try:
             config = dataclasses.replace(config, **overrides)
         except ConfigError as exc:
-            for path, message in exc.problems:
-                print(f"error: {flags[path.lstrip('.')][0]}: {message}", file=sys.stderr)
-            return 1
+            problems = [(flags[path][0] if path[1:] in overrides else path, message)
+                        for path, message in exc.problems]
+    if args.report == "":  # not a path, as for --out
+        problems.append(("--report", "expected a file path, got an empty string"))
+    for name, message in problems:
+        print(f"error: {name}: {message}", file=sys.stderr)
+    if problems:
+        return 1
 
     try:
         outcome = run(config)
@@ -283,7 +290,7 @@ def main(argv=None) -> int:
     try:
         if config.output_path is not None and isinstance(outcome, SimResult):
             emit_csv(outcome, config.output_path)
-        if args.report:
+        if args.report is not None:
             with open(args.report, "w", encoding="utf-8") as fh:
                 fh.write(report)
     except OSError as exc:  # a missing directory, a directory in the way

@@ -25,8 +25,10 @@ initial split is feasible (A_{i-1} < Psi_i(0)). Positivity is still
 re-checked every step through the barrier evaluation.
 
 The pass itself is generated per cascade from its constants and
-compiled once (see passgen): BacksteppingCascade._eval and step call it
-without a plant, and a run compiles it with the plant into its loop.
+compiled once (see passgen). Without a plant it returns one row of the
+record table (see RecordLayout), which BacksteppingCascade._eval returns
+and step reads; a run compiles it with the plant into its loop, which
+writes the same rows into the run's table.
 """
 
 from __future__ import annotations
@@ -38,10 +40,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .approximator import RbfNetwork
-from .barrier import blf_value
 # The generated pass inlines these helpers; they stay bound here because
 # bench/tracing.py patches the barrier and observer layers through them.
-from .barrier import damped_inverse, nussbaum, q_value  # noqa: F401
+from .barrier import blf_value, damped_inverse, nussbaum, q_value  # noqa: F401
 from .observer import estimate  # noqa: F401
 from .passgen import compile_pass
 from .signals import ConfigError, TimeSignal, finite_field, finite_numbers
@@ -145,24 +146,25 @@ class StepRecord:
     u: float
     zeta_rate: np.ndarray
     theta_rate: np.ndarray
+    nn_out: float
     barrier_energy: float
 
 
 class RecordLayout:
     """The record format, said once: the column groups of a record table,
-    one float64 row per kept instant, in the order
-    BacksteppingCascade.write_row fills them. A vector group names its
-    columns group1, group2, ...; a scalar group (size None) is one column
-    named after the group. StepRecord, the CSV columns and SimResult's
-    arrays are read through it."""
+    one float64 row per kept instant, in the order the generated pass
+    writes them (see passgen). A vector group names its columns group1,
+    group2, ...; a scalar group (size None) is one column named after the
+    group. StepRecord, the CSV columns and SimResult's arrays are read
+    through it."""
 
     def __init__(self, n: int, l: int):
         self.at, self.index, self.names = {}, {}, {}
         for group, size in (("t", None), ("x", n), ("dhat", n), ("zeta", n), ("theta", l),
                             ("Psi", n), ("psi", n), ("z", n), ("q", n), ("eps_hat", n),
                             ("alpha", n), ("v", n - 1), ("u", None), ("zeta_rate", n),
-                            ("theta_rate", l), ("barrier_energy", None), ("theta_norm", None),
-                            ("y_d", None)):
+                            ("theta_rate", l), ("nn_out", None), ("barrier_energy", None),
+                            ("theta_norm", None), ("y_d", None)):
             start = len(self.index)
             self.at[group] = start if size is None else slice(start, start + size)
             self.names[group] = [group] if size is None else [f"{group}{i + 1}" for i in range(size)]
@@ -269,10 +271,9 @@ class BacksteppingCascade:
             self._memo_t = t
         return self._memo
 
-    def _eval(self, t: float, x, dhat, zeta, theta):
-        """Cascade pass; returns the tuple of its outputs (z, q, eps_hat,
-        alpha, v, u, zeta_rate, theta_rate, nn_out, weights, y_d, Psi,
-        psi), as passgen describes them.
+    def _eval(self, t: float, x, dhat, zeta, theta) -> np.ndarray:
+        """Cascade pass; returns the record-table row at t as a float64
+        array, its cells in self.layout's order.
 
         x, dhat and zeta are sequences of floats (arrays give the same
         bits). theta is a sequence of floats for a float-weight network
@@ -282,29 +283,13 @@ class BacksteppingCascade:
         """
         if self._pass is None:
             self._pass = compile_pass(self)
-        if self.rbf.float_weights:
-            return self._pass(t, *x, *dhat, *zeta, *theta)
-        return self._pass(t, *x, *dhat, *zeta, theta)
+        weights = theta if self.rbf.float_weights else (theta,)
+        return np.array(self._pass(t, *x, *dhat, *zeta, *weights))
 
     def step(self, t: float, x, dhat, zeta, theta) -> StepRecord:
         """Full controller record at one instant (pure; repeat calls with
         the same inputs produce identical records)."""
-        row = np.empty(self.layout.width)
-        outputs = self._eval(t, x, dhat, zeta, theta)
-        weights = outputs[9]
-        self.write_row(row, t, [*x, *dhat, *zeta], outputs, math.sqrt(weights.dot(weights)))
-        return self.layout.read(row)
-
-    def write_row(self, row: np.ndarray, t: float, s, outputs, theta_norm: float) -> None:
-        """Fill a record-table row at t from the augmented state s (its
-        3n floats x, dhat, zeta come first; the weights are read from
-        outputs), the outputs of a pass at it and ||theta||."""
-        z, q, eps_hat, alpha, v, u, zeta_rate, theta_rate, _, weights, y_d, bounds, psis = outputs
-        energy = 0.0
-        for i in range(self.n):
-            energy += blf_value(z[i], psis[i])
-        row[:] = [t, *s[:3 * self.n], *weights.tolist(), *bounds, *psis, *z, *q, *eps_hat,
-                  *alpha, *v, u, *zeta_rate, *theta_rate, energy, theta_norm, y_d]
+        return self.layout.read(self._eval(t, x, dhat, zeta, theta))
 
 
 def lyapunov_decay_rates(gains: GainConfig, observer_gains, basis_bound: float) -> np.ndarray:

@@ -40,16 +40,14 @@ RbfNetwork.float_weights), else one float64 array theta.
 
 A cascade without a plant compiles to
 
-    cascade_pass(t, state...) -> (z, q, eps_hat, alpha, v, u, zeta_rate,
-                                  theta_rate, nn_out, weights, y_d, Psi, psi)
+    cascade_pass(t, state...) -> row
 
-where z to alpha, v, zeta_rate, Psi and psi are per-level tuples,
-theta_rate is a tuple of floats for a float-weight network and an array
-beyond, and weights is theta as the array the dot read. A closed loop
-compiles to two functions:
+the record-table row at t as a list, in the column order of
+controller.RecordLayout; integrate's kept rows come from the same
+emitter. A closed loop compiles to two functions:
 
     rates(t, state...) -> ds/dt, a tuple in the state's order
-    integrate(rates, write_row, table, steps, h, decimation, state...) -> metrics
+    integrate(rates, table, steps, h, decimation, state...) -> metrics
 
 integrate is the whole run. At each time point t = k h, k = 0..steps, it
 makes the pass inline, with its outputs as locals, and then, in this
@@ -62,9 +60,8 @@ order:
     max |v_i|, max |u|, ||theta|| (the square root of the weights' dot
     with themselves, as np.linalg.norm forms it) and its max, and from
     k >= steps / 2 on the tail sum of z_1^2;
-  - at every decimation-th point and the last one, calls
-    write_row(table[row], t, (x, dhat, zeta), outputs, ||theta||), the
-    outputs as cascade_pass returns them;
+  - at every decimation-th point and the last one, writes the row, as
+    cascade_pass returns it, to the table's next row;
   - stops at the last point, where no rate is taken;
   - takes the plant and observer rates as k1, calls rates at t + h/2,
     t + h/2 and t + h on the stage inputs y + (h/2) k1, y + (h/2) k2 and
@@ -103,10 +100,10 @@ class NonFiniteState(RuntimeError):
         super().__init__(f"state became non-finite at t={t:.6g}")
 
 
-_GLOBALS = {"exp": math.exp, "cos": math.cos, "sqrt": math.sqrt, "isfinite": math.isfinite,
-            "np_exp": np.exp, "np_isfinite": np.isfinite, "asarray": np.asarray,
-            "BarrierViolation": BarrierViolation, "ConfigError": ConfigError,
-            "NonFiniteState": NonFiniteState}
+_GLOBALS = {"exp": math.exp, "cos": math.cos, "sqrt": math.sqrt, "log1p": math.log1p,
+            "isfinite": math.isfinite, "np_exp": np.exp, "np_isfinite": np.isfinite,
+            "asarray": np.asarray, "BarrierViolation": BarrierViolation,
+            "ConfigError": ConfigError, "NonFiniteState": NonFiniteState}
 
 
 def _lit(value) -> str:
@@ -236,13 +233,18 @@ class _Loop:
             lines.append(f"dtheta = {lam} * ({qn} * phi - {kn_sq} * weights - {eta} * weights)")
         return lines
 
-    def outputs(self) -> str:
-        """The pass's outputs, in cascade_pass's order."""
-        dweights = _tuple(self.dweights) if self.floats else "dtheta"
-        groups = [_tuple(self.z), _tuple(self.q), _tuple(self.e), _tuple(self.a), _tuple(self.v),
-                  "u", _tuple(self.dzeta), dweights, "nn", "weights", "y_d",
-                  _tuple(self.big_psi), _tuple(self.psi)]
-        return "(" + ", ".join(groups) + ")"
+    def row(self) -> str:
+        """The record-table row at t, after the pass and norm = ||theta||:
+        cascade.layout's groups in order, the energy as blf_value's terms."""
+        energy = " + ".join(["0.0"] + [f"-0.5 * log1p(-({z} / {psi}) ** 2)"
+                                       for z, psi in zip(self.z, self.psi)])
+        weights, rates = ((self.weights, self.dweights) if self.floats
+                          else (["*weights.tolist()"], ["*dtheta.tolist()"]))
+        cells = dict(t=["t"], x=self.x, dhat=self.dhat, zeta=self.zeta, theta=weights,
+                     Psi=self.big_psi, psi=self.psi, z=self.z, q=self.q, eps_hat=self.e,
+                     alpha=self.a, v=self.v, u=["u"], zeta_rate=self.dzeta, theta_rate=rates,
+                     nn_out=["nn"], barrier_energy=[energy], theta_norm=["norm"], y_d=["y_d"])
+        return "[" + ", ".join(c for group in self.cascade.layout.at for c in cells[group]) + "]"
 
     def plant_rates(self) -> list:
         """The plant and observer rates at (t, state), after the pass."""
@@ -304,11 +306,13 @@ class _Loop:
     def step(self) -> list:
         """The RK4 stages after k1 and the combine, then the finiteness check."""
         k2, k3, k4 = ([f"k{s}_{i + 1}" for i in range(len(self.state))] for s in (2, 3, 4))
-        lines = []
+        lines, n = [], self.n
         for time, scale, rates, out in (("t + half", "half", self.rates, k2),
                                         ("t + half", "half", k2, k3), ("t + h", "h", k3, k4)):
             inputs = [f"{y} + {scale} * {r}" for y, r in zip(self.state, rates)]
-            lines.append(f"{_unpack(out)} = rates({time},\n    " + ",\n    ".join(inputs) + ")")
+            parts = [inputs[:n], inputs[n:2 * n], inputs[2 * n:3 * n], inputs[3 * n:]]
+            lines.append(f"{_unpack(out)} = rates({time},\n    "
+                         + ",\n    ".join(", ".join(part) for part in parts) + ")")
         lines += [f"{y} = {y} + sixth * ({a} + 2.0 * {b} + 2.0 * {c} + {d})"
                   for y, a, b, c, d in zip(self.state, self.rates, k2, k3, k4)]
         if self.floats:
@@ -328,8 +332,8 @@ def generate(cascade, plant=None) -> str:
     state = ", ".join(g.state)
     nonlocal_ = f"    nonlocal {', '.join(g.memo)}"
     if plant is None:
-        body = [f"def cascade_pass(t, {state}):", nonlocal_,
-                *_indent(g.pass_(), 4), *_indent(["return " + g.outputs()], 4)]
+        body = [f"def cascade_pass(t, {state}):", nonlocal_, *_indent(g.pass_(), 4),
+                "    norm = sqrt(weights.dot(weights))", f"    return {g.row()}"]
         tail = "    return cascade_pass"
     else:
         start, update, fields = g.metrics()
@@ -337,7 +341,7 @@ def generate(cascade, plant=None) -> str:
                 *_indent(g.pass_() + g.plant_rates(), 4),
                 f"    return {_tuple(g.rates)}",
                 "",
-                f"def integrate(rates, write_row, table, steps, h, decimation, {state}):",
+                f"def integrate(rates, table, steps, h, decimation, {state}):",
                 nonlocal_,
                 "    half = 0.5 * h",
                 "    sixth = h / 6.0",
@@ -348,8 +352,7 @@ def generate(cascade, plant=None) -> str:
                 "            t = k * h",
                 *_indent(g.pass_() + update, 12),
                 "            if k % decimation == 0 or k == steps:",
-                *_indent([f"write_row(table[kept], t, {_tuple(g.x + g.dhat + g.zeta)},\n"
-                          f"          {g.outputs()}, norm)"], 16),
+                f"                table[kept] = {g.row()}",
                 "                kept += 1",
                 "            if k == steps:",
                 "                break",

@@ -272,7 +272,7 @@ def run(config: RunConfig) -> SimResult:
     steps = int(round(config.horizon / h)) if config.horizon > 0 else 0
     table = np.empty((steps // decimation + 1 + (steps % decimation > 0), cascade.layout.width))
     try:
-        metrics = loop.integrate(loop.rates, cascade.write_row, table, steps, h, decimation, *s)
+        metrics = loop.integrate(loop.rates, table, steps, h, decimation, *s)
     except BarrierViolation as exc:
         # a NaN or infinite error coordinate means the state blew up, not
         # that a finite trajectory crossed its envelope

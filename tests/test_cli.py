@@ -452,6 +452,26 @@ def test_empty_out_flag_is_a_config_error(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_empty_report_flag_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # --report "" is no path; before it was read as no flag, and the run
+    # exited 0 without a report
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", blfstep.paper_sec6_path(), "--horizon", "0.01",
+                 "--out", "run.csv", "--report", ""]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: --report: expected a file path, got an empty string\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cross_field_problem_names_only_the_flags_given(capsys):
+    # horizon / step is a problem of both fields; only --horizon was given,
+    # so the step's is named by its document path
+    assert main(["simulate", blfstep.paper_sec6_path(), "--horizon", "1e300"]) == 1
+    message = "horizon / step = 1e+303 steps, more than 2**53"
+    assert capsys.readouterr().err.splitlines() == [f"error: --horizon: {message}",
+                                                    f"error: .step: {message}"]
+
+
 def test_integer_literal_past_the_digit_limit_is_config_error():
     # json.loads raises a plain ValueError past the int conversion limit
     text = sec6_text().replace('"eta": 4.0', '"eta": 1' + "0" * 5000)

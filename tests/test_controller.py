@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from blfstep.controller import (
     ConstraintConfig,
     ControllerError,
     GainConfig,
+    StepRecord,
     lyapunov_decay_rates,
 )
 from blfstep.observer import dhat_rate_final, dhat_rate_inner, estimate
@@ -274,6 +275,26 @@ def reference_energy(casc, t, z):
     return energy
 
 
+def reference_row(casc, t, x, dhat, zeta, theta):
+    """The record-table row at t, each cell placed by its layout name: the
+    reference pass, reference_energy, np.linalg.norm and the time signals
+    evaluated from the configuration."""
+    z, q, eps_hat, alpha, v, u, zeta_rate, theta_rate, nn_out = \
+        reference_eval(casc, t, x, dhat, zeta, theta)
+    n, constraints = casc.n, casc.constraints
+    cells = dict(t=t, x=x, dhat=dhat, zeta=zeta, theta=theta,
+                 Psi=[constraints.state_bound(i, t) for i in range(n)],
+                 psi=[constraints.envelope(i, t) for i in range(n)],
+                 z=z, q=q, eps_hat=eps_hat, alpha=alpha, v=v, u=u, zeta_rate=zeta_rate,
+                 theta_rate=theta_rate, nn_out=nn_out,
+                 barrier_energy=reference_energy(casc, t, z),
+                 theta_norm=np.linalg.norm(theta), y_d=casc.reference.value(t))
+    row = np.empty(casc.layout.width)
+    for group, at in casc.layout.at.items():
+        row[at] = cells[group]
+    return row
+
+
 def reference_rhs(plant, t, x, u):
     dx = np.empty(plant.n)
     for i in range(plant.n - 1):
@@ -342,18 +363,21 @@ def as_arrays(state):
     return tuple(np.array(part) for part in state)
 
 
-def assert_eval_matches(t, x, dhat, zeta, theta):
-    ref = outcome(reference_eval, SEC6, t, x, dhat, zeta, theta)
-    got = outcome(SEC6._eval, t, x, dhat, zeta, theta)
-    if isinstance(ref[0], str) or isinstance(got[0], str):
-        assert got == ref
-        return
-    for r, g in zip(ref, got):
-        assert bits(g) == bits(r)
-    rec = SEC6.step(t, x, dhat, zeta, theta)
-    for name, r in zip(("z", "q", "eps_hat", "alpha", "v", "u", "zeta_rate", "theta_rate"), ref):
-        assert bits(getattr(rec, name)) == bits(r), name
-    assert bits(rec.barrier_energy) == bits(reference_energy(SEC6, t, ref[0]))
+def assert_row_matches(casc, t, x, dhat, zeta, theta):
+    """_eval's row equals reference_row cell by cell, and step's record
+    reads it; or both raise the same violation, and it returns False."""
+    ref = outcome(reference_row, casc, t, x, dhat, zeta, theta)
+    got = outcome(casc._eval, t, x, dhat, zeta, theta)
+    if isinstance(ref, tuple) or isinstance(got, tuple):  # a violation
+        assert isinstance(ref, tuple) and isinstance(got, tuple) and got == ref
+        return False
+    layout = casc.layout
+    assert bits(got) == bits(ref), [name for name, i in layout.index.items()
+                                    if bits(got[i]) != bits(ref[i])]
+    rec = casc.step(t, x, dhat, zeta, theta)
+    for f in fields(StepRecord):
+        assert bits(getattr(rec, f.name)) == bits(ref[layout.at[f.name]]), f.name
+    return True
 
 
 class TestFastPathMatchesReference:
@@ -363,7 +387,7 @@ class TestFastPathMatchesReference:
     @settings(max_examples=150, deadline=None)
     @given(t=st.floats(0.0, 20.0), state=states)
     def test_eval_equals_reference(self, t, state):
-        assert_eval_matches(t, *as_arrays(state))
+        assert_row_matches(SEC6, t, *as_arrays(state))
 
     @settings(max_examples=100, deadline=None)
     @given(k=st.integers(0, 20000), order=st.lists(st.integers(0, 3), min_size=1, max_size=10),
@@ -375,14 +399,14 @@ class TestFastPathMatchesReference:
         times = (t, t + 0.5 * H, t + H, (k + 1) * H)
         x, dhat, zeta, theta = as_arrays(state)
         for j in order:
-            assert_eval_matches(times[j], x, dhat, zeta, theta)
+            assert_row_matches(SEC6, times[j], x, dhat, zeta, theta)
 
     @settings(max_examples=100, deadline=None)
     @given(t1=st.floats(0.0, 20.0), t2=st.floats(0.0, 20.0), state=states)
     def test_repeated_times(self, t1, t2, state):
         x, dhat, zeta, theta = as_arrays(state)
         for t in (t1, t2, t1, t1, t2):
-            assert_eval_matches(t, x, dhat, zeta, theta)
+            assert_row_matches(SEC6, t, x, dhat, zeta, theta)
 
     @settings(max_examples=100, deadline=None)
     @given(k=st.integers(0, 20000), state=st.lists(small, min_size=18, max_size=18))
@@ -429,16 +453,10 @@ def test_wide_weight_update_equals_reference(k, state):
     s = np.array(state)
     casc = WIDE_LOOP.cascade
     parts = (s[:2], s[2:4], s[4:6], s[6:])
+    assert not casc.rbf.float_weights  # the weights as one array
     for tau in (k * H, k * H + 0.5 * H):
-        ref = outcome(reference_eval, casc, tau, *parts)
-        got = outcome(casc._eval, tau, *parts)
-        if isinstance(ref[0], str) or isinstance(got[0], str):  # a violation
-            assert got == ref
+        if not assert_row_matches(casc, tau, *parts):  # a violation
             continue
-        assert isinstance(got[7], np.ndarray)
-        for r, g in zip(ref, got):
-            assert bits(g) == bits(r)
-        assert bits(casc.step(tau, *parts).theta_rate) == bits(ref[7])
         got = WIDE_LOOP.derivative(tau, WIDE_LOOP.state(*parts))
         assert isinstance(got[-1], np.ndarray)  # the weights' rates, one block
         assert bits(np.hstack(got)) == bits(reference_derivative(WIDE_LOOP, tau, s))

@@ -7,11 +7,15 @@ side of the float-weight limit, gains and a short horizon. The run must
 equal the reference RK4 loop of test_controller, which shares no pass
 code with the package, bit for bit, or both must end alike: a barrier
 violation at the same level and time, or a state that left the finite
-range. A completed run's metrics must equal, bit for bit, a plain Python
-fold over the reference pass at every time point, and every recorded row
-must hold |z_i| < psi_i.
+range. Every recorded row of a completed run must equal, cell by cell and
+bit for bit, reference_row at its state: the reference pass, the barrier
+energy summed over blf_value, np.linalg.norm and the time signals. The
+run's metrics must equal a plain Python fold over those rows, and every
+recorded row must hold |z_i| < psi_i. Each drawn configuration must also
+read back from its config_to_dict document as the same document.
 """
 
+import json
 import math
 from dataclasses import fields
 
@@ -20,12 +24,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from blfstep.approximator import RbfNetwork
 from blfstep.barrier import BarrierViolation
+from blfstep.cli import config_to_dict, parse_config
 from blfstep.controller import BacksteppingCascade, ConstraintConfig, GainConfig
 from blfstep.plant import Monomial, PlantSpec
 from blfstep.signals import Constant, ExpDecay, SignalSum, Sinusoid
 from blfstep.simengine import NonFiniteState, RunConfig, run
 
-from test_controller import bits, reference_eval, reference_trajectory
+from test_controller import bits, reference_eval, reference_row, reference_trajectory
 
 
 def signals(scale):
@@ -108,34 +113,37 @@ def run_outcome(cfg):
         return ("non-finite",)
 
 
-def reference_metrics(cfg, rows):
-    """RunMetrics' fields, folded in plain Python over the reference pass
-    at every time point of the reference trajectory rows."""
+def reference_table(cfg, rows):
+    """The record table of the reference trajectory rows: reference_row,
+    which shares no code with the generated pass, at every time point."""
     cascade = BacksteppingCascade(cfg.reference, cfg.constraints, cfg.gains,
                                   cfg.observer_gains, cfg.rbf)
-    n, h, steps = cfg.plant.n, cfg.step, len(rows) - 1
+    n = cfg.plant.n
+    return np.array([reference_row(cascade, k * cfg.step, row[:n], row[n:2 * n],
+                                   row[2 * n:3 * n], row[3 * n:])
+                     for k, row in enumerate(rows)])
+
+
+def reference_metrics(cfg, table, layout):
+    """RunMetrics' fields, folded in plain Python over the rows of the
+    reference table, read by layout name."""
+    n, h, steps = cfg.plant.n, cfg.step, len(table) - 1
     got = {"max_constraint_ratio": [0.0] * n, "max_error_ratio": [0.0] * n,
            "observed_max_abs_v": [0.0] * (n - 1), "max_abs_zeta": [0.0] * n,
            "max_abs_eps_hat": [0.0] * n, "max_abs_eps_hat_rate": [0.0] * n,
            "reserve_exceeded_at": [None] * n,
            "max_abs_u": 0.0, "max_abs_y_d": 0.0, "max_theta_norm": 0.0}
     tail, tail_count, previous = 0.0, 0, None
-    for k, row in enumerate(rows):
-        t = k * h
-        z, _, eps_hat, _, v, u, *_ = reference_eval(cascade, t, row[:n], row[n:2 * n],
-                                                    row[2 * n:3 * n], row[3 * n:])
-        x, zeta = row[:n].tolist(), row[2 * n:3 * n].tolist()
-        z, eps_hat, v = z.tolist(), eps_hat.tolist(), v.tolist()
-        bounds = [cfg.constraints.state_bound(i, t) for i in range(n)]
-        envelopes = [cfg.constraints.envelope(i, t) for i in range(n)]
-        norm = float(np.linalg.norm(row[3 * n:]))
+    for k, row in enumerate(table):
+        t, x, zeta, z, eps_hat, v, u, bounds, envelopes, y_d, norm = (
+            row[layout.at[group]].tolist() for group in
+            ("t", "x", "zeta", "z", "eps_hat", "v", "u", "Psi", "psi", "y_d", "theta_norm"))
         candidates = {"max_constraint_ratio": [abs(a) / b for a, b in zip(x, bounds)],
                       "max_error_ratio": [abs(a) / b for a, b in zip(z, envelopes)],
                       "observed_max_abs_v": [abs(a) for a in v],
                       "max_abs_zeta": [abs(a) for a in zeta],
                       "max_abs_eps_hat": [abs(a) for a in eps_hat],
-                      "max_abs_u": abs(u), "max_abs_y_d": abs(cfg.reference.value(t)),
-                      "max_theta_norm": norm}
+                      "max_abs_u": abs(u), "max_abs_y_d": abs(y_d), "max_theta_norm": norm}
         if previous is not None:
             candidates["max_abs_eps_hat_rate"] = [abs(a - b) / h
                                                   for a, b in zip(eps_hat, previous)]
@@ -201,12 +209,18 @@ CROSSING = RunConfig(
 @given(cfg=configs())
 @example(cfg=CROSSING)
 def test_run_equals_the_reference_loop_on_drawn_configurations(cfg):
+    document = json.dumps(config_to_dict(cfg))
+    assert json.dumps(config_to_dict(parse_config(document))) == document
     got, want = run_outcome(cfg), reference_outcome(cfg)
     if isinstance(want, tuple) or isinstance(got, tuple):
         assert got == want
         return
     assert [bits(row) for row in got.trajectory] == [bits(row) for row in want]
-    assert_metrics_equal(got.metrics, reference_metrics(cfg, want))
     layout = got.records.layout
+    table = reference_table(cfg, want)
+    for k, (row, ref) in enumerate(zip(got.records.table, table)):
+        assert bits(row) == bits(ref), (k, [name for name, i in layout.index.items()
+                                            if bits(row[i]) != bits(ref[i])])
+    assert_metrics_equal(got.metrics, reference_metrics(cfg, table, layout))
     z, psi = got.records.columns(layout.names["z"]), got.records.columns(layout.names["psi"])
     assert (np.abs(z) < psi).all()

@@ -23,8 +23,8 @@ def bits(value):
 def oracle_csv(result) -> bytes:
     """The CSV as emit_csv wrote it before the record table: the time
     signals evaluated from the config per row, the controller outputs
-    from a fresh cascade pass at the recorded state, ||theta|| from
-    np.linalg.norm, and each cell through repr(float(v))."""
+    read by name from a fresh cascade pass at the recorded state,
+    ||theta|| from np.linalg.norm, and each cell through repr(float(v))."""
     cfg = result.config
     n = cfg.plant.n
     cascade = BacksteppingCascade(cfg.reference, cfg.constraints, cfg.gains,
@@ -32,7 +32,8 @@ def oracle_csv(result) -> bytes:
     lines = [",".join(csv_header(n))]
     for t, state in zip(result.times.tolist(), np.array(result.trajectory)):
         x, dhat, zeta, theta = state[:n], state[n:2 * n], state[2 * n:3 * n], state[3 * n:]
-        z, _, eps_hat, _, v, u, *_ = cascade._eval(t, x, dhat, zeta, theta)
+        cells = cascade._eval(t, x, dhat, zeta, theta)
+        z, eps_hat, v, u = (cells[cascade.layout.at[g]] for g in ("z", "eps_hat", "v", "u"))
         row = [t, *x]
         row += [cfg.constraints.state_bounds[i].value(t) for i in range(n)]
         row += [cfg.constraints.envelope(i, t) for i in range(n)]

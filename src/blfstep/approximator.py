@@ -1,6 +1,6 @@
 """Gaussian radial-basis network used as the online function approximator.
 
-The network output is theta @ basis(zbar) where each basis component is
+The network output is theta . basis(zbar) where each basis component is
 exp(-||zbar - c_i||^2 / b_i). Centers and widths are fixed; only the
 weight vector adapts (through the update law in the controller module).
 """
@@ -21,11 +21,11 @@ MAX_NODES = 10 ** 6
 # lattice. JSON null is listed, and is no list of numbers.
 _LATTICE = object()
 
-# Up to this many nodes the weight update, and the basis over two axes,
-# cost less elementwise on Python floats than as numpy array operations,
-# whose fixed cost per call outweighs short vectors (crossover near 28
-# weights, measured with timeit). Both forms round every element
-# identically.
+# Up to this many nodes the basis, the weight update and the dots cost less
+# on Python floats than as numpy array operations, whose fixed cost per
+# call outweighs short vectors (crossover near 28 weights, measured with
+# timeit). The float form's one math.exp per node and left-to-right sums
+# do not depend on CPU dispatch; the array form's np.exp and BLAS dot do.
 _FLOAT_WEIGHTS_MAX = 24
 
 
@@ -164,12 +164,16 @@ class RbfNetwork:
         """Basis vector at input zbar, a sequence of floats; every
         component lies in (0, 1].
 
-        numpy sums a row of fewer than 8 squared distances one after
-        another, so the generated pass's two-axis float form, np.exp of
-        the list of ((c1 - x1)^2 + (c2 - x2)^2) / (-b), rounds alike.
+        For a float-weight network each component is math.exp of the
+        squared distances summed over the axes left to right, divided by
+        -b, as the generated pass forms it; beyond, np.exp of numpy's row
+        sum, which adds fewer than 8 axes one after another.
         """
         diff = self.centers - np.asarray(zbar, dtype=float)
-        return np.exp(np.add.reduce(diff * diff, axis=1) / self._neg_widths)
+        if not self.float_weights:
+            return np.exp(np.add.reduce(diff * diff, axis=1) / self._neg_widths)
+        exponents = np.add.accumulate(diff * diff, axis=1)[:, -1] / self._neg_widths
+        return np.array([math.exp(v) for v in exponents.tolist()])
 
     def norm_bound(self) -> float:
         """Upper bound on ||basis(zbar)||: sqrt(l), since each component <= 1."""

@@ -13,9 +13,11 @@ blowup.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
+import os
 import sys
 from importlib import resources
 
@@ -268,33 +270,42 @@ def main(argv=None) -> int:
              ".output_path": ("--out", args.out)}
     overrides = {path[1:]: value for path, (_, value) in flags.items() if value is not None}
     problems = []
-    if overrides:
-        try:
-            config = dataclasses.replace(config, **overrides)
-        except ConfigError as exc:
-            problems = [(flags[path][0] if path[1:] in overrides else path, message)
-                        for path, message in exc.problems]
     if args.report == "":  # not a path, as for --out
         problems.append(("--report", "expected a file path, got an empty string"))
+    try:
+        if overrides:
+            config = dataclasses.replace(config, **overrides)
+        if not problems:
+            outcome = run(config)
+    except (BarrierViolation, InfeasibleInitialCondition, NonFiniteState) as exc:
+        outcome = exc
+    except ConfigError as exc:  # an override, or a record table that cannot be allocated
+        problems = [(flags[path][0] if path[1:] in overrides else path, message)
+                    for path, message in exc.problems] + problems
     for name, message in problems:
         print(f"error: {name}: {message}", file=sys.stderr)
     if problems:
         return 1
 
-    try:
-        outcome = run(config)
-    except (BarrierViolation, InfeasibleInitialCondition, NonFiniteState) as exc:
-        outcome = exc
-
     report = emit_report(outcome)
+    begun = []  # the output files this run has begun, in order
     try:
         if config.output_path is not None and isinstance(outcome, SimResult):
+            begun.append(config.output_path)
             emit_csv(outcome, config.output_path)
         if args.report is not None:
+            begun.append(args.report)
             with open(args.report, "w", encoding="utf-8") as fh:
                 fh.write(report)
-    except OSError as exc:  # a missing directory, a directory in the way
-        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+    except OSError as exc:  # a missing directory, a directory in the way, a full disk
+        # no file of this run is left: one whose open failed (the error
+        # names it; a failed write names none) was not touched, and a
+        # device or a link is not a file of the run
+        for path in begun:
+            if path != exc.filename and os.path.isfile(path) and not os.path.islink(path):
+                with contextlib.suppress(OSError):
+                    os.remove(path)
+        print(f"error: {exc.filename or begun[-1]}: {exc.strerror}", file=sys.stderr)
         return 1
     print(report, end="")
     return verdict_code(outcome)

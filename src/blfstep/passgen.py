@@ -6,12 +6,10 @@ law, and, for a closed loop, the plant and observer rates. It is written
 from the loop's constants and compiled once. The levels are unrolled,
 the state is held in locals, and the gains, centers, widths, drift
 monomials and beta appear as repr literals, which read back as the same
-floats. Every expression keeps the operation order of the maths below
-and the same numpy calls (np.exp of the basis list, the BLAS dot
-np.asarray(theta).dot(phi)), so the results are the same bits as
-evaluating it step by step on floats and float64 arrays. CPython does
-not contract a*b + c, and folds only products of two literals, as the
-run-time product would round them.
+floats. Every expression keeps the operation order of the maths below,
+so the results are the same bits as evaluating it step by step. CPython
+does not contract a*b + c, and folds only products of two literals, as
+the run-time product would round them.
 
 The pass, per level i = 1..n (v_0 = y_d, the reference):
 
@@ -30,13 +28,15 @@ and the plant and observer rates are
     x_i' = x_{i+1} + d_i(t),  x_n' = f(x) + beta u + d_n(t)
     dhat_i' = -k_eps_i (x_{i+1} + eps_hat_i),  dhat_n' = -k_eps_n (theta . phi + u + eps_hat_n)
 
-Over two axes with float weights, the basis forms each squared distance
-(c - x_i)^2 once per distinct center coordinate and each node as
-np.exp of the list of (G + H) / (-b), as numpy's row sum of fewer than 8
-squares adds them; otherwise it is RbfNetwork.basis. The state, in
-every signature below, is x1..xn, dhat1..dhatn, zeta1..zetan and the
-weights: w1..wl as floats for a float-weight network (see
-RbfNetwork.float_weights), else one float64 array theta.
+A float-weight network (see RbfNetwork.float_weights) is written out on
+floats with no numpy call, so its bits do not depend on CPU dispatch:
+each squared distance (c - x_i)^2 once per distinct center coordinate,
+node j as one math.exp of its squares summed over the axes divided by
+-b_j, theta . phi as w1 * p1 + w2 * p2 + ... and ||theta|| as
+sqrt(w1 * w1 + w2 * w2 + ...), every sum left to right. A larger one
+keeps its weights as one float64 array theta, with RbfNetwork.basis
+(np.exp) and numpy's BLAS dot. The state, in every signature below, is
+x1..xn, dhat1..dhatn, zeta1..zetan and the weights, w1..wl or theta.
 
 A cascade without a plant compiles to
 
@@ -57,9 +57,8 @@ order:
     and |z_i| / psi_i, the first t at which |x_i - z_i| exceeds the
     reserve Psi_i - psi_i, max |zeta_i|, max |eps_hat_i| and, from the
     second point on, max |eps_hat_i - its previous value| / h; then
-    max |v_i|, max |u|, ||theta|| (the square root of the weights' dot
-    with themselves, as np.linalg.norm forms it) and its max, and from
-    k >= steps / 2 on the tail sum of z_1^2;
+    max |v_i|, max |u|, ||theta|| and its max, and from k >= steps / 2 on
+    the tail sum of z_1^2;
   - at every decimation-th point and the last one, writes the row, as
     cascade_pass returns it, to the table's next row;
   - stops at the last point, where no rate is taken;
@@ -101,7 +100,7 @@ class NonFiniteState(RuntimeError):
 
 
 _GLOBALS = {"exp": math.exp, "cos": math.cos, "sqrt": math.sqrt, "log1p": math.log1p,
-            "isfinite": math.isfinite, "np_exp": np.exp, "np_isfinite": np.isfinite,
+            "isfinite": math.isfinite, "np_isfinite": np.isfinite,
             "asarray": np.asarray, "BarrierViolation": BarrierViolation,
             "ConfigError": ConfigError, "NonFiniteState": NonFiniteState}
 
@@ -141,6 +140,9 @@ class _Loop:
         self.n, self.rbf, self.floats = n, rbf, rbf.float_weights
         self.x, self.dhat, self.zeta = _names("x", n), _names("dhat", n), _names("zeta", n)
         self.weights = _names("w", rbf.l) if self.floats else ["theta"]
+        # ||theta||, the square root of the weights' dot with themselves
+        squares = " + ".join(f"{w} * {w}" for w in self.weights)
+        self.norm = f"norm = sqrt({squares})" if self.floats else "norm = sqrt(weights.dot(weights))"
         self.state = self.x + self.dhat + self.zeta + self.weights
         self.z, self.q, self.e, self.a = (_names(p, n) for p in ("z", "q", "e", "a"))
         self.v = _names("v", n - 1)
@@ -170,20 +172,20 @@ class _Loop:
     def pass_(self) -> list:
         """The pass at (t, state), up to the weight law and zeta rates."""
         n, rbf, floats = self.n, self.rbf, self.floats
-        lines = []
-        if floats and n == 2:
-            squares = []
-            for axis, sign in ((0, "g"), (1, "h")):
-                coords = dict.fromkeys(_lit(c) for c in rbf.centers[:, axis].tolist())
-                names = {c: f"{sign}{i + 1}" for i, c in enumerate(coords)}
+        if floats:
+            # each distinct center coordinate's squared distance once, then
+            # per node one exp of the axes' squares summed left to right
+            lines, nodes = [], [[] for _ in range(rbf.l)]
+            for axis in range(n):
+                squares = {}
+                for node, c in zip(nodes, rbf.centers[:, axis].tolist()):
+                    node.append(squares.setdefault(_lit(c), f"sq{axis + 1}_{len(squares) + 1}"))
                 lines += [f"{name} = ({c} - x{axis + 1}) * ({c} - x{axis + 1})"
-                          for c, name in names.items()]
-                squares.append(names)
-            terms = [f"({squares[0][_lit(c1)]} + {squares[1][_lit(c2)]}) / {_lit(-b)}"
-                     for (c1, c2), b in zip(rbf.centers.tolist(), rbf.widths.tolist())]
-            lines.append("phi = np_exp([" + ",\n              ".join(terms) + "])")
+                          for c, name in squares.items()]
+            lines += [f"p{j + 1} = exp(({' + '.join(node)}) / {_lit(-b)})"
+                      for j, (node, b) in enumerate(zip(nodes, rbf.widths.tolist()))]
         else:
-            lines.append(f"phi = basis({_tuple(self.x)})")
+            lines = [f"phi = basis({_tuple(self.x)})"]
 
         # the time signals, as ConstraintConfig.level_signals states them
         lines.append("if t != memo_t:")
@@ -213,9 +215,8 @@ class _Loop:
                 lines += [f"a{j} = {_lit(k)} * z{j} + e{j} + q{j} - (z{j} / psi{j}) * dpsi{j}",
                           f"v{j} = zeta{j} * zeta{j} * cos(zeta{j}) * a{j}"]
             else:
-                theta = f"[{', '.join(self.weights)}]" if floats else "theta"
-                lines += [f"weights = asarray({theta})",
-                          "nn = float(weights.dot(phi))",
+                lines += ["nn = " + " + ".join(f"{w} * p{j + 1}" for j, w in enumerate(self.weights))
+                          if floats else "weights = asarray(theta)\nnn = float(weights.dot(phi))",
                           f"a{j} = ({_lit(k)} * z{j} + e{j} + 0.5 * q{j} - (z{j} / psi{j}) * dpsi{j}"
                           f" + nn + q{j} / (q{j} * q{j} + {_lit(gains.delta)})"
                           f" * {_lit(reciprocal_gain)})",
@@ -225,9 +226,7 @@ class _Loop:
         lam, kn_sq, eta = _lit(gains.lam), _lit(kobs[-1] ** 2), _lit(gains.eta)
         qn = f"q{n}"
         if floats:
-            p = _names("p", rbf.l)
-            lines.append(f"{_unpack(p)} = phi.tolist()")
-            lines += [f"dw{j + 1} = {lam} * ({qn} * {p[j]} - {kn_sq} * {w} - {eta} * {w})"
+            lines += [f"dw{j + 1} = {lam} * ({qn} * p{j + 1} - {kn_sq} * {w} - {eta} * {w})"
                       for j, w in enumerate(self.weights)]
         else:
             lines.append(f"dtheta = {lam} * ({qn} * phi - {kn_sq} * weights - {eta} * weights)")
@@ -293,7 +292,7 @@ class _Loop:
         for j in range(1, n):
             update += [f"if abs(v{j}) > max_v{j}:", f"    max_v{j} = abs(v{j})"]
         update += ["if abs(u) > max_u:", "    max_u = abs(u)",
-                   "norm = sqrt(weights.dot(weights))",
+                   self.norm,
                    "if norm > max_norm:", "    max_norm = norm",
                    "if 2 * k >= steps:", "    tail += z1 ** 2", "    tail_count += 1"]
         fields = [f"{name}=asarray([{', '.join(_names(m, n))}])" for m, name in per_level.items()]
@@ -333,7 +332,7 @@ def generate(cascade, plant=None) -> str:
     nonlocal_ = f"    nonlocal {', '.join(g.memo)}"
     if plant is None:
         body = [f"def cascade_pass(t, {state}):", nonlocal_, *_indent(g.pass_(), 4),
-                "    norm = sqrt(weights.dot(weights))", f"    return {g.row()}"]
+                f"    {g.norm}", f"    return {g.row()}"]
         tail = "    return cascade_pass"
     else:
         start, update, fields = g.metrics()

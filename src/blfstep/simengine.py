@@ -249,7 +249,8 @@ def run(config: RunConfig) -> SimResult:
     its envelope at any accepted step or RK4 stage, and NonFiniteState if
     the state leaves the representable range or a step's arithmetic fails
     (an overflow, a division by zero, or sin or cos of inf). Never
-    continues past a violation.
+    continues past a violation. Raises ConfigError naming .horizon and
+    .step if the record table the run asks for cannot be allocated.
 
     The loop itself is the generated integrate (see passgen): one pass per
     time point for the metrics, the kept rows of the record table and the
@@ -264,13 +265,18 @@ def run(config: RunConfig) -> SimResult:
         if not (abs(z0[i]) < psi0):
             raise InfeasibleInitialCondition(i + 1, z0[i], psi0)
 
+    h, decimation = config.step, config.decimation
+    steps = int(round(config.horizon / h)) if config.horizon > 0 else 0
+    shape = (steps // decimation + 1 + (steps % decimation > 0), cascade.layout.width)
+    try:
+        table = np.empty(shape)
+    except MemoryError as exc:
+        message = f"the record table of {shape[0]} rows by {shape[1]} columns cannot be allocated"
+        raise ConfigError([(".horizon", message), (".step", message)]) from exc
     # built after the t = 0 signals were read: the loop starts from them
     loop = ClosedLoop(config.plant, cascade)
     s = loop.state(config.initial_x, initial_dhat(config.observer_gains, z0),
                    np.zeros(loop.n), np.zeros(loop.l))
-    h, decimation = config.step, config.decimation
-    steps = int(round(config.horizon / h)) if config.horizon > 0 else 0
-    table = np.empty((steps // decimation + 1 + (steps % decimation > 0), cascade.layout.width))
     try:
         metrics = loop.integrate(loop.rates, table, steps, h, decimation, *s)
     except BarrierViolation as exc:

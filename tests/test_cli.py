@@ -1,11 +1,14 @@
+import errno
 import hashlib
 import inspect
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields, replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +31,20 @@ from blfstep.signals import SIGNALS, ExpDecay, SignalSum, Sinusoid
 from blfstep.simengine import RunConfig
 
 from test_simengine import third_order_config
+
+
+# The flagship CSV's sha256, pinned: a change that moves one bit of the
+# trajectory or of a written cell changes it.
+FLAGSHIP_SHA256 = "15dcab1d694423961fb2af4865d44a7f0c3ffebaec46ea3fb8fd69498d7515ca"
+
+# Environment settings under which numpy and OpenBLAS dispatch as on other
+# CPUs: the default; numpy without AVX-512 and OpenBLAS's Haswell kernels;
+# OpenBLAS's Nehalem kernels.
+NO_AVX512 = "AVX512F AVX512CD AVX512_SKX AVX512_CLX AVX512_CNL AVX512_ICL AVX512_SPR X86_V4"
+CPU_DISPATCH = {"default": {},
+                "no-avx512-haswell": {"NPY_DISABLE_CPU_FEATURES": NO_AVX512,
+                                      "OPENBLAS_CORETYPE": "Haswell"},
+                "nehalem": {"OPENBLAS_CORETYPE": "Nehalem"}}
 
 
 def sec6_text():
@@ -210,13 +227,27 @@ class TestCsv:
             assert row["zeta1"] == state[2 * n] and row["zeta2"] == state[2 * n + 1]
             assert row["theta_norm"] == float(np.linalg.norm(state[3 * n:]))
 
-    def test_flagship_bytes_match_bench_reference(self, sec6_result, tmp_path):
-        # bench/run.py records the flagship CSV's hash; a refactor keeps the bytes
-        bench = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
-        expected = json.loads(bench.read_text(encoding="utf-8"))["flagship"]["csv_sha256"]
+    def test_flagship_bytes_match_the_pinned_hash(self, sec6_result, tmp_path):
+        # a refactor keeps the bytes; this is the hash on every host class
+        # the dispatch test below imitates
         path = tmp_path / "flagship.csv"
         emit_csv(sec6_result, str(path))
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == expected
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == FLAGSHIP_SHA256
+
+    def test_flagship_bytes_do_not_depend_on_cpu_dispatch(self, tmp_path):
+        # numpy's SIMD loops and OpenBLAS's kernels are chosen from the CPU
+        # at import; each child chooses as another host class would. An
+        # unknown feature name only warns, so the settings run anywhere.
+        digests = {}
+        for name, variables in CPU_DISPATCH.items():
+            out = tmp_path / f"{len(digests)}.csv"
+            proc = subprocess.run(
+                [sys.executable, "-m", "blfstep", "simulate", blfstep.paper_sec6_path(),
+                 "--horizon", "2", "--out", str(out)],
+                env={**os.environ, **variables}, capture_output=True, text=True)
+            assert proc.returncode in (0, 2), proc.stderr
+            digests[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert len(set(digests.values())) == 1, digests
 
     def test_zero_horizon_gives_header_and_initial_row(self, tmp_path):
         cfg = blfstep.load_config_file(blfstep.paper_sec6_path())
@@ -460,6 +491,49 @@ def test_empty_report_flag_is_a_config_error(tmp_path, capsys, monkeypatch):
                  "--out", "run.csv", "--report", ""]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err == "error: --report: expected a file path, got an empty string\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_record_table_that_cannot_be_allocated_is_a_diagnostic(sec6_config, tmp_path, capsys,
+                                                                monkeypatch):
+    # 10**12 + 1 rows of 51 cells, 371 TiB: past a 47-bit address space, so
+    # nothing is allocated. Before, numpy's MemoryError ended in a traceback.
+    message = "the record table of 1000000000001 rows by 51 columns cannot be allocated"
+    with pytest.raises(ConfigError) as err:
+        blfstep.run(replace(sec6_config, step=1e-300, horizon=1e-287))
+    assert err.value.problems == [(".horizon", message), (".step", message)]
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", blfstep.paper_sec6_path(), "--step", "1e-300", "--horizon", "1e-287",
+                 "--out", "run.csv", "--report", "run.txt"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: --horizon: {message}\nerror: --step: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_output_error_leaves_no_file_of_the_run(tmp_path, capsys, monkeypatch):
+    # the CSV is written first; before, a report that could not be
+    # written left it behind
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", blfstep.paper_sec6_path(), "--horizon", "0.01",
+                 "--out", "a.csv", "--report", "missing/r.txt"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: missing/r.txt: No such file or directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_leaves_no_partial_file(tmp_path, capsys, monkeypatch):
+    # a full disk fails a write, not an open, and the error names no file
+    def emit_csv(result, path):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("t,x1\n")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, "emit_csv", emit_csv)
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", blfstep.paper_sec6_path(), "--horizon", "0.01",
+                 "--out", "a.csv"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: a.csv: {os.strerror(errno.ENOSPC)}\n"
     assert list(tmp_path.iterdir()) == []
 
 

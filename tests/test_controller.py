@@ -203,17 +203,41 @@ class TestDiagnostics:
 # derivative as first written, on numpy float64 scalars with every
 # time-only signal recomputed at every call. The package's fast path
 # (Python floats, time signals memoised per t) must agree bit for bit.
+# Up to 24 nodes the network is specified on floats: one math.exp per
+# node, and every sum over the axes or the weights taken left to right;
+# beyond, np.exp, numpy's row sum, @ and np.linalg.norm.
+
+def chain(values):
+    """values summed left to right from the first, as a + b + c adds them."""
+    total = values[0]
+    for value in values[1:]:
+        total = total + value
+    return total
+
 
 def reference_basis(rbf, x):
-    diff = rbf.centers - np.asarray(x, dtype=float)
-    return np.exp(-(diff * diff).sum(axis=1) / rbf.widths)
+    if rbf.l > 24:
+        diff = rbf.centers - np.asarray(x, dtype=float)
+        return np.exp(-(diff * diff).sum(axis=1) / rbf.widths)
+    x = np.asarray(x, dtype=float).tolist()
+    return np.array([math.exp(-chain([(c - xi) * (c - xi) for c, xi in zip(center, x)]) / b)
+                     for center, b in zip(rbf.centers.tolist(), rbf.widths.tolist())])
 
 
-# RbfNetwork.basis works on numpy arrays for every network and equals the
-# reference bit for bit, whether the input is a list or an array. The
-# generated pass forms the basis of a network of up to 24 nodes over two
-# axes itself, on Python floats; the pass and trajectory oracles below
-# check that form.
+def reference_dot(theta, phi):
+    if len(theta) > 24:
+        return float(theta @ phi)
+    return chain([w * p for w, p in zip(np.asarray(theta).tolist(), np.asarray(phi).tolist())])
+
+
+def reference_norm(theta):
+    return np.linalg.norm(theta) if len(theta) > 24 else math.sqrt(reference_dot(theta, theta))
+
+
+# RbfNetwork.basis equals the reference bit for bit for every network,
+# whether the input is a list or an array. The generated pass forms the
+# basis of a network of up to 24 nodes itself, on Python floats; the pass
+# and trajectory oracles below check that form.
 @pytest.mark.parametrize("n", range(2, 10))
 @pytest.mark.parametrize("l", [1, 12, 24, 25])
 def test_basis_equals_reference(n, l):
@@ -255,7 +279,7 @@ def reference_eval(casc, t, x, dhat, zeta, theta):
             v_prev = nussbaum(zeta[i]) * ai
             v[i] = v_prev
         else:
-            nn_out = float(theta @ phi)
+            nn_out = reference_dot(theta, phi)
             ai = (k[i] * zi + ei + 0.5 * qi - wall_rate + nn_out
                   + damped_inverse(qi, casc.gains.delta) * (kobs[-1] ** 4 / 8.0))
             u = nussbaum(zeta[i]) * ai
@@ -277,7 +301,7 @@ def reference_energy(casc, t, z):
 
 def reference_row(casc, t, x, dhat, zeta, theta):
     """The record-table row at t, each cell placed by its layout name: the
-    reference pass, reference_energy, np.linalg.norm and the time signals
+    reference pass, reference_energy, reference_norm and the time signals
     evaluated from the configuration."""
     z, q, eps_hat, alpha, v, u, zeta_rate, theta_rate, nn_out = \
         reference_eval(casc, t, x, dhat, zeta, theta)
@@ -288,7 +312,7 @@ def reference_row(casc, t, x, dhat, zeta, theta):
                  z=z, q=q, eps_hat=eps_hat, alpha=alpha, v=v, u=u, zeta_rate=zeta_rate,
                  theta_rate=theta_rate, nn_out=nn_out,
                  barrier_energy=reference_energy(casc, t, z),
-                 theta_norm=np.linalg.norm(theta), y_d=casc.reference.value(t))
+                 theta_norm=reference_norm(theta), y_d=casc.reference.value(t))
     row = np.empty(casc.layout.width)
     for group, at in casc.layout.at.items():
         row[at] = cells[group]

@@ -9,7 +9,7 @@ code with the package, bit for bit, or both must end alike: a barrier
 violation at the same level and time, or a state that left the finite
 range. Every recorded row of a completed run must equal, cell by cell and
 bit for bit, reference_row at its state: the reference pass, the barrier
-energy summed over blf_value, np.linalg.norm and the time signals. The
+energy summed over blf_value, reference_norm and the time signals. The
 run's metrics must equal a plain Python fold over those rows, and every
 recorded row must hold |z_i| < psi_i. Each drawn configuration must also
 read back from its config_to_dict document as the same document.
@@ -17,7 +17,7 @@ read back from its config_to_dict document as the same document.
 
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
@@ -224,3 +224,19 @@ def test_run_equals_the_reference_loop_on_drawn_configurations(cfg):
     assert_metrics_equal(got.metrics, reference_metrics(cfg, table, layout))
     z, psi = got.records.columns(layout.names["z"]), got.records.columns(layout.names["psi"])
     assert (np.abs(z) < psi).all()
+
+
+def test_flagship_rows_equal_the_reference_while_theta_norm_falls(sec6_config):
+    # the drawn horizons never see ||theta|| fall; over 0.7 s of the flagship
+    # it peaks near 0.0245 and first falls at t = 0.608 s, so a row or a
+    # metric that took the running maximum for the norm differs here
+    cfg = replace(sec6_config, horizon=0.7, decimation=1)
+    got = run(cfg)
+    layout = got.records.layout
+    table = reference_table(cfg, got.trajectory)
+    norms = table[:, layout.at["theta_norm"]]
+    assert (np.diff(norms) < 0).any() and norms[-1] < norms.max()
+    for k, (row, ref) in enumerate(zip(got.records.table, table)):
+        assert bits(row) == bits(ref), (k, [name for name, i in layout.index.items()
+                                            if bits(row[i]) != bits(ref[i])])
+    assert_metrics_equal(got.metrics, reference_metrics(cfg, table, layout))

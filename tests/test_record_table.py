@@ -13,6 +13,7 @@ from blfstep.controller import BacksteppingCascade, ConstraintConfig, Records, S
 from blfstep.signals import Constant, ExpDecay, SignalSum, Sinusoid
 from blfstep.simengine import run
 
+from test_controller import reference_norm
 from test_simengine import third_order_config
 
 
@@ -24,7 +25,7 @@ def oracle_csv(result) -> bytes:
     """The CSV as emit_csv wrote it before the record table: the time
     signals evaluated from the config per row, the controller outputs
     read by name from a fresh cascade pass at the recorded state,
-    ||theta|| from np.linalg.norm, and each cell through repr(float(v))."""
+    ||theta|| from reference_norm, and each cell through repr(float(v))."""
     cfg = result.config
     n = cfg.plant.n
     cascade = BacksteppingCascade(cfg.reference, cfg.constraints, cfg.gains,
@@ -37,7 +38,7 @@ def oracle_csv(result) -> bytes:
         row = [t, *x]
         row += [cfg.constraints.state_bounds[i].value(t) for i in range(n)]
         row += [cfg.constraints.envelope(i, t) for i in range(n)]
-        row += [*z, *v, u, *eps_hat, *zeta, np.linalg.norm(theta), cfg.reference.value(t)]
+        row += [*z, *v, u, *eps_hat, *zeta, reference_norm(theta), cfg.reference.value(t)]
         lines.append(",".join(repr(float(v)) for v in row))
     return ("\n".join(lines) + "\n").encode("utf-8")
 

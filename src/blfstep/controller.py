@@ -93,14 +93,22 @@ class ConstraintConfig:
         for i, (bound, reserve) in enumerate(zip(self.state_bounds, self.virtual_bounds or ())):
             if reserve < 0:
                 problems.append((f"A[{i}]", f"must be >= 0, got {reserve}"))
-            elif bound is None:
                 continue
-            elif not (psi0 := bound.value(0.0)) > reserve:
+            if bound is None:
+                continue
+            psi0, rate0 = bound.value(0.0), bound.derivative(0.0)
+            if not (math.isfinite(psi0) and math.isfinite(rate0)):
+                problems.append((f"Psi[{i}]", f"must be finite at t = 0: Psi({i + 1})(0) = "
+                                              f"{psi0:g}, dPsi({i + 1})/dt(0) = {rate0:g}"))
+            elif not psi0 > reserve:
                 problems.append((f"A[{i}]", f"infeasible envelope split at level {i + 1}: "
                                             f"Psi({i + 1})(0) = {psi0:g} does not exceed "
                                             f"A[{i}] = {reserve:g}"))
+            elif not math.isfinite(rate := abs(rate0) / (psi0 - reserve)):
+                problems.append((f"A[{i}]", f"release rate |dPsi({i + 1})/dt(0)| / (Psi({i + 1})(0)"
+                                            f" - A[{i}]) = {rate:g} is not finite"))
             else:
-                rates.append(abs(bound.derivative(0.0)) / (psi0 - reserve))
+                rates.append(rate)
         if problems or None in self.state_bounds:
             raise ControllerError(problems)
         self.release_rates = tuple(rates)
@@ -213,13 +221,8 @@ class BacksteppingCascade:
     with no time lag.
 
     The map is the generated pass (see passgen); _eval and step are its
-    entry points here. The time-only signals y_d(t), Psi_i(t), psi_i(t)
-    and dpsi_i/dt are kept in a one-entry memo keyed on the float t (see
-    time_signals), and a compiled pass starts from it and then keeps its
-    own. They are a pure function of t, so a repeat call at the same t
-    reuses them unchanged and the cascade stays pure: repeat calls with
-    the same inputs give identical outputs, whatever was evaluated in
-    between.
+    entry points here. Repeat calls with the same inputs give identical
+    outputs, whatever was evaluated in between.
     """
 
     def __init__(self, reference: TimeSignal, constraints: ConstraintConfig,
@@ -240,36 +243,7 @@ class BacksteppingCascade:
         if rbf.n != self.n:
             raise ControllerError(f"approximator input dimension {rbf.n} does not match order {self.n}")
         self.layout = RecordLayout(self.n, rbf.l)
-        self._memo_t = None
-        self._memo = None
         self._pass = None  # the generated cascade pass, compiled by the first _eval
-
-    def initial_errors(self, x0) -> np.ndarray:
-        """Error coordinates at t = 0 for a run started at rest.
-
-        The gain-search states start at zero, so every virtual control is
-        exactly zero at t = 0 regardless of alpha; only the reference
-        enters the first level.
-        """
-        x0 = np.asarray(x0, dtype=float)
-        z0 = x0.copy()
-        z0[0] = x0[0] - self.time_signals(0.0)[0]
-        return z0
-
-    def time_signals(self, t: float):
-        """(y_d(t), Psi, psi, psi_rate), the last three tuples over the
-        levels of Psi_i(t), psi_i(t) and dpsi_i/dt(t).
-
-        Computed once per distinct t and reused while t repeats. A t that
-        differs in the last bit is a new time. A run reads the t = 0
-        signals here before it compiles its pass, which starts from this
-        memo.
-        """
-        if t != self._memo_t:
-            levels = [self.constraints.level_signals(i, t) for i in range(self.n)]
-            self._memo = (self.reference.value(t), *zip(*levels))
-            self._memo_t = t
-        return self._memo
 
     def _eval(self, t: float, x, dhat, zeta, theta) -> np.ndarray:
         """Cascade pass; returns the record-table row at t as a float64

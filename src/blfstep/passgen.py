@@ -44,10 +44,11 @@ A cascade without a plant compiles to
 
 the record-table row at t as a list, in the column order of
 controller.RecordLayout; integrate's kept rows come from the same
-emitter. A closed loop compiles to two functions:
+emitter. A closed loop compiles to three functions:
 
     rates(t, state...) -> ds/dt, a tuple in the state's order
     integrate(rates, table, steps, h, decimation, state...) -> metrics
+    signals(t) -> (y_d, Psi, psi, dpsi), the last three tuples over the levels
 
 integrate is the whole run. At each time point t = k h, k = 0..steps, it
 makes the pass inline, with its outputs as locals, and then, in this
@@ -76,9 +77,10 @@ NonFiniteState at t = (k + 1) h.
 The time signals of the last distinct t, and the disturbances of the last
 distinct t a rate was taken at, are kept in the closure and shared by
 all the functions: a pure function of t, evaluated once per distinct
-stage time. They start from the cascade's own time-signal memo, so a run
-that read the signals at t = 0 before it compiled the loop does not read
-them again.
+stage time. This closure is their only memo. A t that differs in the
+last bit is a new time. So a run that reads signals(0.0) for its
+feasibility check before integrate starts does not read them again at
+t = 0.
 """
 
 from __future__ import annotations
@@ -157,17 +159,30 @@ class _Loop:
     def head(self) -> list:
         """The factory's start: the signals' bound methods and the memo."""
         n = self.n
-        lines = ["def make(reference, bounds, disturbances, basis, memo_t, memo):",
+        lines = ["def make(reference, bounds, disturbances, basis):",
                  "    reference = reference.value",
                  f"    {_unpack(_names('bound', n))} = [b.value_and_derivative for b in bounds]",
-                 f"    {_unpack(self.memo[1:2 + 3 * n])} = [None] * {1 + 3 * n}",
-                 "    if memo_t is not None:",
-                 f"        y_d, {_tuple(self.big_psi)}, {_tuple(self.psi)}, {_tuple(self.dpsi)}"
-                 " = memo"]
+                 f"    {' = '.join(self.memo[:2 + 3 * n])} = None"]
         if self.plant is not None:
             lines += [f"    {_unpack(_names('dist', n))} = [d.value for d in disturbances]",
                       f"    dist_t = {' = '.join(_names('d', n))} = None"]
         return lines
+
+    def signals(self) -> list:
+        """The time signals at t, as ConstraintConfig.level_signals states
+        them: read into the memo unless t is its time."""
+        lines = ["if t != memo_t:"]
+        for i, (reserve, r) in enumerate(zip(self.cascade.constraints.virtual_bounds,
+                                             self.cascade.constraints.release_rates)):
+            j = i + 1
+            lines.append(f"    Psi{j}, dpsi{j} = bound{j}(t)")
+            if reserve == 0.0:
+                lines.append(f"    psi{j} = Psi{j}")
+            else:
+                lines += [f"    held = exp(-{_lit(r)} * t)",
+                          f"    psi{j} = Psi{j} - {_lit(reserve)} * held",
+                          f"    dpsi{j} = dpsi{j} + {_lit(r)} * {_lit(reserve)} * held"]
+        return lines + ["    y_d = reference(t)", "    memo_t = t"]
 
     def pass_(self) -> list:
         """The pass at (t, state), up to the weight law and zeta rates."""
@@ -187,19 +202,7 @@ class _Loop:
         else:
             lines = [f"phi = basis({_tuple(self.x)})"]
 
-        # the time signals, as ConstraintConfig.level_signals states them
-        lines.append("if t != memo_t:")
-        for i, (reserve, r) in enumerate(zip(self.cascade.constraints.virtual_bounds,
-                                             self.cascade.constraints.release_rates)):
-            j = i + 1
-            lines.append(f"    Psi{j}, dpsi{j} = bound{j}(t)")
-            if reserve == 0.0:
-                lines.append(f"    psi{j} = Psi{j}")
-            else:
-                lines += [f"    held = exp(-{_lit(r)} * t)",
-                          f"    psi{j} = Psi{j} - {_lit(reserve)} * held",
-                          f"    dpsi{j} = dpsi{j} + {_lit(r)} * {_lit(reserve)} * held"]
-        lines += ["    y_d = reference(t)", "    memo_t = t"]
+        lines += self.signals()
 
         gains, kobs = self.cascade.gains, self.cascade.observer_gains
         reciprocal_gain = kobs[-1] ** 4 / 8.0
@@ -325,8 +328,8 @@ class _Loop:
 
 def generate(cascade, plant=None) -> str:
     """The source for a cascade and, for the closed loop, its plant: one
-    factory, make, which returns cascade_pass without a plant and the pair
-    (rates, integrate) with one."""
+    factory, make, which returns cascade_pass without a plant and
+    (rates, integrate, signals) with one."""
     g = _Loop(cascade, plant)
     state = ", ".join(g.state)
     nonlocal_ = f"    nonlocal {', '.join(g.memo)}"
@@ -360,8 +363,13 @@ def generate(cascade, plant=None) -> str:
                 "        raise",
                 "    except (OverflowError, ValueError, ZeroDivisionError) as exc:",
                 "        raise NonFiniteState((k + 1) * h) from exc",
-                *_indent(["return " + fields], 4)]
-        tail = "    return rates, integrate"
+                *_indent(["return " + fields], 4),
+                "",
+                "def signals(t):",
+                nonlocal_,
+                *_indent(g.signals(), 4),
+                f"    return y_d, {_tuple(g.big_psi)}, {_tuple(g.psi)}, {_tuple(g.dpsi)}"]
+        tail = "    return rates, integrate, signals"
     return "\n".join(g.head() + [""] + _indent(body, 4) + [tail, ""])
 
 
@@ -379,5 +387,4 @@ def compile_pass(cascade, plant=None):
     # garbage collection
     return namespace.pop("make")(
         cascade.reference, cascade.constraints.state_bounds,
-        plant.disturbances if plant is not None else (), cascade.rbf.basis,
-        cascade._memo_t, cascade._memo)
+        plant.disturbances if plant is not None else (), cascade.rbf.basis)

@@ -93,13 +93,11 @@ class PlantSpec:
             total += term
         return total
 
-    def rhs(self, t: float, x, u: float, d=None) -> list:
+    def rhs(self, t: float, x, u: float) -> list:
         """Time derivative of the state under input u at time t, as a list
-        of floats. d holds the disturbance values d_i(t) where the caller
-        has them already; otherwise they are evaluated here."""
+        of floats."""
         drift = self.nonlinearity(x)  # checks the length of x
-        if d is None:
-            d = [sig.value(t) for sig in self.disturbances]
+        d = [sig.value(t) for sig in self.disturbances]
         last = self.n - 1
         dx = []
         for i in range(last):

@@ -177,17 +177,15 @@ class SimResult:
         return self.records.table[:, self.records.layout.state]
 
 
-def rk4_step(f, t: float, y: list, h: float, k1=None) -> list:
-    """One classic fourth-order Runge-Kutta step of y' = f(t, y); k1 is
-    f(t, y) where the caller has it already.
+def rk4_step(f, t: float, y: list, h: float) -> list:
+    """One classic fourth-order Runge-Kutta step of y' = f(t, y).
 
     y and every rate f returns are lists of equal length whose entries
     are floats or float64 arrays; each stage input and the combine are
     formed entry by entry, as a + (h/2) * b and a + (h/6) * (k1 + 2 k2 +
     2 k3 + k4), so an entry rounds as the same expression on an array
     would. A run's generated loop forms its stages and combine alike."""
-    if k1 is None:
-        k1 = f(t, y)
+    k1 = f(t, y)
     half = 0.5 * h
     k2 = f(t + half, [a + half * b for a, b in zip(y, k1)])
     k3 = f(t + half, [a + half * b for a, b in zip(y, k2)])
@@ -204,11 +202,12 @@ class ClosedLoop:
     RbfNetwork.float_weights) and otherwise as one float64 array, the
     list's last entry. A rate has the same layout.
 
-    rates and integrate are the loop's generated functions (see passgen),
-    compiled when the loop is built: rates(t, *s) is ds/dt as a tuple, and
-    integrate is the whole run loop. They keep the disturbance values
-    d_i(t) of the last distinct t, as the cascade keeps its time signals,
-    so each is evaluated once per distinct stage time.
+    rates, integrate and signals are the loop's generated functions (see
+    passgen), compiled when the loop is built: rates(t, *s) is ds/dt as a
+    tuple, integrate is the whole run loop, and signals(t) is (y_d, Psi,
+    psi, dpsi/dt) at t, the last three tuples over the levels. They share
+    one memo of the time signals and the disturbances d_i(t) of the last
+    distinct t, so each is evaluated once per distinct stage time.
     """
 
     def __init__(self, plant: PlantSpec, cascade: BacksteppingCascade):
@@ -218,7 +217,7 @@ class ClosedLoop:
         self.l = cascade.rbf.l
         self.dim = 3 * self.n + self.l
         self.float_weights = cascade.rbf.float_weights
-        self.rates, self.integrate = compile_pass(cascade, plant)
+        self.rates, self.integrate, self.signals = compile_pass(cascade, plant)
 
     def state(self, x, dhat, zeta, theta) -> list:
         """The augmented state in this loop's layout, from its four parts."""
@@ -260,10 +259,16 @@ def run(config: RunConfig) -> SimResult:
     cascade = BacksteppingCascade(
         config.reference, config.constraints, config.gains, config.observer_gains, config.rbf
     )
-    z0 = cascade.initial_errors(config.initial_x)
-    for i, psi0 in enumerate(cascade.time_signals(0.0)[2]):
-        if not (abs(z0[i]) < psi0):
-            raise InfeasibleInitialCondition(i + 1, z0[i], psi0)
+    loop = ClosedLoop(config.plant, cascade)
+    # The run starts at rest: every gain-search state is zero, so every
+    # virtual control is zero at t = 0 and only y_d enters the first level.
+    # The loop's memo keeps these signals for integrate's first pass.
+    y_d, _, psi0, _ = loop.signals(0.0)
+    x0 = config.initial_x
+    z0 = [x0[0] - y_d, *x0[1:]]
+    for i, (z, psi) in enumerate(zip(z0, psi0)):
+        if not (abs(z) < psi):
+            raise InfeasibleInitialCondition(i + 1, z, psi)
 
     h, decimation = config.step, config.decimation
     steps = int(round(config.horizon / h)) if config.horizon > 0 else 0
@@ -273,9 +278,7 @@ def run(config: RunConfig) -> SimResult:
     except MemoryError as exc:
         message = f"the record table of {shape[0]} rows by {shape[1]} columns cannot be allocated"
         raise ConfigError([(".horizon", message), (".step", message)]) from exc
-    # built after the t = 0 signals were read: the loop starts from them
-    loop = ClosedLoop(config.plant, cascade)
-    s = loop.state(config.initial_x, initial_dhat(config.observer_gains, z0),
+    s = loop.state(x0, initial_dhat(config.observer_gains, z0),
                    np.zeros(loop.n), np.zeros(loop.l))
     try:
         metrics = loop.integrate(loop.rates, table, steps, h, decimation, *s)

@@ -343,6 +343,33 @@ class TestMain:
         assert "FAIL at level 2" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("bound, reserve, path", [
+    # an infinite rate: the reserve's release rate would be inf, psi(1)(0) NaN
+    pytest.param({"kind": "sin", "amplitude": 1e300, "angular_frequency": 1e300, "phase": 1.0},
+                 1.0, "constraints.Psi[0]", id="infinite-rate"),
+    # an infinite bound: every ratio to it would read 0
+    pytest.param({"kind": "sum", "terms": [{"kind": "constant", "c": 1.7e308},
+                                           {"kind": "constant", "c": 1.7e308}]},
+                 1.0, "constraints.Psi[0]", id="infinite-bound"),
+    # a finite rate over a split one ulp wide: the release rate overflows
+    pytest.param({"kind": "sum", "terms": [{"kind": "constant", "c": 2.0},
+                                           {"kind": "sin", "amplitude": 1e300,
+                                            "angular_frequency": 1.0, "phase": 0.0}]},
+                 1.9999999999999998, "constraints.A[0]", id="infinite-release-rate"),
+])
+def test_a_bound_not_finite_at_t0_is_a_config_error(tmp_path, capsys, bound, reserve, path):
+    doc = json.loads(sec6_text())
+    doc["constraints"]["Psi"][0] = bound
+    doc["constraints"]["A"][0] = reserve
+    (tmp_path / "doc.json").write_text(json.dumps(doc))
+    out = tmp_path / "run.csv"
+    assert main(["simulate", str(tmp_path / "doc.json"), "--horizon", "0.05",
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert f"  {path}: " in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 class TestParseEdges:
     def test_delta_defaults_when_absent(self):
         doc = json.loads(sec6_text())

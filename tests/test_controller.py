@@ -179,11 +179,17 @@ class TestCascade:
             casc.step(1.25, np.array([2.5, 0.0]), np.zeros(2), np.zeros(2), np.zeros(4))
         assert err.value.level == 1 and err.value.t == 1.25
 
-    def test_initial_errors_use_reference_only_on_first_level(self):
-        casc = make_cascade(reference=Sinusoid(1.0, 1.0, 0.0, "sin"))
-        z0 = casc.initial_errors((0.25, -0.5))
-        assert z0[0] == 0.25 - math.sin(0.0)
-        assert z0[1] == -0.5
+    def test_initial_errors_use_reference_only_on_first_level(self, sec6_config):
+        # a run starts at rest with eps_hat(0) = 0, so its first row holds
+        # dhat(0) = -k_eps * z(0), with z(0) = (x1 - y_d(0), x2): the
+        # virtual control v1 is zero while zeta1 is
+        cfg = replace(sec6_config, reference=Sinusoid(1.0, 1.0, 0.5, "sin"),
+                      initial_x=(0.25, -0.05), horizon=0.0)
+        y_d0 = cfg.reference.value(0.0)
+        assert y_d0 != 0.0
+        k1, k2 = cfg.observer_gains
+        first = run(cfg).records.columns(["y_d", "dhat1", "dhat2"])[0]
+        assert bits(first) == bits([y_d0, -k1 * (0.25 - y_d0), -k2 * -0.05])
 
 
 class TestDiagnostics:
@@ -456,7 +462,7 @@ class TestFastPathMatchesReference:
         else:
             pytest.fail("no step with distinct stage and step times")
         for t in (a, b, a, b):
-            y_d, bound, psi, psi_rate = SEC6.time_signals(t)
+            y_d, bound, psi, psi_rate = SEC6_LOOP.signals(t)
             assert bits(y_d) == bits(SEC6.reference.value(t))
             assert bits(bound) == bits([SEC6.constraints.state_bound(i, t) for i in range(2)])
             assert bits(psi) == bits([SEC6.constraints.envelope(i, t) for i in range(2)])

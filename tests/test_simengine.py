@@ -604,6 +604,47 @@ def test_time_signals_are_evaluated_once_per_distinct_stage_time(sec6_config):
         assert set(signal.times) == stage_times
 
 
+def counted(cfg):
+    """cfg with every time signal wrapped in a CountedSignal, and the
+    wrappers, their times cleared after the constraints are built."""
+    reference = CountedSignal(cfg.reference)
+    bounds = [CountedSignal(b) for b in cfg.constraints.state_bounds]
+    disturbances = [CountedSignal(d) for d in cfg.plant.disturbances]
+    cfg = replace(cfg, reference=reference,
+                  constraints=ConstraintConfig(bounds, cfg.constraints.virtual_bounds),
+                  plant=replace(cfg.plant, disturbances=disturbances))
+    signals = [reference, *bounds, *disturbances]
+    for signal in signals:
+        signal.times.clear()
+    return cfg, signals
+
+
+def test_an_aborted_run_reads_no_signal_twice_or_past_its_crossing(sec6_config):
+    # beta = -1 turns the input around: the flagship crosses its level-2
+    # barrier within the first second
+    cfg, signals = counted(replace(sec6_config, horizon=1.0,
+                                   plant=replace(sec6_config.plant, beta=-1.0)))
+    with pytest.raises(blfstep.BarrierViolation) as err:
+        run(cfg)
+    crossing = err.value.t
+    assert err.value.level == 2 and 0.58 < crossing < 0.78
+    for signal in signals:
+        assert len(signal.times) == len(set(signal.times))
+        assert max(signal.times) <= crossing
+    # the reference and the bounds are read at the crossing time itself
+    assert all(crossing in signal.times for signal in signals[:3])
+
+
+def test_third_order_signals_are_read_once_per_distinct_stage_time():
+    cfg, signals = counted(replace(third_order_config(), horizon=0.1))
+    run(cfg)
+    h = cfg.step
+    stage_times = {t for k in range(100) for t in (k * h, k * h + 0.5 * h, k * h + h)}
+    stage_times.add(100 * h)
+    for signal in signals:
+        assert sorted(signal.times) == sorted(stage_times)
+
+
 def test_kept_records_equal_a_fresh_step_at_their_state(sec6_config):
     cfg = replace(sec6_config, horizon=1.0)
     res = run(cfg)

@@ -242,13 +242,15 @@ def main(argv=None) -> int:
     sim.add_argument("--horizon", type=float, help="override the horizon")
     args = parser.parse_args(argv)
 
+    source = args.config  # the file the configuration is read from
     try:
         try:
-            config = load_config_file(args.config)
+            config = load_config_file(source)
         except FileNotFoundError:
             bundled = resources.files("blfstep.configs") / args.config
             if bundled.is_file():
                 print(f"using bundled configuration {args.config}", file=sys.stderr)
+                source = str(bundled)
                 config = parse_config(bundled.read_text(encoding="utf-8"))
             else:
                 print(f"error: {args.config}: no such configuration file", file=sys.stderr)
@@ -275,6 +277,15 @@ def main(argv=None) -> int:
     try:
         if overrides:
             config = dataclasses.replace(config, **overrides)
+        # no output may write over the configuration or the other output
+        taken = {os.path.realpath(source): "the configuration file"}
+        for name, path in (("--out" if args.out else ".output_path", config.output_path),
+                           ("--report", args.report)):
+            real = path and os.path.realpath(path)
+            if real in taken:
+                problems.append((name, f"{path} is {taken[real]}"))
+            elif real:
+                taken[real] = f"the {name} file"
         if not problems:
             outcome = run(config)
     except (BarrierViolation, InfeasibleInitialCondition, NonFiniteState) as exc:

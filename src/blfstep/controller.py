@@ -256,7 +256,7 @@ class BacksteppingCascade:
         first call.
         """
         if self._pass is None:
-            self._pass = compile_pass(self)
+            _, self._pass = compile_pass(self)
         weights = theta if self.rbf.float_weights else (theta,)
         return np.array(self._pass(t, *x, *dhat, *zeta, *weights))
 

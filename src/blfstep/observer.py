@@ -14,8 +14,6 @@ the estimation error then decays as exp(-k_i * t).
 
 from __future__ import annotations
 
-import numpy as np
-
 
 def estimate(dhat: float, gain: float, z: float) -> float:
     """Uncertainty estimate eps_hat = dhat + gain * z."""
@@ -32,12 +30,11 @@ def dhat_rate_final(gain: float, nn_out: float, u: float, eps_hat: float) -> flo
     return -gain * (nn_out + u + eps_hat)
 
 
-def initial_dhat(gains, z0) -> np.ndarray:
-    """Start from eps_hat(0) = 0: dhat_i(0) = -gain_i * z_i(0).
+def initial_dhat(gains, z0) -> list:
+    """Start from eps_hat(0) = 0: dhat_i(0) = -gain_i * z_i(0), a list of
+    floats.
 
     There is no prior knowledge of the lumped uncertainty, so the
     estimate starts at zero rather than at an arbitrary value.
     """
-    gains = np.asarray(gains, dtype=float)
-    z0 = np.asarray(z0, dtype=float)
-    return -gains * z0
+    return [-g * z for g, z in zip(gains, z0)]

@@ -54,12 +54,12 @@ integrate is the whole run. At each time point t = k h, k = 0..steps, it
 makes the pass inline, with its outputs as locals, and then, in this
 order:
 
-  - updates the metrics: max |y_d|; per level the ratios |x_i| / Psi_i
-    and |z_i| / psi_i, the first t at which |x_i - z_i| exceeds the
-    reserve Psi_i - psi_i, max |zeta_i|, max |eps_hat_i| and, from the
-    second point on, max |eps_hat_i - its previous value| / h; then
-    max |v_i|, max |u|, ||theta|| and its max, and from k >= steps / 2 on
-    the tail sum of z_1^2;
+  - updates the metrics: ||theta||; the maxima of |x_i| / Psi_i,
+    |z_i| / psi_i, |zeta_i|, |eps_hat_i|, |eps_hat_i - its previous
+    value| / h (from the second point on), |v_i|, |y_d|, |u| and
+    ||theta||; per level the first t at which |x_i - z_i| exceeds the
+    reserve Psi_i - psi_i; and from k >= steps / 2 on the tail sum of
+    z_1^2;
   - at every decimation-th point and the last one, writes the row, as
     cascade_pass returns it, to the table's next row;
   - stops at the last point, where no rate is taken;
@@ -267,42 +267,38 @@ class _Loop:
 
     def metrics(self) -> tuple:
         """The metric locals' start, their update at a time point, and the
-        dict of RunMetrics fields they end as."""
-        n = self.n
-        per_level = {"ratio_x": "max_constraint_ratio", "ratio_z": "max_error_ratio",
-                     "max_zeta": "max_abs_zeta", "max_e": "max_abs_eps_hat",
-                     "max_de": "max_abs_eps_hat_rate"}
-        start = [" = ".join([f"{m}{j}" for m in per_level for j in range(1, n + 1)]
-                            + _names("max_v", n - 1)
-                            + ["max_y_d", "max_u", "max_norm", "tail", "0.0"]),
-                 f"{' = '.join(_names('reserve', n))} = None",
-                 "tail_count = 0"]
-        update = ["if abs(y_d) > max_y_d:", "    max_y_d = abs(y_d)"]
-        for j in range(1, n + 1):
-            update += [f"ratio = abs(x{j}) / Psi{j}",
-                       f"if ratio > ratio_x{j}:", f"    ratio_x{j} = ratio",
-                       f"ratio = abs(z{j}) / psi{j}",
-                       f"if ratio > ratio_z{j}:", f"    ratio_z{j} = ratio",
-                       f"if reserve{j} is None and abs(x{j} - z{j}) > Psi{j} - psi{j}:",
-                       f"    reserve{j} = t",
-                       f"if abs(zeta{j}) > max_zeta{j}:", f"    max_zeta{j} = abs(zeta{j})",
-                       f"if abs(e{j}) > max_e{j}:", f"    max_e{j} = abs(e{j})"]
-        update.append("if k:")
-        for j in range(1, n + 1):
-            update += [f"    ratio = abs(e{j} - last_e{j}) / h",
-                       f"    if ratio > max_de{j}:", f"        max_de{j} = ratio"]
-        update.append(f"{_unpack(_names('last_e', n))} = {_unpack(self.e)}")
-        for j in range(1, n):
-            update += [f"if abs(v{j}) > max_v{j}:", f"    max_v{j} = abs(v{j})"]
-        update += ["if abs(u) > max_u:", "    max_u = abs(u)",
-                   self.norm,
-                   "if norm > max_norm:", "    max_norm = norm",
+        dict of RunMetrics fields they end as. Each maximum is a (field,
+        local, value) from 0.0; a list of values, one per level, ends as an
+        array. last_e starts at NaN, whose difference compares greater than
+        nothing, so the rate's maximum starts at the second point."""
+        last_e = [f"last_{e}" for e in self.e]
+        maxima = [("max_constraint_ratio", "ratio_x", [f"abs({x}) / {b}"
+                                                       for x, b in zip(self.x, self.big_psi)]),
+                  ("max_error_ratio", "ratio_z", [f"abs({z}) / {p}"
+                                                  for z, p in zip(self.z, self.psi)]),
+                  ("max_abs_zeta", "max_zeta", [f"abs({z})" for z in self.zeta]),
+                  ("max_abs_eps_hat", "max_e", [f"abs({e})" for e in self.e]),
+                  ("max_abs_eps_hat_rate", "max_de", [f"abs({e} - last_{e}) / h" for e in self.e]),
+                  ("observed_max_abs_v", "max_v", [f"abs({v})" for v in self.v]),
+                  ("max_abs_y_d", "max_y_d", "abs(y_d)"), ("max_abs_u", "max_u", "abs(u)"),
+                  ("max_theta_norm", "max_norm", "norm")]
+        reserve = _names("reserve", self.n)
+        start, update = ["tail"], [self.norm]
+        fields = ["tracking_rmse_tail=sqrt(tail / tail_count)", "final_theta_norm=norm",
+                  f"reserve_exceeded_at=[{', '.join(reserve)}]"]
+        for name, local, values in maxima:
+            vector = isinstance(values, list)
+            names = _names(local, len(values)) if vector else [local]
+            start += names
+            for m, value in zip(names, values if vector else [values]):
+                update += [f"if {value} > {m}:", f"    {m} = {value}"]
+            fields.append(f"{name}=" + (f"asarray({_tuple(names)})" if vector else local))
+        for j, r in enumerate(reserve, 1):
+            update += [f"if {r} is None and abs(x{j} - z{j}) > Psi{j} - psi{j}:", f"    {r} = t"]
+        update += [f"{_unpack(last_e)} = {_unpack(self.e)}",
                    "if 2 * k >= steps:", "    tail += z1 ** 2", "    tail_count += 1"]
-        fields = [f"{name}=asarray([{', '.join(_names(m, n))}])" for m, name in per_level.items()]
-        fields += [f"observed_max_abs_v=asarray([{', '.join(_names('max_v', n - 1))}])",
-                   "tracking_rmse_tail=sqrt(tail / tail_count)", "max_abs_u=max_u",
-                   "final_theta_norm=norm", "max_abs_y_d=max_y_d", "max_theta_norm=max_norm",
-                   f"reserve_exceeded_at=[{', '.join(_names('reserve', n))}]"]
+        start = [" = ".join(start + ["0.0"]), " = ".join(last_e + ["float('nan')"]),
+                 " = ".join(reserve + ["None"]), "tail_count = 0"]
         return start, update, "dict(" + ",\n     ".join(fields) + ")"
 
     def step(self) -> list:
@@ -326,9 +322,12 @@ class _Loop:
         return lines
 
 
-def generate(cascade, plant=None) -> str:
-    """The source for a cascade and, for the closed loop, its plant: one
-    factory, make, which returns cascade_pass without a plant and
+def compile_pass(cascade, plant=None) -> tuple:
+    """(source, functions) for a cascade and, for the closed loop, its
+    plant. The source is one factory, make, compiled once under a filename
+    that names it, such as <blfstep pass n=2 l=12> (<blfstep cascade pass
+    ...> without a plant), so tracebacks and profiles point at it; the
+    functions are what make returns: cascade_pass without a plant, and
     (rates, integrate, signals) with one."""
     g = _Loop(cascade, plant)
     state = ", ".join(g.state)
@@ -370,21 +369,13 @@ def generate(cascade, plant=None) -> str:
                 *_indent(g.signals(), 4),
                 f"    return y_d, {_tuple(g.big_psi)}, {_tuple(g.psi)}, {_tuple(g.dpsi)}"]
         tail = "    return rates, integrate, signals"
-    return "\n".join(g.head() + [""] + _indent(body, 4) + [tail, ""])
-
-
-def compile_pass(cascade, plant=None):
-    """make's result for a cascade and, for the closed loop, its plant,
-    compiled under a filename that names it, such as <blfstep pass n=2
-    l=12> (<blfstep cascade pass ...> without a plant), so tracebacks and
-    profiles point at it; generate gives its text."""
-    kind = "pass" if plant is not None else "cascade pass"
-    filename = f"<blfstep {kind} n={cascade.n} l={cascade.rbf.l}>"
+    source = "\n".join(g.head() + [""] + _indent(body, 4) + [tail, ""])
     namespace = dict(_GLOBALS)
-    exec(compile(generate(cascade, plant), filename, "exec"), namespace)
+    kind = "pass" if plant is not None else "cascade pass"
+    exec(compile(source, f"<blfstep {kind} n={g.n} l={g.rbf.l}>", "exec"), namespace)
     # popped, so that no cycle through the namespace holds the compiled
     # code: it is freed with the functions make returns, not by a later
     # garbage collection
-    return namespace.pop("make")(
+    return source, namespace.pop("make")(
         cascade.reference, cascade.constraints.state_bounds,
         plant.disturbances if plant is not None else (), cascade.rbf.basis)

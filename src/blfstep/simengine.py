@@ -5,17 +5,17 @@ states dhat, the gain-search states zeta, and the approximator weights
 theta, 3n + l numbers, into one list (see ClosedLoop for its layout),
 integrated with classic fourth-order Runge-Kutta at a fixed step.
 
-Each run compiles its whole loop from its configuration (see passgen),
-and pass_source gives the text. The generated integrate holds the state
-in locals from step to step. At each time point it makes one pass
-inline, updates the metrics in the order passgen states (max |y_d|; per
-level the two ratios, the reserve, |zeta|, |eps_hat| and its rate; then
-|v|, |u|, ||theta|| and the tail sum of z_1^2), writes the kept rows of
-the record table, and takes k1 from the same pass. It calls the
-generated rates at the three later RK4 stages, combines the stages entry
-by entry, and checks that the new state is finite. run keeps the
-feasibility check, the table, the mapping of a non-finite barrier
-crossing to NonFiniteState and the RunMetrics the loop returns.
+Each ClosedLoop compiles its whole loop from its RunConfig (see
+passgen) and keeps the text it compiled, which pass_source gives. The
+generated integrate holds the state in locals from step to step. At each
+time point it makes one pass inline, updates the metrics (||theta||,
+nine maxima, the reserve crossings and the tail sum of z_1^2, as passgen
+states them), writes the kept rows of the record table, and takes k1
+from the same pass. It calls the generated rates at the three later RK4
+stages, combines the stages entry by entry, and checks that the new
+state is finite. run keeps the feasibility check, the table, the mapping
+of a non-finite barrier crossing to NonFiniteState and the RunMetrics
+the loop returns.
 
 The barrier preconditions are checked at every stage evaluation, not
 just at accepted steps, because a stage state outside an envelope makes
@@ -37,7 +37,7 @@ from .observer import initial_dhat
 # because bench/tracing.py patches the observer layer through them.
 from .observer import dhat_rate_final, dhat_rate_inner  # noqa: F401
 from .approximator import RbfNetwork
-from .passgen import NonFiniteState, compile_pass, generate
+from .passgen import NonFiniteState, compile_pass
 from .plant import PlantSpec
 from .signals import ConfigError, TimeSignal, finite_field, finite_numbers
 
@@ -195,7 +195,8 @@ def rk4_step(f, t: float, y: list, h: float) -> list:
 
 
 class ClosedLoop:
-    """Augmented dynamics of plant + observer + gain search + weights.
+    """Augmented dynamics of plant + observer + gain search + weights, as
+    a RunConfig sets them up.
 
     The augmented state is a list: the 3n floats x, dhat and zeta, then
     the l weights, as floats for a float-weight network (see
@@ -203,21 +204,22 @@ class ClosedLoop:
     list's last entry. A rate has the same layout.
 
     rates, integrate and signals are the loop's generated functions (see
-    passgen), compiled when the loop is built: rates(t, *s) is ds/dt as a
-    tuple, integrate is the whole run loop, and signals(t) is (y_d, Psi,
-    psi, dpsi/dt) at t, the last three tuples over the levels. They share
-    one memo of the time signals and the disturbances d_i(t) of the last
-    distinct t, so each is evaluated once per distinct stage time.
+    passgen), compiled when the loop is built from the text it keeps as
+    source: rates(t, *s) is ds/dt as a tuple, integrate is the whole run
+    loop, and signals(t) is (y_d, Psi, psi, dpsi/dt) at t, the last three
+    tuples over the levels. They share one memo of the time signals and
+    the disturbances d_i(t) of the last distinct t, so each is evaluated
+    once per distinct stage time.
     """
 
-    def __init__(self, plant: PlantSpec, cascade: BacksteppingCascade):
-        self.plant = plant
-        self.cascade = cascade
-        self.n = plant.n
-        self.l = cascade.rbf.l
+    def __init__(self, config: RunConfig):
+        self.plant, rbf = config.plant, config.rbf
+        self.cascade = BacksteppingCascade(config.reference, config.constraints, config.gains,
+                                           config.observer_gains, rbf)
+        self.n, self.l, self.float_weights = self.plant.n, rbf.l, rbf.float_weights
         self.dim = 3 * self.n + self.l
-        self.float_weights = cascade.rbf.float_weights
-        self.rates, self.integrate, self.signals = compile_pass(cascade, plant)
+        made = compile_pass(self.cascade, self.plant)
+        self.source, (self.rates, self.integrate, self.signals) = made
 
     def state(self, x, dhat, zeta, theta) -> list:
         """The augmented state in this loop's layout, from its four parts."""
@@ -234,10 +236,7 @@ class ClosedLoop:
 def pass_source(config: RunConfig) -> str:
     """The whole source a run of config compiles: its pass, its rates and
     its run loop (see passgen)."""
-    cascade = BacksteppingCascade(
-        config.reference, config.constraints, config.gains, config.observer_gains, config.rbf
-    )
-    return generate(cascade, config.plant)
+    return ClosedLoop(config).source
 
 
 def run(config: RunConfig) -> SimResult:
@@ -256,10 +255,7 @@ def run(config: RunConfig) -> SimResult:
     step's k1, and one call of rates at each of the three later RK4
     stages, so a run of N steps makes 4N + 1 passes.
     """
-    cascade = BacksteppingCascade(
-        config.reference, config.constraints, config.gains, config.observer_gains, config.rbf
-    )
-    loop = ClosedLoop(config.plant, cascade)
+    loop = ClosedLoop(config)
     # The run starts at rest: every gain-search state is zero, so every
     # virtual control is zero at t = 0 and only y_d enters the first level.
     # The loop's memo keeps these signals for integrate's first pass.
@@ -272,7 +268,7 @@ def run(config: RunConfig) -> SimResult:
 
     h, decimation = config.step, config.decimation
     steps = int(round(config.horizon / h)) if config.horizon > 0 else 0
-    shape = (steps // decimation + 1 + (steps % decimation > 0), cascade.layout.width)
+    shape = (steps // decimation + 1 + (steps % decimation > 0), loop.cascade.layout.width)
     try:
         table = np.empty(shape)
     except MemoryError as exc:
@@ -281,7 +277,8 @@ def run(config: RunConfig) -> SimResult:
     s = loop.state(x0, initial_dhat(config.observer_gains, z0),
                    np.zeros(loop.n), np.zeros(loop.l))
     try:
-        metrics = loop.integrate(loop.rates, table, steps, h, decimation, *s)
+        with np.errstate(all="ignore"):  # the loop ends a non-finite step itself
+            metrics = loop.integrate(loop.rates, table, steps, h, decimation, *s)
     except BarrierViolation as exc:
         # a NaN or infinite error coordinate means the state blew up, not
         # that a finite trajectory crossed its envelope
@@ -289,4 +286,4 @@ def run(config: RunConfig) -> SimResult:
             raise NonFiniteState(exc.t) from exc
         raise
     table.flags.writeable = False
-    return SimResult(Records(table, cascade.layout), RunMetrics(**metrics), config)
+    return SimResult(Records(table, loop.cascade.layout), RunMetrics(**metrics), config)

@@ -521,6 +521,60 @@ def test_empty_report_flag_is_a_config_error(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("document, args, printed", [
+    pytest.param({}, ["doc.json", "--out", "doc.json"],
+                 "error: --out: doc.json is the configuration file\n", id="out-over-config"),
+    pytest.param({"output_path": "./doc.json"}, ["doc.json"],
+                 "error: .output_path: ./doc.json is the configuration file\n",
+                 id="output-path-over-config"),
+    pytest.param({}, ["doc.json", "--out", "x", "--report", "x"],
+                 "error: --report: x is the --out file\n", id="report-over-out"),
+    pytest.param({"output_path": "x"}, ["doc.json", "--report", "./x"],
+                 "error: --report: ./x is the .output_path file\n", id="report-over-output-path"),
+    pytest.param({}, ["paper_sec6.json", "--out", "configs/paper_sec6.json"],
+                 "using bundled configuration paper_sec6.json\n"
+                 "error: --out: configs/paper_sec6.json is the configuration file\n",
+                 id="out-over-bundled"),
+])
+def test_an_output_over_the_input_or_the_other_output_is_a_config_error(
+        document, args, printed, tmp_path, capsys, monkeypatch):
+    # before, the CSV or the report overwrote the configuration, or the
+    # report the CSV, and the run exited 0. The bundled configurations are
+    # looked up in a copy, so that a failing run cannot write over the
+    # package's own file.
+    doc = json.dumps({**json.loads(sec6_text()), "horizon": 0.01, **document})
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli.resources, "files", lambda package: tmp_path / "configs")
+    (tmp_path / "configs").mkdir()
+    for name in ("doc.json", "configs/paper_sec6.json"):
+        (tmp_path / name).write_text(doc)
+    (tmp_path / "x").write_bytes(b"kept\n")
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    assert main(["simulate", *args]) == 1
+    assert capsys.readouterr() == ("", printed)
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+@pytest.mark.parametrize("change, printed", [
+    # dhat2(0) = -7 * 1e308 overflows
+    pytest.param({"initial_x": [0.0, 1e308], "Psi": {"kind": "constant", "c": 1.7e308}},
+                 "  |z| = 5e+304 reached psi = 1.09997\n", id="initial-dhat"),
+    # the 30-node network's basis squares x2 - c past the float range
+    pytest.param({"initial_x": [0.0, 1e200], "Psi": {"kind": "constant", "c": 1e300},
+                  "rbf": {"l": 30}}, "  |z| = 5e+196 reached psi = 1.09997\n", id="wide-basis"),
+])
+def test_an_overflowing_run_prints_no_numpy_warning(change, printed, tmp_path):
+    doc = json.loads(sec6_text())
+    doc["constraints"]["Psi"][1] = change.pop("Psi")
+    doc.update(change)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run([sys.executable, "-m", "blfstep", "simulate", str(path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stderr == ""
+    assert proc.stdout == "run aborted\nconstraints: FAIL at level 1, t=0.0005\n" + printed
+
+
 def test_record_table_that_cannot_be_allocated_is_a_diagnostic(sec6_config, tmp_path, capsys,
                                                                 monkeypatch):
     # 10**12 + 1 rows of 51 cells, 371 TiB: past a 47-bit address space, so

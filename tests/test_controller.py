@@ -18,7 +18,7 @@ from blfstep.controller import (
 from blfstep.observer import dhat_rate_final, dhat_rate_inner, estimate
 from blfstep.plant import Monomial, PlantSpec
 from blfstep.signals import Constant, ExpDecay, SignalSum, Sinusoid
-from blfstep.simengine import ClosedLoop, run
+from blfstep.simengine import ClosedLoop, RunConfig, run
 
 from test_simengine import third_order_config
 
@@ -372,16 +372,17 @@ def outcome(fn, *args):
 # One cascade and one loop for the whole module, so the memo carries state
 # from one example into the next, as it does across a run.
 H = 1e-3
-SEC6_LOOP = ClosedLoop(
-    PlantSpec(n=2, f=(Monomial(-5.0, (3, 0)), Monomial(-2.0, (0, 1))), beta=1.0,
-              disturbances=(Sinusoid(0.2, PI, 0.0, "cos"), Sinusoid(0.2, PI, 0.0, "sin"))),
-    BacksteppingCascade(
-        SignalSum((Sinusoid(1.0, 1.0, 0.0, "sin"), ExpDecay(0.1, 2.0, 0.0))),
-        sec6_constraints(), GainConfig(k=(5.0, 5.0), lam=14.0, eta=4.0, delta=1.3), (7.0, 7.0),
-        # widths that are not powers of two, so the basis rounding is exercised
-        RbfNetwork(RbfNetwork.lattice(12, 2).centers, np.linspace(0.7, 2.9, 12)),
-    ),
+SEC6_CONFIG = RunConfig(
+    plant=PlantSpec(n=2, f=(Monomial(-5.0, (3, 0)), Monomial(-2.0, (0, 1))), beta=1.0,
+                    disturbances=(Sinusoid(0.2, PI, 0.0, "cos"), Sinusoid(0.2, PI, 0.0, "sin"))),
+    constraints=sec6_constraints(),
+    # widths that are not powers of two, so the basis rounding is exercised
+    rbf=RbfNetwork(RbfNetwork.lattice(12, 2).centers, np.linspace(0.7, 2.9, 12)),
+    gains=GainConfig(k=(5.0, 5.0), lam=14.0, eta=4.0, delta=1.3), observer_gains=(7.0, 7.0),
+    reference=SignalSum((Sinusoid(1.0, 1.0, 0.0, "sin"), ExpDecay(0.1, 2.0, 0.0))),
+    initial_x=(0.0, 0.0),
 )
+SEC6_LOOP = ClosedLoop(SEC6_CONFIG)
 SEC6 = SEC6_LOOP.cascade
 
 small = st.floats(-0.4, 0.4, allow_nan=False)
@@ -471,10 +472,8 @@ class TestFastPathMatchesReference:
 
 # Past _FLOAT_WEIGHTS_MAX weights the weight update runs as numpy array
 # operations; it too must equal the reference bit for bit.
-WIDE_LOOP = ClosedLoop(SEC6_LOOP.plant, BacksteppingCascade(
-    SEC6.reference, SEC6.constraints, SEC6.gains, SEC6.observer_gains,
-    RbfNetwork(RbfNetwork.lattice(48, 2).centers, np.linspace(0.7, 2.9, 48)),
-))
+WIDE_LOOP = ClosedLoop(replace(
+    SEC6_CONFIG, rbf=RbfNetwork(RbfNetwork.lattice(48, 2).centers, np.linspace(0.7, 2.9, 48))))
 
 
 @settings(max_examples=50, deadline=None)
@@ -498,8 +497,7 @@ def test_wide_weight_update_equals_reference(k, state):
 # loop shares no code with the run's fused stage pass or its k1 reuse.
 
 def reference_trajectory(cfg):
-    loop = ClosedLoop(cfg.plant, BacksteppingCascade(cfg.reference, cfg.constraints, cfg.gains,
-                                                     cfg.observer_gains, cfg.rbf))
+    loop = ClosedLoop(cfg)
     n, h = cfg.plant.n, cfg.step
     s = np.zeros(loop.dim)
     s[:n] = cfg.initial_x

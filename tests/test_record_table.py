@@ -68,6 +68,12 @@ def test_flagship_csv_matches_the_oracle(sec6_config, decimation, tmp_path):
     assert emitted(res, tmp_path) == oracle_csv(res)
 
 
+def test_flagship_records_equal_fresh_steps(sec6_config):
+    res = run(replace(sec6_config, horizon=1.0))
+    assert len(res.records) == 101
+    assert_records_equal_fresh_steps(res)
+
+
 def test_third_order_csv_and_records_match_the_oracle(tmp_path):
     res = run(third_order_config())
     assert "v2" in csv_header(3)

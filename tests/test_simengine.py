@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import blfstep
 from blfstep import simengine
 from blfstep.approximator import RbfError, RbfNetwork
-from blfstep.controller import BacksteppingCascade, ConstraintConfig, ControllerError, GainConfig
+from blfstep.controller import ConstraintConfig, ControllerError, GainConfig
 from blfstep.plant import Monomial, PlantError, PlantSpec
 from blfstep.signals import Constant, ExpDecay, SignalError, Sinusoid
 from blfstep.simengine import (
@@ -98,9 +98,7 @@ class TestRk4:
 class TestClosedLoopDerivative:
     def test_sec6_rest_derivative(self, sec6_config):
         cfg = sec6_config
-        cascade = BacksteppingCascade(cfg.reference, cfg.constraints, cfg.gains,
-                                      cfg.observer_gains, cfg.rbf)
-        loop = ClosedLoop(cfg.plant, cascade)
+        loop = ClosedLoop(cfg)
         ds = loop.derivative(0.0, [0.0] * loop.dim)
         assert len(ds) == 18
         assert ds[0] == pytest.approx(0.2, abs=1e-15)
@@ -108,17 +106,12 @@ class TestClosedLoopDerivative:
 
     def test_equilibrium_of_quiet_loop(self):
         cfg = quiet_config()
-        cascade = BacksteppingCascade(cfg.reference, cfg.constraints, cfg.gains,
-                                      cfg.observer_gains, cfg.rbf)
-        loop = ClosedLoop(cfg.plant, cascade)
+        loop = ClosedLoop(cfg)
         assert all(v == 0.0 for v in loop.derivative(0.0, [0.0] * loop.dim))
 
     @staticmethod
     def quiet_loop(l):
-        cfg = quiet_config(rbf=RbfNetwork.lattice(l, 2))
-        cascade = BacksteppingCascade(cfg.reference, cfg.constraints, cfg.gains,
-                                      cfg.observer_gains, cfg.rbf)
-        return ClosedLoop(cfg.plant, cascade)
+        return ClosedLoop(quiet_config(rbf=RbfNetwork.lattice(l, 2)))
 
     def test_dimension_contract(self):
         # up to 24 weights ride in the state as floats
@@ -645,21 +638,6 @@ def test_third_order_signals_are_read_once_per_distinct_stage_time():
         assert sorted(signal.times) == sorted(stage_times)
 
 
-def test_kept_records_equal_a_fresh_step_at_their_state(sec6_config):
-    cfg = replace(sec6_config, horizon=1.0)
-    res = run(cfg)
-    cascade = BacksteppingCascade(cfg.reference, cfg.constraints, cfg.gains,
-                                  cfg.observer_gains, cfg.rbf)
-    n = cfg.plant.n
-    assert len(res.records) == 101
-    for t, s, rec in zip(res.times.tolist(), res.trajectory, res.records):
-        fresh = cascade.step(t, s[:n], s[n:2 * n], s[2 * n:3 * n], s[3 * n:])
-        for f in fields(rec):
-            got = np.atleast_1d(getattr(rec, f.name)).tolist()
-            want = np.atleast_1d(getattr(fresh, f.name)).tolist()
-            assert [v.hex() for v in got] == [v.hex() for v in want], (t, f.name)
-
-
 def test_reference_peak_is_taken_over_every_accepted_step(sec6_config):
     h = sec6_config.step
     res = run(replace(sec6_config, horizon=2.0, decimation=10))
@@ -671,8 +649,9 @@ def test_reference_peak_is_taken_over_every_accepted_step(sec6_config):
     assert res.metrics.max_abs_y_d == peak
 
 
-# An integrator oracle that shares no code with rk4_step: scipy's DOP853
-# on the same right-hand side. Over the first 0.5 s the two agree to
+# An integrator oracle that shares no code with the run's generated RK4
+# loop: scipy's DOP853 on the same right-hand side, the loop's generated
+# rates. Over the first 0.5 s the two agree to
 # round-off; by 1 s the gain-search wind-up near t = 0.8 s has amplified
 # RK4's truncation error to about 1e-3.
 @pytest.mark.parametrize("horizon, tol", [(0.5, 1e-9), (1.0, 5e-3)])
@@ -680,10 +659,8 @@ def test_rk4_agrees_with_dop853(sec6_config, horizon, tol):
     integrate = pytest.importorskip("scipy.integrate")
     cfg = replace(sec6_config, horizon=horizon)
     res = run(cfg)
-    cascade = BacksteppingCascade(cfg.reference, cfg.constraints, cfg.gains,
-                                  cfg.observer_gains, cfg.rbf)
-    loop = ClosedLoop(cfg.plant, cascade)
-    sol = integrate.solve_ivp(lambda t, y: loop.derivative(t, y.tolist()), (0.0, res.times[-1]),
+    loop = ClosedLoop(cfg)
+    sol = integrate.solve_ivp(lambda t, y: loop.rates(t, *y.tolist()), (0.0, res.times[-1]),
                               res.trajectory[0], method="DOP853", rtol=1e-10, atol=1e-12,
                               t_eval=res.times)
     assert sol.success, sol.message

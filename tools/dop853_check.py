@@ -3,11 +3,12 @@
     PYTHONPATH=src python3 tools/dop853_check.py
 
 Runs the bundled ``paper_sec6.json`` at decimation 1, then integrates the
-same closed loop (``ClosedLoop.derivative`` from the run's initial
-state) with DOP853 at rtol 1e-10, atol 1e-12, sampled at every step time.
-Prints the largest ``|x_rk4 - x_dop853|`` over the plant states and each
-integrator's peak ``|x_2| / Psi_2``. Needs scipy; takes about 20 s on a
-2-vCPU Xeon. The tier-1 test ``test_rk4_agrees_with_dop853`` covers [0, 1] s.
+same closed loop (the generated ``ClosedLoop.rates`` from the run's
+initial state) with DOP853 at rtol 1e-10, atol 1e-12, sampled at every
+step time. Prints the largest ``|x_rk4 - x_dop853|`` over the plant
+states and each integrator's peak ``|x_2| / Psi_2``, with ``Psi_2`` read
+from ``ClosedLoop.signals``. Needs scipy; takes about 20 s on a 2-vCPU
+Xeon. The tier-1 test ``test_rk4_agrees_with_dop853`` covers [0, 1] s.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 import blfstep
-from blfstep import BacksteppingCascade, ClosedLoop
+from blfstep import ClosedLoop
 
 
 def main() -> None:
@@ -27,10 +28,9 @@ def main() -> None:
     start = time.perf_counter()
     res = blfstep.run(cfg)
     rk4_s = time.perf_counter() - start
-    loop = ClosedLoop(cfg.plant, BacksteppingCascade(cfg.reference, cfg.constraints, cfg.gains,
-                                                     cfg.observer_gains, cfg.rbf))
+    loop = ClosedLoop(cfg)
     start = time.perf_counter()
-    sol = solve_ivp(lambda t, y: loop.derivative(t, y.tolist()), (0.0, res.times[-1]),
+    sol = solve_ivp(lambda t, y: loop.rates(t, *y.tolist()), (0.0, res.times[-1]),
                     res.trajectory[0], method="DOP853", rtol=1e-10, atol=1e-12, t_eval=res.times)
     dop_s = time.perf_counter() - start
     if not sol.success:
@@ -38,7 +38,7 @@ def main() -> None:
     n = cfg.plant.n
     rk4_x = res.trajectory[:, :n]
     dop_x = sol.y[:n].T
-    psi2 = np.array([cfg.constraints.state_bound(1, t) for t in res.times.tolist()])
+    psi2 = np.array([loop.signals(t)[1][1] for t in res.times.tolist()])
     gap = np.abs(rk4_x - dop_x)
     worst = np.unravel_index(np.argmax(gap), gap.shape)
     print(f"horizon {res.times[-1]:g} s, step {cfg.step:g}: {len(res.times) - 1} RK4 steps "

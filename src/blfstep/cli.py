@@ -227,6 +227,16 @@ def verdict_code(outcome) -> int:
     return 0 if bool(np.all(outcome.metrics.max_constraint_ratio < 1.0)) else 2
 
 
+def _file_identity(path: str):
+    """The file at path: its device and inode where it exists, so that a
+    link is the file it links, and else its real path."""
+    try:
+        status = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return status.st_dev, status.st_ino
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="blfstep",
@@ -251,7 +261,7 @@ def main(argv=None) -> int:
             if bundled.is_file():
                 print(f"using bundled configuration {args.config}", file=sys.stderr)
                 source = str(bundled)
-                config = parse_config(bundled.read_text(encoding="utf-8"))
+                config = load_config_file(source)
             else:
                 print(f"error: {args.config}: no such configuration file", file=sys.stderr)
                 return 1
@@ -278,14 +288,14 @@ def main(argv=None) -> int:
         if overrides:
             config = dataclasses.replace(config, **overrides)
         # no output may write over the configuration or the other output
-        taken = {os.path.realpath(source): "the configuration file"}
+        taken = {_file_identity(source): "the configuration file"}
         for name, path in (("--out" if args.out else ".output_path", config.output_path),
                            ("--report", args.report)):
-            real = path and os.path.realpath(path)
-            if real in taken:
-                problems.append((name, f"{path} is {taken[real]}"))
-            elif real:
-                taken[real] = f"the {name} file"
+            file = path and _file_identity(path)
+            if file in taken:
+                problems.append((name, f"{path} is {taken[file]}"))
+            elif file:
+                taken[file] = f"the {name} file"
         if not problems:
             outcome = run(config)
     except (BarrierViolation, InfeasibleInitialCondition, NonFiniteState) as exc:

@@ -24,11 +24,10 @@ initial contraction rate keeps the error tube positive whenever the
 initial split is feasible (A_{i-1} < Psi_i(0)). Positivity is still
 re-checked every step through the barrier evaluation.
 
-The pass itself is generated per cascade from its constants and
-compiled once (see passgen). Without a plant it returns one row of the
-record table (see RecordLayout), which BacksteppingCascade._eval returns
-and step reads; a run compiles it with the plant into its loop, which
-writes the same rows into the run's table.
+The pass itself is compiled once per run, into the loop that writes the
+rows of the record table (see passgen and RecordLayout). The cascade map
+at t is that loop's integrate from t0 = t taking no step:
+BacksteppingCascade._eval returns its one row, and step reads it.
 """
 
 from __future__ import annotations
@@ -39,13 +38,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .approximator import RbfNetwork
 # The generated pass inlines these helpers; they stay bound here because
 # bench/tracing.py patches the barrier and observer layers through them.
 from .barrier import blf_value, damped_inverse, nussbaum, q_value  # noqa: F401
 from .observer import estimate  # noqa: F401
-from .passgen import compile_pass
-from .signals import ConfigError, TimeSignal, finite_field, finite_numbers
+from .signals import ConfigError, finite_field, finite_numbers
 
 
 class ControllerError(ConfigError):
@@ -220,30 +217,16 @@ class BacksteppingCascade:
     virtual control of level i feeds the error coordinate of level i+1
     with no time lag.
 
-    The map is the generated pass (see passgen); _eval and step are its
-    entry points here. Repeat calls with the same inputs give identical
-    outputs, whatever was evaluated in between.
+    A ClosedLoop builds it, as loop.cascade, from its RunConfig, layout,
+    rates and integrate; _eval and step are the map's entry points. Repeat
+    calls with the same inputs give identical outputs, whatever was
+    evaluated in between.
     """
 
-    def __init__(self, reference: TimeSignal, constraints: ConstraintConfig,
-                 gains: GainConfig, observer_gains, rbf: RbfNetwork):
-        self.reference = reference
-        self.constraints = constraints
-        self.gains = gains
-        self.observer_gains = tuple(float(g) for g in observer_gains)
-        self.rbf = rbf
-        self.n = constraints.n
-        if len(gains.k) != self.n:
-            raise ControllerError(f"need {self.n} feedback gains, got {len(gains.k)}")
-        if len(self.observer_gains) != self.n:
-            raise ControllerError(f"need {self.n} observer gains, got {len(self.observer_gains)}")
-        for i, g in enumerate(self.observer_gains):
-            if not g > 0:
-                raise ControllerError(f"observer gain k_eps[{i + 1}] must be > 0, got {g}")
-        if rbf.n != self.n:
-            raise ControllerError(f"approximator input dimension {rbf.n} does not match order {self.n}")
-        self.layout = RecordLayout(self.n, rbf.l)
-        self._pass = None  # the generated cascade pass, compiled by the first _eval
+    def __init__(self, config, layout: RecordLayout, rates, integrate):
+        self.reference, self.constraints, self.rbf = config.reference, config.constraints, config.rbf
+        self.gains, self.observer_gains, self.n = config.gains, config.observer_gains, config.plant.n
+        self.layout, self._rates, self._integrate = layout, rates, integrate
 
     def _eval(self, t: float, x, dhat, zeta, theta) -> np.ndarray:
         """Cascade pass; returns the record-table row at t as a float64
@@ -252,13 +235,16 @@ class BacksteppingCascade:
         x, dhat and zeta are sequences of floats (arrays give the same
         bits). theta is a sequence of floats for a float-weight network
         (see RbfNetwork.float_weights) and an array beyond. The pass is
-        the generated one (see passgen), without a plant, compiled at the
-        first call.
+        the loop's integrate from t0 = t taking no step, of the smallest h
+        (no cell reads h; a NonFiniteState is dated t + h, which is t
+        beyond 1e-307). It updates a run's metrics too, so it ends as a
+        run at that state does: on floats, past |z_1| of about 1.34e154
+        the tail sum's z1 ** 2 overflows, and _eval raises NonFiniteState.
         """
-        if self._pass is None:
-            _, self._pass = compile_pass(self)
+        table = np.empty((1, self.layout.width))
         weights = theta if self.rbf.float_weights else (theta,)
-        return np.array(self._pass(t, *x, *dhat, *zeta, *weights))
+        self._integrate(self._rates, table, t, 0, 5e-324, 1, *x, *dhat, *zeta, *weights)
+        return table[0]
 
     def step(self, t: float, x, dhat, zeta, theta) -> StepRecord:
         """Full controller record at one instant (pure; repeat calls with

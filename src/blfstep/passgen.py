@@ -2,14 +2,14 @@
 
 The pass carries the whole closed loop at a time t and an augmented
 state: the time signals, the RBF basis, the cascade levels, the weight
-law, and, for a closed loop, the plant and observer rates. It is written
-from the loop's constants and compiled once. The levels are unrolled,
-the state is held in locals, and the gains, centers, widths, drift
-monomials and beta appear as repr literals, which read back as the same
-floats. Every expression keeps the operation order of the maths below,
-so the results are the same bits as evaluating it step by step. CPython
-does not contract a*b + c, and folds only products of two literals, as
-the run-time product would round them.
+law, and the plant and observer rates. It is written from the loop's
+constants and compiled once. The levels are unrolled, the state is held
+in locals, and the gains, centers, widths, drift monomials and beta
+appear as repr literals, which read back as the same floats. Every
+expression keeps the operation order of the maths below, so the results
+are the same bits as evaluating it step by step. CPython does not
+contract a*b + c, and folds only products of two literals, as the
+run-time product would round them.
 
 The pass, per level i = 1..n (v_0 = y_d, the reference):
 
@@ -38,20 +38,14 @@ keeps its weights as one float64 array theta, with RbfNetwork.basis
 (np.exp) and numpy's BLAS dot. The state, in every signature below, is
 x1..xn, dhat1..dhatn, zeta1..zetan and the weights, w1..wl or theta.
 
-A cascade without a plant compiles to
-
-    cascade_pass(t, state...) -> row
-
-the record-table row at t as a list, in the column order of
-controller.RecordLayout; integrate's kept rows come from the same
-emitter. A closed loop compiles to three functions:
+A closed loop compiles to three functions:
 
     rates(t, state...) -> ds/dt, a tuple in the state's order
-    integrate(rates, table, steps, h, decimation, state...) -> metrics
+    integrate(rates, table, t0, steps, h, decimation, state...) -> metrics
     signals(t) -> (y_d, Psi, psi, dpsi), the last three tuples over the levels
 
-integrate is the whole run. At each time point t = k h, k = 0..steps, it
-makes the pass inline, with its outputs as locals, and then, in this
+integrate is the whole run. At each time point t = t0 + k h, k = 0..steps,
+it makes the pass inline, with its outputs as locals, and then, in this
 order:
 
   - updates the metrics: ||theta||; the maxima of |x_i| / Psi_i,
@@ -60,8 +54,9 @@ order:
     ||theta||; per level the first t at which |x_i - z_i| exceeds the
     reserve Psi_i - psi_i; and from k >= steps / 2 on the tail sum of
     z_1^2;
-  - at every decimation-th point and the last one, writes the row, as
-    cascade_pass returns it, to the table's next row;
+  - at every decimation-th point and the last one, writes the record-table
+    row at t, in the column order of controller.RecordLayout, to the
+    table's next row;
   - stops at the last point, where no rate is taken;
   - takes the plant and observer rates as k1, calls rates at t + h/2,
     t + h/2 and t + h on the stage inputs y + (h/2) k1, y + (h/2) k2 and
@@ -72,7 +67,9 @@ order:
 It returns the run's metrics as a dict of RunMetrics fields. A state that
 left the finite range, or an overflow, a ZeroDivisionError or a
 ValueError (other than a ConfigError) in step k, ends it in
-NonFiniteState at t = (k + 1) h.
+NonFiniteState at t0 + (k + 1) h. A run integrates from t0 = 0.0, where
+t0 + k h is k h exactly; a zero-step integrate from t0 = t is the
+cascade map at t (BacksteppingCascade._eval).
 
 The time signals of the last distinct t, and the disturbances of the last
 distinct t a rate was taken at, are kept in the closure and shared by
@@ -134,11 +131,11 @@ def _indent(lines: list, depth: int) -> list:
 
 
 class _Loop:
-    """The names and the code sections of one generated cascade or loop."""
+    """The names and the code sections of one generated loop."""
 
-    def __init__(self, cascade, plant):
-        self.cascade, self.plant = cascade, plant
-        n, rbf = cascade.n, cascade.rbf
+    def __init__(self, config, layout):
+        self.config, self.layout = config, layout
+        n, rbf = config.plant.n, config.rbf
         self.n, self.rbf, self.floats = n, rbf, rbf.float_weights
         self.x, self.dhat, self.zeta = _names("x", n), _names("dhat", n), _names("zeta", n)
         self.weights = _names("w", rbf.l) if self.floats else ["theta"]
@@ -152,28 +149,25 @@ class _Loop:
         self.dzeta = _names("dzeta", n)
         self.dweights = _names("dw", rbf.l) if self.floats else ["dtheta"]
         self.rates = _names("dx", n) + _names("ddhat", n) + self.dzeta + self.dweights
-        self.memo = ["memo_t", "y_d"] + self.big_psi + self.psi + self.dpsi
-        if plant is not None:
-            self.memo += ["dist_t"] + _names("d", n)
+        self.memo = (["memo_t", "y_d"] + self.big_psi + self.psi + self.dpsi
+                     + ["dist_t"] + _names("d", n))
 
     def head(self) -> list:
         """The factory's start: the signals' bound methods and the memo."""
         n = self.n
-        lines = ["def make(reference, bounds, disturbances, basis):",
-                 "    reference = reference.value",
-                 f"    {_unpack(_names('bound', n))} = [b.value_and_derivative for b in bounds]",
-                 f"    {' = '.join(self.memo[:2 + 3 * n])} = None"]
-        if self.plant is not None:
-            lines += [f"    {_unpack(_names('dist', n))} = [d.value for d in disturbances]",
-                      f"    dist_t = {' = '.join(_names('d', n))} = None"]
-        return lines
+        return ["def make(reference, bounds, disturbances, basis):",
+                "    reference = reference.value",
+                f"    {_unpack(_names('bound', n))} = [b.value_and_derivative for b in bounds]",
+                f"    {_unpack(_names('dist', n))} = [d.value for d in disturbances]",
+                f"    {' = '.join(self.memo)} = None"]
 
     def signals(self) -> list:
         """The time signals at t, as ConstraintConfig.level_signals states
         them: read into the memo unless t is its time."""
         lines = ["if t != memo_t:"]
-        for i, (reserve, r) in enumerate(zip(self.cascade.constraints.virtual_bounds,
-                                             self.cascade.constraints.release_rates)):
+        constraints = self.config.constraints
+        for i, (reserve, r) in enumerate(zip(constraints.virtual_bounds,
+                                             constraints.release_rates)):
             j = i + 1
             lines.append(f"    Psi{j}, dpsi{j} = bound{j}(t)")
             if reserve == 0.0:
@@ -204,7 +198,7 @@ class _Loop:
 
         lines += self.signals()
 
-        gains, kobs = self.cascade.gains, self.cascade.observer_gains
+        gains, kobs = self.config.gains, self.config.observer_gains
         reciprocal_gain = kobs[-1] ** 4 / 8.0
         for i, (k, g) in enumerate(zip(gains.k, kobs)):
             j = i + 1
@@ -237,7 +231,7 @@ class _Loop:
 
     def row(self) -> str:
         """The record-table row at t, after the pass and norm = ||theta||:
-        cascade.layout's groups in order, the energy as blf_value's terms."""
+        the layout's groups in order, the energy as blf_value's terms."""
         energy = " + ".join(["0.0"] + [f"-0.5 * log1p(-({z} / {psi}) ** 2)"
                                        for z, psi in zip(self.z, self.psi)])
         weights, rates = ((self.weights, self.dweights) if self.floats
@@ -246,11 +240,11 @@ class _Loop:
                      Psi=self.big_psi, psi=self.psi, z=self.z, q=self.q, eps_hat=self.e,
                      alpha=self.a, v=self.v, u=["u"], zeta_rate=self.dzeta, theta_rate=rates,
                      nn_out=["nn"], barrier_energy=[energy], theta_norm=["norm"], y_d=["y_d"])
-        return "[" + ", ".join(c for group in self.cascade.layout.at for c in cells[group]) + "]"
+        return "[" + ", ".join(c for group in self.layout.at for c in cells[group]) + "]"
 
     def plant_rates(self) -> list:
         """The plant and observer rates at (t, state), after the pass."""
-        n, plant, kobs = self.n, self.plant, self.cascade.observer_gains
+        n, plant, kobs = self.n, self.config.plant, self.config.observer_gains
         lines = ["if t != dist_t:"]
         lines += [f"    d{j} = dist{j}(t)" for j in range(1, n + 1)]
         lines.append("    dist_t = t")
@@ -318,64 +312,57 @@ class _Loop:
         else:
             finite = [f"isfinite({y})" for y in self.state[:-1]] + ["np_isfinite(theta).all()"]
         lines += ["if not (" + "\n        and ".join(finite) + "):",
-                  "    raise NonFiniteState((k + 1) * h)"]
+                  "    raise NonFiniteState(t0 + (k + 1) * h)"]
         return lines
 
 
-def compile_pass(cascade, plant=None) -> tuple:
-    """(source, functions) for a cascade and, for the closed loop, its
-    plant. The source is one factory, make, compiled once under a filename
-    that names it, such as <blfstep pass n=2 l=12> (<blfstep cascade pass
-    ...> without a plant), so tracebacks and profiles point at it; the
-    functions are what make returns: cascade_pass without a plant, and
-    (rates, integrate, signals) with one."""
-    g = _Loop(cascade, plant)
+def compile_pass(config, layout) -> tuple:
+    """(source, (rates, integrate, signals)) for a checked RunConfig whose
+    rows are written in layout's order. The source is one factory, make,
+    compiled once under a filename that names it, such as <blfstep pass
+    n=2 l=12>, so tracebacks and profiles point at it; the functions are
+    what make returns."""
+    g = _Loop(config, layout)
     state = ", ".join(g.state)
     nonlocal_ = f"    nonlocal {', '.join(g.memo)}"
-    if plant is None:
-        body = [f"def cascade_pass(t, {state}):", nonlocal_, *_indent(g.pass_(), 4),
-                f"    {g.norm}", f"    return {g.row()}"]
-        tail = "    return cascade_pass"
-    else:
-        start, update, fields = g.metrics()
-        body = [f"def rates(t, {state}):", nonlocal_,
-                *_indent(g.pass_() + g.plant_rates(), 4),
-                f"    return {_tuple(g.rates)}",
-                "",
-                f"def integrate(rates, table, steps, h, decimation, {state}):",
-                nonlocal_,
-                "    half = 0.5 * h",
-                "    sixth = h / 6.0",
-                *_indent(start, 4),
-                "    kept = 0",
-                "    try:",
-                "        for k in range(steps + 1):",
-                "            t = k * h",
-                *_indent(g.pass_() + update, 12),
-                "            if k % decimation == 0 or k == steps:",
-                f"                table[kept] = {g.row()}",
-                "                kept += 1",
-                "            if k == steps:",
-                "                break",
-                *_indent(g.plant_rates() + g.step(), 12),
-                "    except ConfigError:",
-                "        raise",
-                "    except (OverflowError, ValueError, ZeroDivisionError) as exc:",
-                "        raise NonFiniteState((k + 1) * h) from exc",
-                *_indent(["return " + fields], 4),
-                "",
-                "def signals(t):",
-                nonlocal_,
-                *_indent(g.signals(), 4),
-                f"    return y_d, {_tuple(g.big_psi)}, {_tuple(g.psi)}, {_tuple(g.dpsi)}"]
-        tail = "    return rates, integrate, signals"
-    source = "\n".join(g.head() + [""] + _indent(body, 4) + [tail, ""])
+    start, update, fields = g.metrics()
+    body = [f"def rates(t, {state}):", nonlocal_,
+            *_indent(g.pass_() + g.plant_rates(), 4),
+            f"    return {_tuple(g.rates)}",
+            "",
+            f"def integrate(rates, table, t0, steps, h, decimation, {state}):",
+            nonlocal_,
+            "    half = 0.5 * h",
+            "    sixth = h / 6.0",
+            *_indent(start, 4),
+            "    kept = 0",
+            "    try:",
+            "        for k in range(steps + 1):",
+            "            t = t0 + k * h",
+            *_indent(g.pass_() + update, 12),
+            "            if k % decimation == 0 or k == steps:",
+            f"                table[kept] = {g.row()}",
+            "                kept += 1",
+            "            if k == steps:",
+            "                break",
+            *_indent(g.plant_rates() + g.step(), 12),
+            "    except ConfigError:",
+            "        raise",
+            "    except (OverflowError, ValueError, ZeroDivisionError) as exc:",
+            "        raise NonFiniteState(t0 + (k + 1) * h) from exc",
+            *_indent(["return " + fields], 4),
+            "",
+            "def signals(t):",
+            nonlocal_,
+            *_indent(g.signals(), 4),
+            f"    return y_d, {_tuple(g.big_psi)}, {_tuple(g.psi)}, {_tuple(g.dpsi)}"]
+    source = "\n".join(g.head() + [""] + _indent(body, 4)
+                       + ["    return rates, integrate, signals", ""])
     namespace = dict(_GLOBALS)
-    kind = "pass" if plant is not None else "cascade pass"
-    exec(compile(source, f"<blfstep {kind} n={g.n} l={g.rbf.l}>", "exec"), namespace)
+    exec(compile(source, f"<blfstep pass n={g.n} l={g.rbf.l}>", "exec"), namespace)
     # popped, so that no cycle through the namespace holds the compiled
     # code: it is freed with the functions make returns, not by a later
     # garbage collection
     return source, namespace.pop("make")(
-        cascade.reference, cascade.constraints.state_bounds,
-        plant.disturbances if plant is not None else (), cascade.rbf.basis)
+        config.reference, config.constraints.state_bounds, config.plant.disturbances,
+        config.rbf.basis)

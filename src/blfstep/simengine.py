@@ -7,15 +7,17 @@ integrated with classic fourth-order Runge-Kutta at a fixed step.
 
 Each ClosedLoop compiles its whole loop from its RunConfig (see
 passgen) and keeps the text it compiled, which pass_source gives. The
-generated integrate holds the state in locals from step to step. At each
-time point it makes one pass inline, updates the metrics (||theta||,
-nine maxima, the reserve crossings and the tail sum of z_1^2, as passgen
-states them), writes the kept rows of the record table, and takes k1
-from the same pass. It calls the generated rates at the three later RK4
-stages, combines the stages entry by entry, and checks that the new
-state is finite. run keeps the feasibility check, the table, the mapping
-of a non-finite barrier crossing to NonFiniteState and the RunMetrics
-the loop returns.
+generated integrate(rates, table, t0, steps, h, decimation, state...)
+holds the state in locals from step to step; a run starts it at t0 = 0,
+and the cascade map (loop.cascade) at t is a zero-step integrate from
+t0 = t. At each time point t0 + k h it makes one pass inline, updates
+the metrics (||theta||, nine maxima, the reserve crossings and the tail
+sum of z_1^2, as passgen states them), writes the kept rows of the
+record table, and takes k1 from the same pass. It calls the generated
+rates at the three later RK4 stages, combines the stages entry by entry,
+and checks that the new state is finite. run keeps the feasibility
+check, the table, the mapping of a non-finite barrier crossing to
+NonFiniteState and the RunMetrics the loop returns.
 
 The barrier preconditions are checked at every stage evaluation, not
 just at accepted steps, because a stage state outside an envelope makes
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .barrier import BarrierViolation
-from .controller import BacksteppingCascade, ConstraintConfig, GainConfig, Records
+from .controller import BacksteppingCascade, ConstraintConfig, GainConfig, RecordLayout, Records
 from .observer import initial_dhat
 # The generated pass inlines the observer rates; they stay bound here
 # because bench/tracing.py patches the observer layer through them.
@@ -209,17 +211,17 @@ class ClosedLoop:
     loop, and signals(t) is (y_d, Psi, psi, dpsi/dt) at t, the last three
     tuples over the levels. They share one memo of the time signals and
     the disturbances d_i(t) of the last distinct t, so each is evaluated
-    once per distinct stage time.
+    once per distinct stage time. layout is the record table's format and
+    cascade the controller map, which reads the same compiled integrate.
     """
 
     def __init__(self, config: RunConfig):
         self.plant, rbf = config.plant, config.rbf
-        self.cascade = BacksteppingCascade(config.reference, config.constraints, config.gains,
-                                           config.observer_gains, rbf)
         self.n, self.l, self.float_weights = self.plant.n, rbf.l, rbf.float_weights
         self.dim = 3 * self.n + self.l
-        made = compile_pass(self.cascade, self.plant)
-        self.source, (self.rates, self.integrate, self.signals) = made
+        self.layout = RecordLayout(self.n, self.l)
+        self.source, (self.rates, self.integrate, self.signals) = compile_pass(config, self.layout)
+        self.cascade = BacksteppingCascade(config, self.layout, self.rates, self.integrate)
 
     def state(self, x, dhat, zeta, theta) -> list:
         """The augmented state in this loop's layout, from its four parts."""
@@ -268,7 +270,7 @@ def run(config: RunConfig) -> SimResult:
 
     h, decimation = config.step, config.decimation
     steps = int(round(config.horizon / h)) if config.horizon > 0 else 0
-    shape = (steps // decimation + 1 + (steps % decimation > 0), loop.cascade.layout.width)
+    shape = (steps // decimation + 1 + (steps % decimation > 0), loop.layout.width)
     try:
         table = np.empty(shape)
     except MemoryError as exc:
@@ -278,7 +280,7 @@ def run(config: RunConfig) -> SimResult:
                    np.zeros(loop.n), np.zeros(loop.l))
     try:
         with np.errstate(all="ignore"):  # the loop ends a non-finite step itself
-            metrics = loop.integrate(loop.rates, table, steps, h, decimation, *s)
+            metrics = loop.integrate(loop.rates, table, 0.0, steps, h, decimation, *s)
     except BarrierViolation as exc:
         # a NaN or infinite error coordinate means the state blew up, not
         # that a finite trajectory crossed its envelope
@@ -286,4 +288,4 @@ def run(config: RunConfig) -> SimResult:
             raise NonFiniteState(exc.t) from exc
         raise
     table.flags.writeable = False
-    return SimResult(Records(table, loop.cascade.layout), RunMetrics(**metrics), config)
+    return SimResult(Records(table, loop.layout), RunMetrics(**metrics), config)

@@ -216,11 +216,10 @@ def test_criterion_8_convergence_stability(sec6_config, sec6_result):
 
 
 def test_criterion_9_weight_update_linearity(sec6_config):
-    from blfstep.controller import BacksteppingCascade
+    from blfstep.simengine import ClosedLoop
 
     cfg = sec6_config
-    casc = BacksteppingCascade(cfg.reference, cfg.constraints, cfg.gains,
-                               cfg.observer_gains, cfg.rbf)
+    casc = ClosedLoop(cfg).cascade
     lam, eta, kn = cfg.gains.lam, cfg.gains.eta, cfg.observer_gains[-1]
     rng = np.random.default_rng(99)
     worst = 0.0

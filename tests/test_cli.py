@@ -555,6 +555,27 @@ def test_an_output_over_the_input_or_the_other_output_is_a_config_error(
     assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
+@pytest.mark.parametrize("target, args, printed", [
+    pytest.param("doc.json", ["doc.json", "--out", "link"],
+                 "error: --out: link is the configuration file\n", id="out-over-config"),
+    pytest.param("x", ["doc.json", "--out", "x", "--report", "link"],
+                 "error: --report: link is the --out file\n", id="report-over-out"),
+])
+def test_an_output_hard_linked_to_the_input_or_the_other_output_is_a_config_error(
+        target, args, printed, tmp_path, capsys, monkeypatch):
+    # a hard link has its own real path; before, the CSV overwrote the
+    # configuration through it, or the report the CSV, and the run exited 0
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "doc.json").write_text(
+        json.dumps({**json.loads(sec6_text()), "horizon": 0.01}))
+    (tmp_path / "x").write_bytes(b"kept\n")
+    os.link(tmp_path / target, tmp_path / "link")
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    assert main(["simulate", *args]) == 1
+    assert capsys.readouterr() == ("", printed)
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 @pytest.mark.parametrize("change, printed", [
     # dhat2(0) = -7 * 1e308 overflows
     pytest.param({"initial_x": [0.0, 1e308], "Psi": {"kind": "constant", "c": 1.7e308}},

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blfstep import passgen
 from blfstep.approximator import RbfNetwork
 from blfstep.barrier import BarrierViolation, blf_value, damped_inverse, nussbaum, q_value
 from blfstep.controller import (
-    BacksteppingCascade,
     ConstraintConfig,
     ControllerError,
     GainConfig,
@@ -18,7 +18,7 @@ from blfstep.controller import (
 from blfstep.observer import dhat_rate_final, dhat_rate_inner, estimate
 from blfstep.plant import Monomial, PlantSpec
 from blfstep.signals import Constant, ExpDecay, SignalSum, Sinusoid
-from blfstep.simengine import ClosedLoop, RunConfig, run
+from blfstep.simengine import ClosedLoop, NonFiniteState, RunConfig, run
 
 from test_simengine import third_order_config
 
@@ -38,7 +38,9 @@ def sec6_constraints():
 def make_cascade(reference=Constant(0.0), constraints=None, delta=1e-4, nodes=4):
     constraints = constraints or flat_constraints()
     gains = GainConfig(k=(5.0, 5.0), lam=14.0, eta=4.0, delta=delta)
-    return BacksteppingCascade(reference, constraints, gains, (7.0, 7.0), RbfNetwork.lattice(nodes, 2))
+    plant = PlantSpec(n=2, f=(), beta=1.0, disturbances=(Constant(0.0), Constant(0.0)))
+    return ClosedLoop(RunConfig(plant, constraints, RbfNetwork.lattice(nodes, 2), gains, (7.0, 7.0),
+                                reference, (0.0, 0.0))).cascade
 
 
 class TestConfigValidation:
@@ -60,16 +62,6 @@ class TestConfigValidation:
     def test_level_count_mismatch(self):
         with pytest.raises(ControllerError):
             ConstraintConfig((Constant(2.0), Constant(2.0)), (0.0,))
-
-    def test_cascade_dimension_checks(self):
-        with pytest.raises(ControllerError):
-            BacksteppingCascade(Constant(0.0), flat_constraints(),
-                                GainConfig(k=(5.0,), lam=1.0, eta=1.0),
-                                (7.0, 7.0), RbfNetwork.lattice(4, 2))
-        with pytest.raises(ControllerError):
-            BacksteppingCascade(Constant(0.0), flat_constraints(),
-                                GainConfig(k=(5.0, 5.0), lam=1.0, eta=1.0),
-                                (7.0, 7.0), RbfNetwork.lattice(4, 3))
 
 
 class TestEnvelopes:
@@ -178,6 +170,33 @@ class TestCascade:
         with pytest.raises(BarrierViolation) as err:
             casc.step(1.25, np.array([2.5, 0.0]), np.zeros(2), np.zeros(2), np.zeros(4))
         assert err.value.level == 1 and err.value.t == 1.25
+
+    def test_cascade_map_compiles_nothing(self, monkeypatch):
+        # the map is the loop's own integrate: the loop is compiled once,
+        # and no call of _eval or step compiles a second pass
+        compiled = []
+
+        def counting(*args, **kwargs):
+            compiled.append(args[1])
+            return compile(*args, **kwargs)
+
+        monkeypatch.setattr(passgen, "compile", counting, raising=False)
+        casc = make_cascade(reference=Sinusoid(1.0, 1.0, 0.0, "sin"))
+        assert compiled == ["<blfstep pass n=2 l=4>"]
+        for t in (0.0, 0.3, 0.3, 1.7):
+            casc._eval(t, [0.1, 0.0], [0.0, 0.2], [0.4, 0.0], [0.1] * 4)
+            casc.step(t, np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(4))
+        assert len(compiled) == 1
+
+    def test_z1_past_the_tail_sum_range_ends_in_non_finite_state(self):
+        # z1 ** 2 overflows in the metrics the zero-step run updates, as it
+        # would in a run at this state
+        casc = make_cascade(constraints=flat_constraints(psi=1e300))
+        rest = ([0.0, 0.0], [0.0, 0.0], [0.0] * 4)
+        assert casc.step(0.5, [1e154, 0.0], *rest).z[0] == 1e154
+        with pytest.raises(NonFiniteState) as err:
+            casc.step(0.5, [1e155, 0.0], *rest)
+        assert err.value.t == 0.5
 
     def test_initial_errors_use_reference_only_on_first_level(self, sec6_config):
         # a run starts at rest with eps_hat(0) = 0, so its first row holds

@@ -25,10 +25,10 @@ from hypothesis import example, given, settings, strategies as st
 from blfstep.approximator import RbfNetwork
 from blfstep.barrier import BarrierViolation
 from blfstep.cli import config_to_dict, parse_config
-from blfstep.controller import BacksteppingCascade, ConstraintConfig, GainConfig
+from blfstep.controller import ConstraintConfig, GainConfig
 from blfstep.plant import Monomial, PlantSpec
 from blfstep.signals import Constant, ExpDecay, SignalSum, Sinusoid
-from blfstep.simengine import NonFiniteState, RunConfig, run
+from blfstep.simengine import ClosedLoop, NonFiniteState, RunConfig, run
 
 from test_controller import bits, reference_eval, reference_row, reference_trajectory
 
@@ -116,8 +116,7 @@ def run_outcome(cfg):
 def reference_table(cfg, rows):
     """The record table of the reference trajectory rows: reference_row,
     which shares no code with the generated pass, at every time point."""
-    cascade = BacksteppingCascade(cfg.reference, cfg.constraints, cfg.gains,
-                                  cfg.observer_gains, cfg.rbf)
+    cascade = ClosedLoop(cfg).cascade
     n = cfg.plant.n
     return np.array([reference_row(cascade, k * cfg.step, row[:n], row[n:2 * n],
                                    row[2 * n:3 * n], row[3 * n:])
@@ -178,8 +177,7 @@ def reference_outcome(cfg):
     """The reference loop's trajectory, and then its pass at the last
     accepted state, which the run makes too."""
     n, steps = cfg.plant.n, int(round(cfg.horizon / cfg.step))
-    cascade = BacksteppingCascade(cfg.reference, cfg.constraints, cfg.gains,
-                                  cfg.observer_gains, cfg.rbf)
+    cascade = ClosedLoop(cfg).cascade
     with np.errstate(all="ignore"):
         try:
             rows = reference_trajectory(cfg)

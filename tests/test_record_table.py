@@ -9,9 +9,9 @@ import pytest
 import blfstep
 from blfstep.approximator import RbfNetwork
 from blfstep.cli import csv_header, emit_csv, emit_report
-from blfstep.controller import BacksteppingCascade, ConstraintConfig, Records, StepRecord
+from blfstep.controller import ConstraintConfig, Records, StepRecord
 from blfstep.signals import Constant, ExpDecay, SignalSum, Sinusoid
-from blfstep.simengine import run
+from blfstep.simengine import ClosedLoop, run
 
 from test_controller import reference_norm
 from test_simengine import third_order_config
@@ -28,8 +28,7 @@ def oracle_csv(result) -> bytes:
     ||theta|| from reference_norm, and each cell through repr(float(v))."""
     cfg = result.config
     n = cfg.plant.n
-    cascade = BacksteppingCascade(cfg.reference, cfg.constraints, cfg.gains,
-                                  cfg.observer_gains, cfg.rbf)
+    cascade = ClosedLoop(cfg).cascade
     lines = [",".join(csv_header(n))]
     for t, state in zip(result.times.tolist(), np.array(result.trajectory)):
         x, dhat, zeta, theta = state[:n], state[n:2 * n], state[2 * n:3 * n], state[3 * n:]
@@ -52,8 +51,7 @@ def emitted(result, tmp_path) -> bytes:
 def assert_records_equal_fresh_steps(result):
     cfg = result.config
     n = cfg.plant.n
-    cascade = BacksteppingCascade(cfg.reference, cfg.constraints, cfg.gains,
-                                  cfg.observer_gains, cfg.rbf)
+    cascade = ClosedLoop(cfg).cascade
     for t, s, rec in zip(result.times.tolist(), result.trajectory, result.records):
         fresh = cascade.step(t, s[:n], s[n:2 * n], s[2 * n:3 * n], s[3 * n:])
         for f in fields(StepRecord):

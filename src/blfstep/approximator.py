@@ -11,11 +11,13 @@ import math
 
 import numpy as np
 
-from .signals import ConfigError, finite_numbers
+from .signals import ConfigError, number, numbers
 
 # The default lattice: [LOW, HIGH] per axis, widths WIDTH, at most MAX_NODES nodes.
 LOW, HIGH, WIDTH = -2.0, 2.0, 2.0
 MAX_NODES = 10 ** 6
+# The range of a node count l and of a lattice's dimension.
+_COUNT = dict(integer=True, at_least=1, at_most=MAX_NODES)
 
 # The default of centers and widths in an rbf record: not listed, so the
 # lattice. JSON null is listed, and is no list of numbers.
@@ -33,15 +35,15 @@ class RbfError(ConfigError):
     """Network constructed with unusable centers or widths."""
 
 
-def _float_array(values, name: str, ndim: int, problems: list):
+def _float_array(values, name: str, ndim: int, problems: list, **check):
     """values as a float array with ndim axes, if it is a non-empty list
-    (of equally long lists, for ndim 2) of finite numbers. Otherwise None,
-    after one (name, message) problem that names the first entry at fault."""
+    (of equally long lists, for ndim 2) of numbers that pass check. Else
+    None, after one (name, message) problem naming the first entry at fault."""
     found = []
     if ndim == 1:
-        rows = finite_numbers(values, "", found)
+        rows = numbers(values, "", found, **check)
     elif isinstance(values, (list, tuple, np.ndarray)):
-        rows = [finite_numbers(row, f"[{i}]", found) for i, row in enumerate(values)]
+        rows = [numbers(row, f"[{i}]", found, **check) for i, row in enumerate(values)]
         if not found and len({len(row) for row in rows}) > 1:
             found.append(("", "expected rows of equal length"))
     else:
@@ -53,18 +55,6 @@ def _float_array(values, name: str, ndim: int, problems: list):
         problems.append((name, f"entry {where}: {message}" if where else message))
         return None
     return np.array(rows, dtype=float)
-
-
-def lattice_problems(**counts) -> list:
-    """A (name, message) problem for each lattice count given by name (l,
-    dims) that is not an integer from 1 to MAX_NODES."""
-    problems = []
-    for name, value in counts.items():
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            problems.append((name, f"expected an integer >= 1, got {value!r}"))
-        elif value > MAX_NODES:
-            problems.append((name, f"must be at most {MAX_NODES}, got {value}"))
-    return problems
 
 
 def _grid_counts(nodes: int, dims: int) -> list:
@@ -93,13 +83,10 @@ class RbfNetwork:
     def __init__(self, centers, widths):
         problems = []
         centers = _float_array(centers, "centers", 2, problems)
-        widths = _float_array(widths, "widths", 1, problems)
-        if widths is not None:
-            if not np.all(widths > 0):
-                problems.append(("widths", "must be > 0"))
-            if centers is not None and widths.shape[0] != centers.shape[0]:
-                problems.append(("widths", f"need exactly one width per center: got "
-                                           f"{widths.shape[0]} for {centers.shape[0]} centers"))
+        widths = _float_array(widths, "widths", 1, problems, above=0)
+        if centers is not None and widths is not None and widths.shape[0] != centers.shape[0]:
+            problems.append(("widths", f"need exactly one width per center: got "
+                                       f"{widths.shape[0]} for {centers.shape[0]} centers"))
         if problems:
             raise RbfError(problems)
         self.centers = centers
@@ -131,7 +118,9 @@ class RbfNetwork:
         2-D gives a 4 x 3 grid). An axis with a single point sits at the
         interval midpoint. Every width is WIDTH.
         """
-        problems = lattice_problems(l=nodes, dims=dims)
+        problems = []
+        number(nodes, "l", problems, **_COUNT)
+        number(dims, "dims", problems, **_COUNT)
         if problems:
             raise RbfError(problems)
         counts = _grid_counts(nodes, dims)
@@ -147,17 +136,22 @@ class RbfNetwork:
     def read(cls, l, centers=_LATTICE, widths=_LATTICE, *, dims) -> "RbfNetwork":
         """The network an rbf record describes: its l listed centers and
         widths, or without them the default lattice of l nodes over dims
-        axes, the plant order. With dims None (the plant failed to build)
-        only the lattice's node count is checked, and nothing is built."""
+        axes, the plant order. l is checked either way; with dims None (the
+        plant failed to build) nothing else is, and nothing is built."""
         if (centers is _LATTICE) != (widths is _LATTICE):
             raise RbfError("centers and widths must be given together or both omitted")
+        problems = []
+        number(l, "l", problems, **_COUNT)
         if centers is _LATTICE:
-            if dims is None:
-                raise RbfError(lattice_problems(l=l))
+            if problems or dims is None:
+                raise RbfError(problems)
             return cls.lattice(l, dims)
-        net = cls(centers, widths)
-        if net.l != l:
-            raise RbfError([("centers", f"{net.l} centers listed but l = {l!r}")])
+        try:
+            net = cls(centers, widths)
+        except RbfError as exc:
+            raise RbfError(problems + exc.problems) from None
+        if problems or net.l != l:
+            raise RbfError(problems or [("centers", f"{net.l} centers listed but l = {l}")])
         return net
 
     def basis(self, zbar) -> np.ndarray:

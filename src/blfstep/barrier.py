@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 
+from .signals import ConfigError, number
+
 
 class BarrierViolation(RuntimeError):
     """An error coordinate reached or left its envelope |z| < psi."""
@@ -73,6 +75,7 @@ def damped_inverse(q: float, delta: float) -> float:
     and is bounded by 1/(2*sqrt(delta)) everywhere, which removes the
     singularity of the raw 1/Q feedback term at z = 0.
     """
-    if delta <= 0:
-        raise ValueError(f"regularizer delta must be > 0, got {delta}")
+    problems = []
+    if number(delta, "delta", problems, above=0) is None:
+        raise ConfigError(problems)
     return q / (q * q + delta)

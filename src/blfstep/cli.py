@@ -70,12 +70,15 @@ def parse_config(text: str) -> RunConfig:
     names the field; unknown keys are errors. When a component fails, the
     run-level fields are still checked, so both are named in one attempt.
     """
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer literal past the digit limit
-        raise ConfigError([("(document)", f"malformed JSON: {exc}")]) from exc
     problems = []
-    config = read_record(doc, "", _RUN, problems)
+    try:
+        try:
+            doc = json.loads(text)
+        except ValueError as exc:  # JSONDecodeError, or an integer literal past the digit limit
+            raise ConfigError([("(document)", f"malformed JSON: {exc}")]) from exc
+        config = read_record(doc, "", _RUN, problems)
+    except RecursionError:  # signal sums nested some 500 deep
+        raise ConfigError([("(document)", "nested too deeply to read")]) from None
     if config is None:
         raise ConfigError(problems)
     return config

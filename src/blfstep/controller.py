@@ -42,7 +42,7 @@ import numpy as np
 # bench/tracing.py patches the barrier and observer layers through them.
 from .barrier import blf_value, damped_inverse, nussbaum, q_value  # noqa: F401
 from .observer import estimate  # noqa: F401
-from .signals import ConfigError, finite_field, finite_numbers
+from .signals import ConfigError, number, number_field, numbers
 
 
 class ControllerError(ConfigError):
@@ -61,14 +61,9 @@ class GainConfig:
 
     def __post_init__(self) -> None:
         problems = []
-        k = finite_numbers(self.k, "k", problems)
-        object.__setattr__(self, "k", k)
-        positive = [(f"k[{i}]", v) for i, v in enumerate(k or ())]
+        object.__setattr__(self, "k", numbers(self.k, "k", problems, above=0))
         for name, path in (("lam", "lambda"), ("eta", "eta"), ("delta", "delta")):
-            value = finite_field(self, name, problems, path)
-            if value is not None:
-                positive.append((path, value))
-        problems += [(path, f"must be > 0, got {v}") for path, v in positive if not v > 0]
+            number_field(self, name, problems, path, above=0)
         if problems:
             raise ControllerError(problems)
 
@@ -82,16 +77,13 @@ class ConstraintConfig:
     def __init__(self, state_bounds, virtual_bounds):
         problems = []
         self.state_bounds = tuple(state_bounds)
-        self.virtual_bounds = finite_numbers(virtual_bounds, "A", problems)
+        self.virtual_bounds = numbers(virtual_bounds, "A", problems, at_least=0)
         if self.virtual_bounds is not None and len(self.virtual_bounds) != self.n:
             problems.append(("A", f"need one virtual-control bound per level: got "
                                   f"{len(self.virtual_bounds)} for {self.n} state bounds"))
         rates = []
         for i, (bound, reserve) in enumerate(zip(self.state_bounds, self.virtual_bounds or ())):
-            if reserve < 0:
-                problems.append((f"A[{i}]", f"must be >= 0, got {reserve}"))
-                continue
-            if bound is None:
+            if bound is None or reserve is None:
                 continue
             psi0, rate0 = bound.value(0.0), bound.derivative(0.0)
             if not (math.isfinite(psi0) and math.isfinite(rate0)):
@@ -232,18 +224,20 @@ class BacksteppingCascade:
         """Cascade pass; returns the record-table row at t as a float64
         array, its cells in self.layout's order.
 
-        x, dhat and zeta are sequences of floats (arrays give the same
-        bits). theta is a sequence of floats for a float-weight network
-        (see RbfNetwork.float_weights) and an array beyond. The pass is
-        the loop's integrate from t0 = t taking no step, of the smallest h
-        (no cell reads h; a NonFiniteState is dated t + h, which is t
-        beyond 1e-307). It updates a run's metrics too, so it ends as a
-        run at that state does: on floats, past |z_1| of about 1.34e154
-        the tail sum's z1 ** 2 overflows, and _eval raises NonFiniteState.
+        x, dhat and zeta are sequences of real numbers, arrays included,
+        and theta too for a float-weight network (see
+        RbfNetwork.float_weights); the pass takes each as a Python float,
+        as a run holds them. Beyond, theta is an array. The pass is the
+        loop's integrate from t0 = t taking no step, of the smallest h (no
+        cell reads h; a NonFiniteState is dated t + h, which is t beyond
+        1e-307). It updates a run's metrics too, so it ends as a run at
+        that state does: past |z_1| of about 1.34e154 the tail sum's
+        z1 ** 2 overflows, and _eval raises NonFiniteState.
         """
         table = np.empty((1, self.layout.width))
-        weights = theta if self.rbf.float_weights else (theta,)
-        self._integrate(self._rates, table, t, 0, 5e-324, 1, *x, *dhat, *zeta, *weights)
+        weights = map(float, theta) if self.rbf.float_weights else (theta,)
+        self._integrate(self._rates, table, t, 0, 5e-324, 1,
+                        *map(float, x), *map(float, dhat), *map(float, zeta), *weights)
         return table[0]
 
     def step(self, t: float, x, dhat, zeta, theta) -> StepRecord:
@@ -265,8 +259,9 @@ def lyapunov_decay_rates(gains: GainConfig, observer_gains, basis_bound: float) 
     arrives through a square root whose round trip leaves that much
     noise.
     """
-    if basis_bound < 0:
-        raise ValueError(f"basis bound must be >= 0, got {basis_bound}")
+    problems = []
+    if number(basis_bound, "basis_bound", problems, at_least=0) is None:
+        raise ConfigError(problems)
     kobs = tuple(float(g) for g in observer_gains)
     n = len(gains.k)
     if len(kobs) != n:

@@ -126,6 +126,22 @@ def _tuple(names: list) -> str:
     return f"({_unpack(names)})"
 
 
+# The most terms a generated statement sums: CPython's compiler recurses
+# once per + of a chain, and fails at a few thousand.
+_CHAIN = 256
+
+
+def _sum(terms: list, name: str) -> tuple:
+    """(statements, expression) that sum terms left to right, at most
+    _CHAIN to a statement: the statements set name, which the expression
+    continues. A short sum is the expression alone."""
+    lines = []
+    while len(terms) > _CHAIN:
+        lines.append(f"{name} = {' + '.join(terms[:_CHAIN])}")
+        terms = [name] + terms[_CHAIN:]
+    return lines, " + ".join(terms)
+
+
 def _indent(lines: list, depth: int) -> list:
     return [" " * depth + line if line else "" for text in lines for line in text.split("\n")]
 
@@ -191,8 +207,9 @@ class _Loop:
                     node.append(squares.setdefault(_lit(c), f"sq{axis + 1}_{len(squares) + 1}"))
                 lines += [f"{name} = ({c} - x{axis + 1}) * ({c} - x{axis + 1})"
                           for c, name in squares.items()]
-            lines += [f"p{j + 1} = exp(({' + '.join(node)}) / {_lit(-b)})"
-                      for j, (node, b) in enumerate(zip(nodes, rbf.widths.tolist()))]
+            for j, (node, b) in enumerate(zip(nodes, rbf.widths.tolist())):
+                sums, total = _sum(node, "sq")
+                lines += sums + [f"p{j + 1} = exp(({total}) / {_lit(-b)})"]
         else:
             lines = [f"phi = basis({_tuple(self.x)})"]
 
@@ -229,18 +246,20 @@ class _Loop:
             lines.append(f"dtheta = {lam} * ({qn} * phi - {kn_sq} * weights - {eta} * weights)")
         return lines
 
-    def row(self) -> str:
-        """The record-table row at t, after the pass and norm = ||theta||:
-        the layout's groups in order, the energy as blf_value's terms."""
-        energy = " + ".join(["0.0"] + [f"-0.5 * log1p(-({z} / {psi}) ** 2)"
-                                       for z, psi in zip(self.z, self.psi)])
+    def row(self) -> list:
+        """The statements that write the record-table row at t to the
+        table's next row, after the pass and norm = ||theta||: the layout's
+        groups in order, the energy as blf_value's terms."""
+        sums, energy = _sum(["0.0"] + [f"-0.5 * log1p(-({z} / {psi}) ** 2)"
+                                       for z, psi in zip(self.z, self.psi)], "energy")
         weights, rates = ((self.weights, self.dweights) if self.floats
                           else (["*weights.tolist()"], ["*dtheta.tolist()"]))
         cells = dict(t=["t"], x=self.x, dhat=self.dhat, zeta=self.zeta, theta=weights,
                      Psi=self.big_psi, psi=self.psi, z=self.z, q=self.q, eps_hat=self.e,
                      alpha=self.a, v=self.v, u=["u"], zeta_rate=self.dzeta, theta_rate=rates,
                      nn_out=["nn"], barrier_energy=[energy], theta_norm=["norm"], y_d=["y_d"])
-        return "[" + ", ".join(c for group in self.layout.at for c in cells[group]) + "]"
+        return sums + ["table[kept] = ["
+                       + ", ".join(c for group in self.layout.at for c in cells[group]) + "]"]
 
     def plant_rates(self) -> list:
         """The plant and observer rates at (t, state), after the pass."""
@@ -252,7 +271,8 @@ class _Loop:
         # monomial its coefficient times its powers, left to right
         drift = ["0.0"] + [" * ".join([_lit(coeff)] + [f"x{j + 1} ** {e!r}" for j, e in powers])
                            for coeff, powers in plant._drift]
-        lines.append(f"drift = {' + '.join(drift)}")
+        sums, total = _sum(drift, "drift")
+        lines += sums + [f"drift = {total}"]
         lines += [f"dx{j} = x{j + 1} + d{j}" for j in range(1, n)]
         lines.append(f"dx{n} = drift + {_lit(plant.beta)} * u + d{n}")
         lines += [f"ddhat{j} = {_lit(-kobs[j - 1])} * (x{j + 1} + e{j})" for j in range(1, n)]
@@ -341,7 +361,7 @@ def compile_pass(config, layout) -> tuple:
             "            t = t0 + k * h",
             *_indent(g.pass_() + update, 12),
             "            if k % decimation == 0 or k == steps:",
-            f"                table[kept] = {g.row()}",
+            *_indent(g.row(), 16),
             "                kept += 1",
             "            if k == steps:",
             "                break",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .signals import ConfigError, finite_field, finite_number
+from .signals import ConfigError, number_field, numbers
 
 
 class PlantError(ConfigError):
@@ -29,19 +29,9 @@ class Monomial:
 
     def __post_init__(self) -> None:
         problems = []
-        finite_field(self, "coeff", problems)
-        if isinstance(self.exponents, (list, tuple)):
-            object.__setattr__(self, "exponents", tuple(self.exponents))
-            for j, e in enumerate(self.exponents):
-                if isinstance(e, bool) or not isinstance(e, int) or e < 0:
-                    problems.append((f"exponents[{j}]", f"expected a non-negative integer, got {e!r}"))
-                    continue
-                try:
-                    finite_number(e)  # x ** e converts e to a float
-                except ValueError as exc:
-                    problems.append((f"exponents[{j}]", str(exc)))
-        else:
-            problems.append(("exponents", f"expected a list of integers, got {self.exponents!r}"))
+        number_field(self, "coeff", problems)
+        object.__setattr__(self, "exponents",
+                           numbers(self.exponents, "exponents", problems, integer=True, at_least=0))
         if problems:
             raise PlantError(problems)
 
@@ -59,13 +49,11 @@ class PlantSpec:
 
     def __post_init__(self) -> None:
         problems = []
-        if finite_field(self, "beta", problems) == 0:
+        if number_field(self, "beta", problems) == 0:
             problems.append(("beta", "control coefficient beta must be nonzero"))
         object.__setattr__(self, "f", tuple(self.f))
         object.__setattr__(self, "disturbances", tuple(self.disturbances))
-        if not isinstance(self.n, int) or self.n < 2:
-            problems.append(("n", f"plant order must be an integer >= 2, got {self.n!r}"))
-        else:
+        if number_field(self, "n", problems, integer=True, at_least=2) is not None:
             if len(self.disturbances) != self.n:
                 problems.append(("disturbances", "need one disturbance signal per state: "
                                  f"got {len(self.disturbances)} for order {self.n}"))

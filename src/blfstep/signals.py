@@ -8,12 +8,13 @@ or reference. value_and_derivative gives both from one evaluation of the
 member's exp, or of its sine and cosine at one argument.
 
 All members are bounded on [0, inf) by construction: every parameter
-must be a finite number, and an exponential with a negative decay rate
-is rejected. The constructors raise SignalError naming every parameter
-at fault.
+must be a finite number, and an exponential's decay rate at least 0.
+The constructors raise SignalError naming every parameter at fault.
 
-The module also holds ConfigError and the one reader and writer of
-configuration records, read_record and write_record.
+The module also holds ConfigError; number, the one numeric check of
+configuration input, with its list and field forms numbers and
+number_field; and the one reader and writer of configuration records,
+read_record and write_record.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import functools
 import inspect
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -55,7 +57,7 @@ class Constant:
 
     def __post_init__(self) -> None:
         problems = []
-        finite_field(self, "c", problems)
+        number_field(self, "c", problems)
         if problems:
             raise SignalError(problems)
 
@@ -81,7 +83,7 @@ class Sinusoid:
     def __post_init__(self) -> None:
         problems = []
         for name in ("amplitude", "angular_frequency", "phase"):
-            finite_field(self, name, problems)
+            number_field(self, name, problems)
         if self.kind not in ("sin", "cos"):
             problems.append(("kind", f"sinusoid kind must be 'sin' or 'cos', got {self.kind!r}"))
         if problems:
@@ -116,10 +118,8 @@ class ExpDecay:
     def __post_init__(self) -> None:
         problems = []
         for name in ("a", "c"):
-            finite_field(self, name, problems)
-        b = finite_field(self, "b", problems)
-        if b is not None and b < 0:
-            problems.append(("b", f"exponential rate must be >= 0 for boundedness, got {b}"))
+            number_field(self, name, problems)
+        number_field(self, "b", problems, at_least=0)
         if problems:
             raise SignalError(problems)
 
@@ -169,51 +169,51 @@ class SignalSum:
 TimeSignal = Union[Constant, Sinusoid, ExpDecay, SignalSum]
 
 
-def finite_number(value) -> float:
-    """value as a float if it is a finite real number.
+def number(value, path: str, problems: list, *, integer: bool = False,
+           above=None, at_least=None, at_most=None):
+    """value as a float (an int if integer) if it is a finite real number
+    in range; otherwise None, after appending one (path, message) problem.
 
-    The one numeric check for configuration input: bools, non-numbers,
-    NaN, infinities and integers too large for a float raise ValueError.
-    Python's json reads NaN and Infinity, so they must be caught here.
+    The one numeric check for configuration input. A number is an int or
+    a float, never a bool, and an integer is an int. The range is the
+    strict lower bound above and the inclusive bounds at_least and
+    at_most, each optional; an int is compared exactly. NaN and the
+    infinities (Python's json reads NaN and Infinity) are not finite, nor
+    is an int beyond the float range. A message is formed only on a fault.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"expected a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:
-        raise ValueError("expected a finite number, got an integer beyond the float range") from None
-    if not math.isfinite(number):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return number
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        fault = f"expected {'an integer' if integer else 'a number'}, got {value!r}"
+    elif isinstance(value, float) and not math.isfinite(value):
+        fault = f"expected a finite number, got {value!r}"
+    elif above is not None and not value > above:
+        fault = f"must be > {above}, got {value}"
+    elif at_least is not None and not value >= at_least:
+        fault = f"must be >= {at_least}, got {value}"
+    elif at_most is not None and not value <= at_most:
+        fault = f"must be <= {at_most}, got {value}"
+    elif abs(value) > sys.float_info.max:  # an int, compared exactly
+        fault = "expected a finite number, got an integer beyond the float range"
+    else:
+        return value if integer else float(value)
+    problems.append((path, fault))
+    return None
 
 
-def finite_numbers(values, path: str, problems: list):
-    """values as a tuple of floats if it is a list of finite numbers.
-
-    Otherwise appends a (path, message) problem for the list or for each
-    bad element (path[i]) and returns None.
-    """
+def numbers(values, path: str, problems: list, **check):
+    """values as a tuple of checked numbers (see number, which takes the
+    same keywords) if it is a list, with None in place of each entry at
+    fault, named path[i]; None, after one problem, if it is not a list."""
     if not isinstance(values, (list, tuple, np.ndarray)):
-        problems.append((path, f"expected a list of numbers, got {values!r}"))
+        kind = "integers" if check.get("integer") else "numbers"
+        problems.append((path, f"expected a list of {kind}, got {values!r}"))
         return None
-    numbers = []
-    for i, v in enumerate(values):
-        try:
-            numbers.append(finite_number(v))
-        except ValueError as exc:
-            problems.append((f"{path}[{i}]", str(exc)))
-    return tuple(numbers) if len(numbers) == len(values) else None
+    return tuple(number(v, f"{path}[{i}]", problems, **check) for i, v in enumerate(values))
 
 
-def finite_field(record, name: str, problems: list, path: str | None = None):
-    """Store field name of a frozen dataclass as a float and return it, if
-    it is a finite number; otherwise append a (path or name, message)
-    problem and return None."""
-    try:
-        value = finite_number(getattr(record, name))
-    except ValueError as exc:
-        problems.append((path or name, str(exc)))
-        return None
+def number_field(record, name: str, problems: list, path: str | None = None, **check):
+    """Field name of a frozen dataclass, checked by number (path defaults
+    to name), stored back as the number number gives and returned."""
+    value = number(getattr(record, name), path or name, problems, **check)
     object.__setattr__(record, name, value)
     return value
 

@@ -41,7 +41,7 @@ from .observer import dhat_rate_final, dhat_rate_inner  # noqa: F401
 from .approximator import RbfNetwork
 from .passgen import NonFiniteState, compile_pass
 from .plant import PlantSpec
-from .signals import ConfigError, TimeSignal, finite_field, finite_numbers
+from .signals import ConfigError, TimeSignal, number_field, numbers
 
 
 class InfeasibleInitialCondition(RuntimeError):
@@ -90,32 +90,22 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         problems = []
-        horizon = finite_field(self, "horizon", problems, ".horizon")
-        if horizon is not None and horizon < 0:
-            problems.append((".horizon", f"must be >= 0, got {horizon}"))
-        step = finite_field(self, "step", problems, ".step")
-        if step is not None and not step > 0:
-            problems.append((".step", f"must be > 0, got {step}"))
+        horizon = number_field(self, "horizon", problems, ".horizon", at_least=0)
+        step = number_field(self, "step", problems, ".step", above=0)
         if not problems and horizon / step > _MAX_STEPS:
             message = f"horizon / step = {horizon / step:.6g} steps, more than 2**53"
             problems += [(".horizon", message), (".step", message)]
-        decimation = self.decimation
-        if isinstance(decimation, bool) or not isinstance(decimation, int):
-            problems.append((".decimation", f"expected an integer, got {decimation!r}"))
-        elif decimation < 1:
-            problems.append((".decimation", f"must be >= 1, got {decimation}"))
+        number_field(self, "decimation", problems, ".decimation", integer=True, at_least=1)
         if self.output_path is not None and not isinstance(self.output_path, str):
             problems.append((".output_path", f"expected a string, got {self.output_path!r}"))
         elif self.output_path == "":  # not a path; unset is null
             problems.append((".output_path", "expected a file path, got an empty string"))
-        observer_gains = finite_numbers(self.observer_gains, ".observer_gains", problems)
-        problems += [(f".observer_gains[{i}]", f"must be > 0, got {g}")
-                     for i, g in enumerate(observer_gains or ()) if not g > 0]
+        observer_gains = numbers(self.observer_gains, ".observer_gains", problems, above=0)
         limit = 2.0 ** 256  # the controller takes the last gain's fourth power, a float below this
-        if observer_gains and observer_gains[-1] >= limit:
+        if observer_gains and observer_gains[-1] is not None and observer_gains[-1] >= limit:
             problems.append((f".observer_gains[{len(observer_gains) - 1}]",
                              f"must be below {limit:.6g}, got {observer_gains[-1]}"))
-        initial_x = finite_numbers(self.initial_x, ".initial_x", problems)
+        initial_x = numbers(self.initial_x, ".initial_x", problems)
         if None in (self.plant, self.constraints, self.rbf, self.gains, self.reference):
             raise ConfigError(problems)
         n = self.plant.n

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from blfstep.approximator import MAX_NODES, RbfError, RbfNetwork, lattice_problems
+from blfstep.approximator import MAX_NODES, RbfError, RbfNetwork
 
 
 def small_net():
@@ -86,7 +86,6 @@ def test_lattice_counts_three_dims():
 
 @pytest.mark.parametrize("nodes", [MAX_NODES + 1, 10 ** 400])
 def test_lattice_size_bounded_before_anything_is_built(nodes):
-    assert lattice_problems(l=nodes) == [("l", f"must be at most {MAX_NODES}, got {nodes}")]
     with pytest.raises(RbfError) as err:
         RbfNetwork.lattice(nodes, 2)
-    assert [path for path, _ in err.value.problems] == ["l"]
+    assert err.value.problems == [("l", f"must be <= {MAX_NODES}, got {nodes}")]

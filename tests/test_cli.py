@@ -485,7 +485,7 @@ def test_nested_signal_error_names_its_field(mutate, field, tmp_path, capsys):
     assert main(["simulate", str(path)]) == 1
     lines = [line.strip().removeprefix("error: ") for line in capsys.readouterr().err.splitlines()]
     assert [line for line in lines if line.startswith(f"{field}: ")] == [
-        f"{field}: exponential rate must be >= 0 for boundedness, got -0.5"], lines
+        f"{field}: must be >= 0, got -0.5"], lines
 
 
 def test_empty_output_path_is_a_config_error(tmp_path, capsys, monkeypatch):
@@ -718,6 +718,20 @@ def test_nested_part_failure_still_checks_the_record(changes, paths):
     pytest.param({("plant", "f"): 3, ("plant", "disturbances"): "sin"},
                  [("plant.f", "expected a list"), ("plant.disturbances", "expected a list")],
                  id="two-non-lists"),
+    # every entry of a list is checked, and one out of range still leaves
+    # the next checked against its relations
+    pytest.param({("gains", "k"): [-1, "x"]},
+                 [("gains.k[0]", "must be > 0, got -1"), ("gains.k[1]", "expected a number, got 'x'")],
+                 id="gain-sign-and-type"),
+    pytest.param({("constraints", "A"): [-1, 100]},
+                 [("constraints.A[0]", "must be >= 0, got -1"),
+                  ("constraints.A[1]", "infeasible envelope split at level 2: Psi(2)(0) = 2.1 "
+                                       "does not exceed A[1] = 100")],
+                 id="reserve-sign-and-split"),
+    # the node count is checked beside listed centers too
+    *[pytest.param({("rbf",): {"l": l, "centers": [[0.0, 0.0]], "widths": [1.0]}},
+                   [("rbf.l", f"expected an integer, got {l!r}")], id=f"node-count-{l!r}")
+      for l in (True, 1.0, "1")],
 ])
 def test_record_problems_named_at_their_path(changes, problems):
     doc = json.loads(sec6_text())
@@ -948,7 +962,7 @@ def test_only_a_finite_crossing_reports_its_level(change, disturbance, printed, 
                  (".observer_gains[1]", "must be below 1.15792e+77, got 1e+200"),
                  id="observer-gain"),
     pytest.param({"rbf": {"l": 10 ** 400}},
-                 ("rbf.l", f"must be at most 1000000, got {10 ** 400}"), id="lattice-size"),
+                 ("rbf.l", f"must be <= 1000000, got {10 ** 400}"), id="lattice-size"),
 ])
 def test_number_too_large_for_the_run_is_a_config_error(change, problem, tmp_path, capsys):
     doc = {**json.loads(sec6_text()), **change}
@@ -960,6 +974,36 @@ def test_number_too_large_for_the_run_is_a_config_error(change, problem, tmp_pat
     assert main(["simulate", str(path)]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: invalid configuration:\n") and problem[0] in err
+
+
+def test_deeply_nested_document_is_a_config_error(tmp_path, capsys):
+    # 600 nested sums are 1,200 JSON levels, past what json.loads reads
+    sums = '{"kind": "sum", "terms": [' * 600 + '{"kind": "constant", "c": 0.0}' + "]}" * 600
+    doc = json.loads(sec6_text())
+    del doc["reference"]
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc)[:-1] + ', "reference": ' + sums + "}")
+    assert main(["simulate", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.count("error: invalid configuration:") == 1
+    assert err.splitlines()[1].startswith("  (document): "), err
+
+
+def test_drift_of_thousands_of_monomials_compiles_and_runs(tmp_path, capsys):
+    # one + chain of 4,000 terms is too deep for CPython's compiler; the
+    # generated drift sums it in statements, in the same order
+    doc = {**json.loads(sec6_text()), "horizon": 0.01}
+    doc["plant"]["f"] = [{"coeff": 1e-12, "exponents": [i % 3, i % 2]} for i in range(4000)]
+    path = tmp_path / "long_drift.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", str(path)]) == 0
+    assert capsys.readouterr().out.endswith("verdict: PASS\n")
+    # at rest (zeta = 0, so u = 0) and t = 0, where d2 = 0, x2's rate is the
+    # drift alone: the same bits as PlantSpec sums it
+    loop = blfstep.ClosedLoop(parse_config(json.dumps(doc)))
+    rate = loop.derivative(0.0, loop.state([0.3, -0.05], np.zeros(2), np.zeros(2), np.ones(12)))
+    assert rate[1] == loop.plant.nonlinearity([0.3, -0.05]) != 0.0
 
 
 class TestFileErrors:

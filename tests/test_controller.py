@@ -190,13 +190,16 @@ class TestCascade:
 
     def test_z1_past_the_tail_sum_range_ends_in_non_finite_state(self):
         # z1 ** 2 overflows in the metrics the zero-step run updates, as it
-        # would in a run at this state
+        # would in a run at this state; the entries of arrays, numpy scalars
+        # whose arithmetic overflows to inf with a RuntimeWarning, are taken
+        # as floats
         casc = make_cascade(constraints=flat_constraints(psi=1e300))
-        rest = ([0.0, 0.0], [0.0, 0.0], [0.0] * 4)
-        assert casc.step(0.5, [1e154, 0.0], *rest).z[0] == 1e154
-        with pytest.raises(NonFiniteState) as err:
-            casc.step(0.5, [1e155, 0.0], *rest)
-        assert err.value.t == 0.5
+        for form in (list, np.array):
+            rest = [form(v) for v in ([0.0, 0.0], [0.0, 0.0], [0.0] * 4)]
+            assert casc.step(0.5, form([1e154, 0.0]), *rest).z[0] == 1e154
+            with pytest.raises(NonFiniteState) as err:
+                casc.step(0.5, form([1e155, 0.0]), *rest)
+            assert err.value.t == 0.5
 
     def test_initial_errors_use_reference_only_on_first_level(self, sec6_config):
         # a run starts at rest with eps_hat(0) = 0, so its first row holds

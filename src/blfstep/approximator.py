@@ -7,11 +7,11 @@ weight vector adapts (through the update law in the controller module).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 
-import numpy as np
-
-from .signals import ConfigError, number, numbers
+from .signals import ConfigError, is_array, number, numbers
 
 # The default lattice: [LOW, HIGH] per axis, widths WIDTH, at most MAX_NODES nodes.
 LOW, HIGH, WIDTH = -2.0, 2.0, 2.0
@@ -35,14 +35,15 @@ class RbfError(ConfigError):
     """Network constructed with unusable centers or widths."""
 
 
-def _float_array(values, name: str, ndim: int, problems: list, **check):
-    """values as a float array with ndim axes, if it is a non-empty list
-    (of equally long lists, for ndim 2) of numbers that pass check. Else
-    None, after one (name, message) problem naming the first entry at fault."""
+def _floats(values, name: str, ndim: int, problems: list, **check):
+    """values as a tuple of floats (of equally long tuples of floats, for
+    ndim 2), if it is a non-empty list (of lists) of numbers that pass
+    check; a numpy array is a list. Else None, after one (name, message)
+    problem naming the first entry at fault."""
     found = []
     if ndim == 1:
         rows = numbers(values, "", found, **check)
-    elif isinstance(values, (list, tuple, np.ndarray)):
+    elif isinstance(values, (list, tuple)) or is_array(values):
         rows = [numbers(row, f"[{i}]", found, **check) for i, row in enumerate(values)]
         if not found and len({len(row) for row in rows}) > 1:
             found.append(("", "expected rows of equal length"))
@@ -54,7 +55,16 @@ def _float_array(values, name: str, ndim: int, problems: list, **check):
         where, message = found[0]
         problems.append((name, f"entry {where}: {message}" if where else message))
         return None
-    return np.array(rows, dtype=float)
+    return tuple(rows)
+
+
+def _read_only_array(values):
+    """values as a new read-only float64 array."""
+    import numpy as np
+
+    array = np.array(values, dtype=float)
+    array.flags.writeable = False
+    return array
 
 
 def _grid_counts(nodes: int, dims: int) -> list:
@@ -78,29 +88,45 @@ def _grid_counts(nodes: int, dims: int) -> list:
 
 
 class RbfNetwork:
-    """Fixed Gaussian basis over the plant state space."""
+    """Fixed Gaussian basis over the plant state space.
+
+    The centers and widths are held once, as floats: center_values is a
+    tuple of l center tuples of n floats, width_values a tuple of l
+    floats. centers and widths are the same numbers as read-only float64
+    arrays, (l, n) and (l,), made on first access."""
 
     def __init__(self, centers, widths):
         problems = []
-        centers = _float_array(centers, "centers", 2, problems)
-        widths = _float_array(widths, "widths", 1, problems, above=0)
-        if centers is not None and widths is not None and widths.shape[0] != centers.shape[0]:
+        centers = _floats(centers, "centers", 2, problems)
+        widths = _floats(widths, "widths", 1, problems, above=0)
+        if centers is not None and widths is not None and len(widths) != len(centers):
             problems.append(("widths", f"need exactly one width per center: got "
-                                       f"{widths.shape[0]} for {centers.shape[0]} centers"))
+                                       f"{len(widths)} for {len(centers)} centers"))
         if problems:
             raise RbfError(problems)
-        self.centers = centers
-        self.widths = widths
+        self.center_values = centers
+        self.width_values = widths
+
+    @functools.cached_property
+    def centers(self):
+        return _read_only_array(self.center_values)
+
+    @functools.cached_property
+    def widths(self):
+        return _read_only_array(self.width_values)
+
+    @functools.cached_property
+    def _neg_widths(self):
         # -d/b is computed as d/(-b): IEEE division rounds both alike
-        self._neg_widths = -widths
+        return -self.widths
 
     @property
     def l(self) -> int:
-        return self.centers.shape[0]
+        return len(self.center_values)
 
     @property
     def n(self) -> int:
-        return self.centers.shape[1]
+        return len(self.center_values[0])
 
     @property
     def float_weights(self) -> bool:
@@ -115,22 +141,21 @@ class RbfNetwork:
 
         The node count is factored into per-axis counts, as balanced as
         possible with the larger factor on the earlier axis (12 nodes in
-        2-D gives a 4 x 3 grid). An axis with a single point sits at the
-        interval midpoint. Every width is WIDTH.
+        2-D gives a 4 x 3 grid). An axis of m > 1 points holds
+        LOW + k * ((HIGH - LOW) / (m - 1)) for k < m - 1 and then HIGH,
+        np.linspace's points; an axis with a single point sits at the
+        interval midpoint. The nodes run over the axes in C order, the
+        last axis fastest. Every width is WIDTH.
         """
         problems = []
         number(nodes, "l", problems, **_COUNT)
         number(dims, "dims", problems, **_COUNT)
         if problems:
             raise RbfError(problems)
-        counts = _grid_counts(nodes, dims)
-        axes = [
-            np.linspace(LOW, HIGH, m) if m > 1 else np.array([(LOW + HIGH) / 2.0])
-            for m in counts
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        centers = np.stack([g.ravel() for g in mesh], axis=1)
-        return cls(centers, np.full(nodes, WIDTH))
+        axes = [[LOW + k * ((HIGH - LOW) / (m - 1)) for k in range(m - 1)] + [HIGH]
+                if m > 1 else [(LOW + HIGH) / 2.0]
+                for m in _grid_counts(nodes, dims)]
+        return cls(tuple(itertools.product(*axes)), (WIDTH,) * nodes)
 
     @classmethod
     def read(cls, l, centers=_LATTICE, widths=_LATTICE, *, dims) -> "RbfNetwork":
@@ -154,15 +179,18 @@ class RbfNetwork:
             raise RbfError(problems or [("centers", f"{net.l} centers listed but l = {l}")])
         return net
 
-    def basis(self, zbar) -> np.ndarray:
-        """Basis vector at input zbar, a sequence of floats; every
-        component lies in (0, 1].
+    def basis(self, zbar):
+        """Basis vector at input zbar, a sequence of floats, as a float64
+        array; every component lies in (0, 1].
 
         For a float-weight network each component is math.exp of the
         squared distances summed over the axes left to right, divided by
         -b, as the generated pass forms it; beyond, np.exp of numpy's row
-        sum, which adds fewer than 8 axes one after another.
+        sum, which adds fewer than 8 axes one after another. Only the
+        array layout and library callers use it, so numpy is imported here.
         """
+        import numpy as np
+
         diff = self.centers - np.asarray(zbar, dtype=float)
         if not self.float_weights:
             return np.exp(np.add.reduce(diff * diff, axis=1) / self._neg_widths)

@@ -12,7 +12,7 @@ blowup.
 
 from __future__ import annotations
 
-import argparse
+import bisect
 import contextlib
 import dataclasses
 import functools
@@ -20,8 +20,6 @@ import json
 import os
 import sys
 from importlib import resources
-
-import numpy as np
 
 from .approximator import RbfNetwork
 from .barrier import BarrierViolation
@@ -112,17 +110,20 @@ def csv_header(n: int) -> list:
 def emit_csv(result: SimResult, path: str) -> None:
     """Write the recorded trajectory as CSV, one row per recorded step.
 
-    The columns come from the run's record table. Numbers are written in
-    round-trippable decimal form, so reading a cell back with float()
-    reproduces the in-memory value exactly.
+    The columns come from the run's record table, read from its flat
+    cells 256 rows at a time. Numbers are written in round-trippable
+    decimal form, so reading a cell back with float() reproduces the
+    in-memory value exactly.
     """
-    header = result.records.layout.columns(_CSV_GROUPS)
-    cells = result.records.columns(header)
+    layout, flat = result.records.layout, result.records.flat
+    header = layout.columns(_CSV_GROUPS)
+    at = [layout.index[name] for name in header]
+    chunk = 256 * layout.width  # the cells of the rows converted and written at a time
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(cells), 256):  # rows converted and written at a time
-            rows = cells[start:start + 256].tolist()
-            fh.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))
+        for start in range(0, len(flat), chunk):
+            columns = [flat[start + c:start + chunk:layout.width].tolist() for c in at]
+            fh.write("".join([",".join(map(repr, row)) + "\n" for row in zip(*columns)]))
 
 
 def _ratio_line(label: str, ratios) -> str:
@@ -160,13 +161,15 @@ def emit_report(outcome) -> str:
     m = result.metrics
     n = cfg.plant.n
     passed = verdict_code(result) == 0
-    t, z1 = result.records.columns(["t", "z1"]).T
-    end = t[-1] if len(t) else 0.0  # the last accepted time, round(horizon / step) steps in
+    layout, flat = result.records.layout, result.records.flat
+    t = flat[layout.index["t"]::layout.width].tolist()  # increasing
+    z1 = flat[layout.index["z1"]::layout.width].tolist()
+    end = t[-1] if t else 0.0  # the last accepted time, round(horizon / step) steps in
     tail_start = end / 2.0
 
-    early = np.abs(z1[t <= 2.0])
-    late = np.abs(z1[t >= tail_start])
-    transient_ok = bool(late.size and early.size and late.max() < early.max())
+    early = z1[:bisect.bisect_right(t, 2.0)]  # t <= 2
+    late = z1[bisect.bisect_left(t, tail_start):]  # t >= tail_start
+    transient_ok = bool(late and early and max(map(abs, late)) < max(map(abs, early)))
 
     lines = ["closed-loop run report", ""]
     lines.append(f"horizon: {cfg.horizon:g} s   step: {cfg.step:g} s   levels: {n}   "
@@ -227,7 +230,7 @@ def verdict_code(outcome) -> int:
         return 2
     if isinstance(outcome, InfeasibleInitialCondition):
         return 1
-    return 0 if bool(np.all(outcome.metrics.max_constraint_ratio < 1.0)) else 2
+    return 0 if all(r < 1.0 for r in outcome.metrics.max_constraint_ratio) else 2
 
 
 def _file_identity(path: str):
@@ -241,6 +244,8 @@ def _file_identity(path: str):
 
 
 def main(argv=None) -> int:
+    import argparse  # only the command line needs it
+
     parser = argparse.ArgumentParser(
         prog="blfstep",
         description="Constrained adaptive backstepping simulator",

@@ -32,17 +32,21 @@ BacksteppingCascade._eval returns its one row, and step reads it.
 
 from __future__ import annotations
 
+import functools
 import math
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 # The generated pass inlines these helpers; they stay bound here because
 # bench/tracing.py patches the barrier and observer layers through them.
 from .barrier import blf_value, damped_inverse, nussbaum, q_value  # noqa: F401
 from .observer import estimate  # noqa: F401
 from .signals import ConfigError, number, number_field, numbers
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ControllerError(ConfigError):
@@ -174,31 +178,45 @@ class RecordLayout:
         """The column names of the given groups, in that order."""
         return [name for group in groups for name in self.names[group]]
 
-    def read(self, row: np.ndarray) -> StepRecord:
-        """The StepRecord a row holds: a float per scalar group, a view of
-        the row per vector group."""
+    def read(self, row) -> StepRecord:
+        """The StepRecord a row, a float64 array, holds: a float per
+        scalar group, a view of the row per vector group."""
         return StepRecord(**{name: row[at] if isinstance(at, slice) else float(row[at])
                              for name, at in self._record_at})
 
 
 class Records(Sequence):
     """Read-only sequence of StepRecord over the rows of a record table;
-    a slice gives a Records over the selected rows."""
+    a slice gives a Records over the selected rows.
 
-    def __init__(self, table: np.ndarray, layout: RecordLayout):
-        self.table = table
+    The table is held once, as flat: a read-only memoryview of floats, the
+    rows one after another, each layout.width cells in the layout's order.
+    table is the same cells as a read-only float64 array of rows, a view
+    made on first access."""
+
+    def __init__(self, flat, layout: RecordLayout):
+        self.flat = memoryview(flat).toreadonly()
         self.layout = layout
 
+    @functools.cached_property
+    def table(self):
+        import numpy as np
+
+        return np.frombuffer(self.flat).reshape(-1, self.layout.width)
+
     def __len__(self) -> int:
-        return len(self.table)
+        return len(self.flat) // self.layout.width
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return Records(self.table[index], self.layout)
+            width, rows = self.layout.width, array("d")
+            for k in range(len(self))[index]:
+                rows.extend(self.flat[k * width:(k + 1) * width])
+            return Records(rows, self.layout)
         return self.layout.read(self.table[index])
 
-    def columns(self, names) -> np.ndarray:
-        """The named columns, one row per record (a copy)."""
+    def columns(self, names):
+        """The named columns as a float64 array, one row per record (a copy)."""
         return self.table[:, [self.layout.index[name] for name in names]]
 
 
@@ -220,25 +238,29 @@ class BacksteppingCascade:
         self.gains, self.observer_gains, self.n = config.gains, config.observer_gains, config.plant.n
         self.layout, self._rates, self._integrate = layout, rates, integrate
 
-    def _eval(self, t: float, x, dhat, zeta, theta) -> np.ndarray:
+    def _eval(self, t: float, x, dhat, zeta, theta):
         """Cascade pass; returns the record-table row at t as a float64
         array, its cells in self.layout's order.
 
         x, dhat and zeta are sequences of real numbers, arrays included,
         and theta too for a float-weight network (see
         RbfNetwork.float_weights); the pass takes each as a Python float,
-        as a run holds them. Beyond, theta is an array. The pass is the
-        loop's integrate from t0 = t taking no step, of the smallest h (no
-        cell reads h; a NonFiniteState is dated t + h, which is t beyond
-        1e-307). It updates a run's metrics too, so it ends as a run at
-        that state does: past |z_1| of about 1.34e154 the tail sum's
-        z1 ** 2 overflows, and _eval raises NonFiniteState.
+        as a run holds them. Beyond, theta is taken as one float64 array,
+        as a run holds it. The pass is the loop's integrate from t0 = t
+        taking no step, of the smallest h (no cell reads h; a
+        NonFiniteState is dated t + h, which is t beyond 1e-307). It
+        updates a run's metrics too, so it ends as a run at that state
+        does: past |z_1| of about 1.34e154 the tail sum's z1 ** 2
+        overflows, and _eval raises NonFiniteState.
         """
-        table = np.empty((1, self.layout.width))
-        weights = map(float, theta) if self.rbf.float_weights else (theta,)
-        self._integrate(self._rates, table, t, 0, 5e-324, 1,
+        import numpy as np
+
+        row = array("d", [0.0]) * self.layout.width
+        weights = (map(float, theta) if self.rbf.float_weights
+                   else (np.array(theta, dtype=float),))
+        self._integrate(self._rates, row, t, 0, 5e-324, 1,
                         *map(float, x), *map(float, dhat), *map(float, zeta), *weights)
-        return table[0]
+        return np.frombuffer(row)
 
     def step(self, t: float, x, dhat, zeta, theta) -> StepRecord:
         """Full controller record at one instant (pure; repeat calls with
@@ -246,9 +268,9 @@ class BacksteppingCascade:
         return self.layout.read(self._eval(t, x, dhat, zeta, theta))
 
 
-def lyapunov_decay_rates(gains: GainConfig, observer_gains, basis_bound: float) -> np.ndarray:
-    """Guaranteed decay rate per level (diagnostic only); the one place
-    that states the sufficient stability conditions.
+def lyapunov_decay_rates(gains: GainConfig, observer_gains, basis_bound: float) -> tuple:
+    """Guaranteed decay rate per level, a tuple of floats (diagnostic
+    only); the one place that states the sufficient stability conditions.
 
     Inner levels: min(2*k_i, 2*(k_eps_i - 1)). Final level:
     min(2*k_n, 2*(k_eps_n - 1 - basis_bound^2/2), lam*eta). A
@@ -266,13 +288,10 @@ def lyapunov_decay_rates(gains: GainConfig, observer_gains, basis_bound: float) 
     n = len(gains.k)
     if len(kobs) != n:
         raise ValueError(f"need {n} observer gains, got {len(kobs)}")
-    rates = np.empty(n)
-    for i in range(n - 1):
-        rates[i] = min(2.0 * gains.k[i], 2.0 * (kobs[i] - 1.0))
-    rates[n - 1] = min(
+    rates = [min(2.0 * gains.k[i], 2.0 * (kobs[i] - 1.0)) for i in range(n - 1)]
+    rates.append(min(
         2.0 * gains.k[n - 1],
         2.0 * (kobs[n - 1] - 1.0 - basis_bound ** 2 / 2.0),
         gains.lam * gains.eta,
-    )
-    rates[np.abs(rates) <= 1e-9] = 0.0
-    return rates
+    ))
+    return tuple(0.0 if abs(r) <= 1e-9 else r for r in rates)

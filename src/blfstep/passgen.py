@@ -56,7 +56,9 @@ order:
     z_1^2;
   - at every decimation-th point and the last one, writes the record-table
     row at t, in the column order of controller.RecordLayout, to the
-    table's next row;
+    table's next row: table is a flat writable buffer of doubles, rows by
+    the layout's width, and the row's doubles are packed into it by one
+    call;
   - stops at the last point, where no rate is taken;
   - takes the plant and observer rates as k1, calls rates at t + h/2,
     t + h/2 and t + h on the stage inputs y + (h/2) k1, y + (h/2) k2 and
@@ -83,8 +85,7 @@ t = 0.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+import struct
 
 from .barrier import BarrierViolation
 from .signals import ConfigError
@@ -99,8 +100,7 @@ class NonFiniteState(RuntimeError):
 
 
 _GLOBALS = {"exp": math.exp, "cos": math.cos, "sqrt": math.sqrt, "log1p": math.log1p,
-            "isfinite": math.isfinite, "np_isfinite": np.isfinite,
-            "asarray": np.asarray, "BarrierViolation": BarrierViolation,
+            "isfinite": math.isfinite, "BarrierViolation": BarrierViolation,
             "ConfigError": ConfigError, "NonFiniteState": NonFiniteState}
 
 
@@ -203,11 +203,12 @@ class _Loop:
             lines, nodes = [], [[] for _ in range(rbf.l)]
             for axis in range(n):
                 squares = {}
-                for node, c in zip(nodes, rbf.centers[:, axis].tolist()):
-                    node.append(squares.setdefault(_lit(c), f"sq{axis + 1}_{len(squares) + 1}"))
+                for node, center in zip(nodes, rbf.center_values):
+                    node.append(squares.setdefault(_lit(center[axis]),
+                                                   f"sq{axis + 1}_{len(squares) + 1}"))
                 lines += [f"{name} = ({c} - x{axis + 1}) * ({c} - x{axis + 1})"
                           for c, name in squares.items()]
-            for j, (node, b) in enumerate(zip(nodes, rbf.widths.tolist())):
+            for j, (node, b) in enumerate(zip(nodes, rbf.width_values)):
                 sums, total = _sum(node, "sq")
                 lines += sums + [f"p{j + 1} = exp(({total}) / {_lit(-b)})"]
         else:
@@ -247,9 +248,10 @@ class _Loop:
         return lines
 
     def row(self) -> list:
-        """The statements that write the record-table row at t to the
-        table's next row, after the pass and norm = ||theta||: the layout's
-        groups in order, the energy as blf_value's terms."""
+        """The statements that write the record-table row at t into the
+        flat table from byte at on, after the pass and norm = ||theta||:
+        the layout's groups in order, packed as doubles by one pack_row
+        call, the energy as blf_value's terms."""
         sums, energy = _sum(["0.0"] + [f"-0.5 * log1p(-({z} / {psi}) ** 2)"
                                        for z, psi in zip(self.z, self.psi)], "energy")
         weights, rates = ((self.weights, self.dweights) if self.floats
@@ -258,8 +260,9 @@ class _Loop:
                      Psi=self.big_psi, psi=self.psi, z=self.z, q=self.q, eps_hat=self.e,
                      alpha=self.a, v=self.v, u=["u"], zeta_rate=self.dzeta, theta_rate=rates,
                      nn_out=["nn"], barrier_energy=[energy], theta_norm=["norm"], y_d=["y_d"])
-        return sums + ["table[kept] = ["
-                       + ", ".join(c for group in self.layout.at for c in cells[group]) + "]"]
+        return sums + ["pack_row(table, at, "
+                       + ", ".join(c for group in self.layout.at for c in cells[group]) + ")",
+                       f"at += {8 * self.layout.width}"]
 
     def plant_rates(self) -> list:
         """The plant and observer rates at (t, state), after the pass."""
@@ -282,8 +285,8 @@ class _Loop:
     def metrics(self) -> tuple:
         """The metric locals' start, their update at a time point, and the
         dict of RunMetrics fields they end as. Each maximum is a (field,
-        local, value) from 0.0; a list of values, one per level, ends as an
-        array. last_e starts at NaN, whose difference compares greater than
+        local, value) from 0.0; a list of values, one per level, ends as a
+        tuple. last_e starts at NaN, whose difference compares greater than
         nothing, so the rate's maximum starts at the second point."""
         last_e = [f"last_{e}" for e in self.e]
         maxima = [("max_constraint_ratio", "ratio_x", [f"abs({x}) / {b}"
@@ -306,7 +309,7 @@ class _Loop:
             start += names
             for m, value in zip(names, values if vector else [values]):
                 update += [f"if {value} > {m}:", f"    {m} = {value}"]
-            fields.append(f"{name}=" + (f"asarray({_tuple(names)})" if vector else local))
+            fields.append(f"{name}=" + (_tuple(names) if vector else local))
         for j, r in enumerate(reserve, 1):
             update += [f"if {r} is None and abs(x{j} - z{j}) > Psi{j} - psi{j}:", f"    {r} = t"]
         update += [f"{_unpack(last_e)} = {_unpack(self.e)}",
@@ -355,14 +358,13 @@ def compile_pass(config, layout) -> tuple:
             "    half = 0.5 * h",
             "    sixth = h / 6.0",
             *_indent(start, 4),
-            "    kept = 0",
+            "    at = 0",
             "    try:",
             "        for k in range(steps + 1):",
             "            t = t0 + k * h",
             *_indent(g.pass_() + update, 12),
             "            if k % decimation == 0 or k == steps:",
             *_indent(g.row(), 16),
-            "                kept += 1",
             "            if k == steps:",
             "                break",
             *_indent(g.plant_rates() + g.step(), 12),
@@ -378,7 +380,13 @@ def compile_pass(config, layout) -> tuple:
             f"    return y_d, {_tuple(g.big_psi)}, {_tuple(g.psi)}, {_tuple(g.dpsi)}"]
     source = "\n".join(g.head() + [""] + _indent(body, 4)
                        + ["    return rates, integrate, signals", ""])
-    namespace = dict(_GLOBALS)
+    # one row's doubles packed straight into the table: quicker than a
+    # store per cell or a numpy row store
+    namespace = dict(_GLOBALS, pack_row=struct.Struct(f"{layout.width}d").pack_into)
+    if not g.floats:  # only the array layout calls numpy
+        import numpy as np
+
+        namespace.update(asarray=np.asarray, np_isfinite=np.isfinite)
     exec(compile(source, f"<blfstep pass n={g.n} l={g.rbf.l}>", "exec"), namespace)
     # popped, so that no cycle through the namespace holds the compiled
     # code: it is freed with the functions make returns, not by a later

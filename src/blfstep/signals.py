@@ -26,8 +26,6 @@ import sys
 from dataclasses import dataclass
 from typing import Union
 
-import numpy as np
-
 
 class ConfigError(ValueError):
     """Invalid configuration, with field-level diagnostics.
@@ -199,11 +197,18 @@ def number(value, path: str, problems: list, *, integer: bool = False,
     return None
 
 
+def is_array(value) -> bool:
+    """Whether value is a numpy array. Nothing is one unless numpy was
+    imported, so this check does not import it."""
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(value, np.ndarray)
+
+
 def numbers(values, path: str, problems: list, **check):
     """values as a tuple of checked numbers (see number, which takes the
     same keywords) if it is a list, with None in place of each entry at
     fault, named path[i]; None, after one problem, if it is not a list."""
-    if not isinstance(values, (list, tuple, np.ndarray)):
+    if not (isinstance(values, (list, tuple)) or is_array(values)):
         kind = "integers" if check.get("integer") else "numbers"
         problems.append((path, f"expected a list of {kind}, got {values!r}"))
         return None
@@ -304,7 +309,7 @@ def write_record(obj, format) -> dict:
             record[key] = [write_record(item, items[0]) for item in value]
         elif items is not None:
             record[key] = write_record(value, items)
-        elif isinstance(value, np.ndarray):  # an rbf's centers and widths
+        elif is_array(value):  # an rbf's centers and widths
             record[key] = value.tolist()
         else:
             record[key] = list(value) if isinstance(value, tuple) else value

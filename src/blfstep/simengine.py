@@ -28,9 +28,9 @@ configuration produces bit-identical results.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .barrier import BarrierViolation
 from .controller import BacksteppingCascade, ConstraintConfig, GainConfig, RecordLayout, Records
@@ -42,6 +42,9 @@ from .approximator import RbfNetwork
 from .passgen import NonFiniteState, compile_pass
 from .plant import PlantSpec
 from .signals import ConfigError, TimeSignal, number_field, numbers
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class InfeasibleInitialCondition(RuntimeError):
@@ -128,21 +131,22 @@ class RunConfig:
 
 @dataclass
 class RunMetrics:
-    """Run-level summaries over every accepted step (not just recorded ones)."""
+    """Run-level summaries over every accepted step (not just recorded
+    ones). A per-level field is a tuple of floats, one per level."""
 
     tracking_rmse_tail: float
-    max_constraint_ratio: np.ndarray
-    max_error_ratio: np.ndarray
+    max_constraint_ratio: tuple
+    max_error_ratio: tuple
     max_abs_u: float
     final_theta_norm: float
     max_abs_y_d: float
-    observed_max_abs_v: np.ndarray
-    max_abs_zeta: np.ndarray
-    max_abs_eps_hat: np.ndarray
+    observed_max_abs_v: tuple
+    max_abs_zeta: tuple
+    max_abs_eps_hat: tuple
     max_theta_norm: float
     # max |d eps_hat/dt| by step differencing; the smoothness bound on the
     # true lumped uncertainty is unobservable, so this is diagnostic only
-    max_abs_eps_hat_rate: np.ndarray
+    max_abs_eps_hat_rate: tuple
     # per level, the first accepted step at which the signal the error
     # coordinate is measured from (y_d at level 1, v_{i-1} above) exceeded
     # the reserve Psi_i - psi_i still held, or None; |x_i| < Psi_i is
@@ -214,10 +218,13 @@ class ClosedLoop:
         self.cascade = BacksteppingCascade(config, self.layout, self.rates, self.integrate)
 
     def state(self, x, dhat, zeta, theta) -> list:
-        """The augmented state in this loop's layout, from its four parts."""
-        head = np.concatenate((x, dhat, zeta)).tolist()
+        """The augmented state in this loop's layout, from its four parts,
+        sequences of numbers."""
+        head = [float(v) for part in (x, dhat, zeta) for v in part]
         if self.float_weights:
-            return head + np.asarray(theta, dtype=float).tolist()
+            return head + [float(w) for w in theta]
+        import numpy as np
+
         return head + [np.array(theta, dtype=float)]
 
     def derivative(self, t: float, s: list) -> list:
@@ -260,22 +267,29 @@ def run(config: RunConfig) -> SimResult:
 
     h, decimation = config.step, config.decimation
     steps = int(round(config.horizon / h)) if config.horizon > 0 else 0
-    shape = (steps // decimation + 1 + (steps % decimation > 0), loop.layout.width)
+    rows, width = steps // decimation + 1 + (steps % decimation > 0), loop.layout.width
     try:
-        table = np.empty(shape)
-    except MemoryError as exc:
-        message = f"the record table of {shape[0]} rows by {shape[1]} columns cannot be allocated"
+        # an anonymous map's pages are taken as the rows are written: a run
+        # that aborts early holds only what it wrote
+        table = memoryview(mmap.mmap(-1, 8 * rows * width)).cast("d")
+    except (MemoryError, OverflowError, OSError) as exc:
+        message = f"the record table of {rows} rows by {width} columns cannot be allocated"
         raise ConfigError([(".horizon", message), (".step", message)]) from exc
-    s = loop.state(x0, initial_dhat(config.observer_gains, z0),
-                   np.zeros(loop.n), np.zeros(loop.l))
+    args = (loop.rates, table, 0.0, steps, h, decimation,
+            *loop.state(x0, initial_dhat(config.observer_gains, z0), [0.0] * loop.n,
+                        [0.0] * loop.l))
     try:
-        with np.errstate(all="ignore"):  # the loop ends a non-finite step itself
-            metrics = loop.integrate(loop.rates, table, 0.0, steps, h, decimation, *s)
+        if loop.float_weights:
+            metrics = loop.integrate(*args)
+        else:
+            import numpy as np
+
+            with np.errstate(all="ignore"):  # the loop ends a non-finite step itself
+                metrics = loop.integrate(*args)
     except BarrierViolation as exc:
         # a NaN or infinite error coordinate means the state blew up, not
         # that a finite trajectory crossed its envelope
         if not (math.isfinite(exc.z) and math.isfinite(exc.psi)):
             raise NonFiniteState(exc.t) from exc
         raise
-    table.flags.writeable = False
     return SimResult(Records(table, loop.layout), RunMetrics(**metrics), config)

@@ -200,7 +200,7 @@ def test_criterion_8_convergence_stability(sec6_config, sec6_result):
         return {
             "x1_within_bound": bool(res.metrics.max_constraint_ratio[0] < 1.0),
             "x2_within_bound": bool(res.metrics.max_constraint_ratio[1] < 1.0),
-            "errors_within_envelopes": bool(np.all(res.metrics.max_error_ratio < 1.0)),
+            "errors_within_envelopes": all(r < 1.0 for r in res.metrics.max_error_ratio),
             "transient_decays": bool(late < early),
         }
 

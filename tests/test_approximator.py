@@ -89,3 +89,45 @@ def test_lattice_size_bounded_before_anything_is_built(nodes):
     with pytest.raises(RbfError) as err:
         RbfNetwork.lattice(nodes, 2)
     assert err.value.problems == [("l", f"must be <= {MAX_NODES}, got {nodes}")]
+
+
+def numpy_lattice_centers(nodes, dims):
+    """The lattice's centers as np.linspace, np.meshgrid and np.stack form
+    them: the construction the Python lattice replaces (meshgrid takes at
+    most 32 axes)."""
+    from blfstep.approximator import HIGH, LOW, _grid_counts
+
+    axes = [np.linspace(LOW, HIGH, m) if m > 1 else np.array([(LOW + HIGH) / 2.0])
+            for m in _grid_counts(nodes, dims)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in mesh], axis=1)
+
+
+def test_lattice_axis_is_linspace_bit_for_bit():
+    for m in range(1, 201):
+        got = RbfNetwork.lattice(m, 1).centers
+        assert got.tobytes() == numpy_lattice_centers(m, 1).tobytes(), m
+
+
+@pytest.mark.parametrize("dims", [1, 2, 3, 5, 8, 13, 32])
+def test_lattice_is_the_numpy_grid_bit_for_bit(dims):
+    for nodes in (1, 2, 3, 4, 6, 12, 16, 24, 25, 30, 48, 97, 128, 360, 1000, 1024):
+        got = RbfNetwork.lattice(nodes, dims)
+        assert got.centers.tobytes() == numpy_lattice_centers(nodes, dims).tobytes(), nodes
+        assert got.width_values == (2.0,) * nodes
+
+
+def test_lattice_past_32_axes():
+    # np.meshgrid stops at 32 axes; the lattice has no such limit
+    net = RbfNetwork.lattice(2, 64)
+    assert net.center_values == ((-2.0,) + (0.0,) * 63, (2.0,) + (0.0,) * 63)
+
+
+def test_centers_and_widths_are_read_only_arrays_of_the_stored_floats():
+    net = small_net()
+    assert net.center_values == ((0.0, 0.0), (1.0, 1.0), (-1.0, 0.5))
+    assert net.width_values == (2.0, 2.0, 0.5)
+    assert net.centers.tolist() == [[0.0, 0.0], [1.0, 1.0], [-1.0, 0.5]]
+    assert net.widths.tolist() == [2.0, 2.0, 0.5]
+    for array in (net.centers, net.widths):
+        assert array.dtype == np.float64 and not array.flags.writeable

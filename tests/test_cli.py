@@ -668,6 +668,23 @@ def test_rbf_centers_must_match_plant_order(tmp_path, capsys):
     assert "rbf.centers" in capsys.readouterr().err
 
 
+def test_default_lattice_over_more_than_32_axes_runs(tmp_path, capsys):
+    # the lattice spans the plant order; np.meshgrid, which built it
+    # before, took at most 32 axes and ended this run in a traceback
+    n = 40
+    doc = {"plant": {"n": n, "f": [], "beta": 1.0,
+                     "disturbances": [{"kind": "constant", "c": 0.0}] * n},
+           "constraints": {"Psi": [{"kind": "constant", "c": 2.0}] * n, "A": [0.0] + [0.5] * (n - 1)},
+           "rbf": {"l": 2}, "gains": {"k": [2.0] * n, "lambda": 1.0, "eta": 1.0},
+           "observer_gains": [2.0] * n, "reference": {"kind": "constant", "c": 0.0},
+           "initial_x": [0.1] + [0.0] * (n - 1), "horizon": 0.05, "step": 0.001}
+    path = tmp_path / "order40.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert "levels: 40   rbf nodes: 2" in out and out.endswith("verdict: PASS\n") and err == ""
+
+
 def test_component_and_run_level_problems_named_in_one_attempt():
     doc = json.loads(sec6_text())
     doc["plant"]["beta"] = math.nan

@@ -238,7 +238,7 @@ class TestRun:
         assert np.array_equal(a.times, b.times)
         assert np.array_equal(a.trajectory, b.trajectory)
         assert a.metrics.tracking_rmse_tail == b.metrics.tracking_rmse_tail
-        assert np.array_equal(a.metrics.max_error_ratio, b.metrics.max_error_ratio)
+        assert a.metrics.max_error_ratio == b.metrics.max_error_ratio
 
     def test_times_uniform_and_increasing(self, sec6_result):
         dt = np.diff(sec6_result.times)
@@ -247,18 +247,18 @@ class TestRun:
 
     def test_sec6_metrics_shape_and_boundedness(self, sec6_result):
         m = sec6_result.metrics
-        assert m.max_constraint_ratio.shape == (2,)
-        assert m.max_error_ratio.shape == (2,)
-        assert m.observed_max_abs_v.shape == (1,)
+        assert len(m.max_constraint_ratio) == 2
+        assert len(m.max_error_ratio) == 2
+        assert len(m.observed_max_abs_v) == 1
         for value in (m.max_abs_u, m.final_theta_norm, m.max_theta_norm,
                       m.tracking_rmse_tail):
             assert math.isfinite(value)
-        assert np.all(np.isfinite(m.max_abs_zeta))
-        assert np.all(np.isfinite(m.max_abs_eps_hat))
-        assert m.max_abs_eps_hat_rate.shape == (2,)
-        assert np.all(m.max_abs_eps_hat_rate >= 0) and np.all(np.isfinite(m.max_abs_eps_hat_rate))
+        assert all(map(math.isfinite, m.max_abs_zeta))
+        assert all(map(math.isfinite, m.max_abs_eps_hat))
+        assert len(m.max_abs_eps_hat_rate) == 2
+        assert all(r >= 0 and math.isfinite(r) for r in m.max_abs_eps_hat_rate)
         # error envelopes were respected on every accepted step
-        assert np.all(m.max_error_ratio < 1.0)
+        assert all(r < 1.0 for r in m.max_error_ratio)
 
     def test_basis_norm_bound_holds_along_trajectory(self, sec6_config, sec6_result):
         net = sec6_config.rbf
@@ -347,14 +347,14 @@ class TestThirdOrder:
         res = run(third_order_config())
         m = res.metrics
         assert res.trajectory.shape[1] == 3 * 3 + 8
-        assert m.max_error_ratio.shape == (3,)
-        assert m.observed_max_abs_v.shape == (2,)
+        assert len(m.max_error_ratio) == 3
+        assert len(m.observed_max_abs_v) == 2
         # every level saw real error activity yet stayed inside its envelope
-        assert np.all(m.max_error_ratio > 0.01)
-        assert np.all(m.max_error_ratio < 1.0)
-        assert np.all(m.max_constraint_ratio < 1.0)
+        assert all(r > 0.01 for r in m.max_error_ratio)
+        assert all(r < 1.0 for r in m.max_error_ratio)
+        assert all(r < 1.0 for r in m.max_constraint_ratio)
         assert m.max_abs_u > 1.0
-        assert np.all(m.observed_max_abs_v > 0.0)
+        assert all(v > 0.0 for v in m.observed_max_abs_v)
 
     def test_middle_level_record_fields(self):
         res = run(third_order_config())

@@ -1,13 +1,14 @@
 """Interleaved in-process timing of two checkouts' flagship run().
 
-    python3 tools/ab_run.py PARENT_SRC CHANGE_SRC [--horizon 3] [--pairs 30]
+    python3 tools/ab_run.py PARENT_SRC CHANGE_SRC [--horizon 3] [--pairs 30] [--decimation K]
 
 PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.
 Both packages are imported into this one process, under distinct names,
 and each pair times one ``run()`` of the bundled ``paper_sec6.json`` cut
 to ``--horizon`` seconds on each side by CPU time (``time.process_time``),
 the parent first in even pairs and the change first in odd ones. One
-untimed run per side warms both up first.
+untimed run per side warms both up first. ``--decimation K`` keeps every
+K-th row of the record table instead of the config's every 10th.
 
 Prints each side's median, the median of the per-pair ratios
 change / parent, and the number of pairs in which the change took less
@@ -58,15 +59,19 @@ def main(argv=None) -> int:
     parser.add_argument("change_src", type=Path)
     parser.add_argument("--horizon", type=float, default=3.0)
     parser.add_argument("--pairs", type=int, default=30)
+    parser.add_argument("--decimation", type=int, help="override the config's decimation")
     args = parser.parse_args(argv)
     if args.pairs < 1 or not args.horizon > 0:
         parser.error("--pairs must be >= 1 and --horizon > 0")
+    overrides = {"horizon": args.horizon}
+    if args.decimation is not None:
+        overrides["decimation"] = args.decimation
 
     runs = {}
     for side, src in zip(SIDES, (args.parent_src, args.change_src)):
         package = load_package(src.resolve(), f"blfstep_{side}")
         config = package.load_config_file(str(src / "blfstep" / "configs" / "paper_sec6.json"))
-        runs[side] = (package, dataclasses.replace(config, horizon=args.horizon))
+        runs[side] = (package, dataclasses.replace(config, **overrides))
         timed_run(*runs[side])  # warm-up
 
     times = {side: [] for side in SIDES}
@@ -78,7 +83,8 @@ def main(argv=None) -> int:
     better = sum(c < p for p, c in zip(times["parent"], times["change"]))
     for side in SIDES:
         print(f"{side:>6}: median {statistics.median(times[side]):.4f} s CPU "
-              f"over {args.pairs} runs of a {args.horizon:g} s flagship")
+              f"over {args.pairs} runs of a {args.horizon:g} s flagship at decimation "
+              f"{runs[side][1].decimation}")
     print(f"median pair ratio change/parent: {statistics.median(ratios):.4f}")
     print(f"change better in {better} of {args.pairs} pairs")
     return 0

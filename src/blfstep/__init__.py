@@ -57,7 +57,6 @@ from .simengine import (
     RunConfig,
     RunMetrics,
     SimResult,
-    pass_source,
     rk4_step,
     run,
 )

@@ -24,10 +24,8 @@ initial contraction rate keeps the error tube positive whenever the
 initial split is feasible (A_{i-1} < Psi_i(0)). Positivity is still
 re-checked every step through the barrier evaluation.
 
-The pass itself is compiled once per run, into the loop that writes the
-rows of the record table (see passgen and RecordLayout). The cascade map
-at t is that loop's integrate from t0 = t taking no step:
-BacksteppingCascade._eval returns its one row, and step reads it.
+The cascade is compiled with the rest of the loop; passgen's docstring
+says how, and BacksteppingCascade is the map it gives at one instant.
 """
 
 from __future__ import annotations
@@ -227,39 +225,28 @@ class BacksteppingCascade:
     virtual control of level i feeds the error coordinate of level i+1
     with no time lag.
 
-    A ClosedLoop builds it, as loop.cascade, from its RunConfig, layout,
-    rates and integrate; _eval and step are the map's entry points. Repeat
+    The base class of simengine.ClosedLoop, which gives it layout, rates,
+    integrate and state; _eval and step are the map's entry points. Repeat
     calls with the same inputs give identical outputs, whatever was
     evaluated in between.
     """
-
-    def __init__(self, config, layout: RecordLayout, rates, integrate):
-        self.reference, self.constraints, self.rbf = config.reference, config.constraints, config.rbf
-        self.gains, self.observer_gains, self.n = config.gains, config.observer_gains, config.plant.n
-        self.layout, self._rates, self._integrate = layout, rates, integrate
 
     def _eval(self, t: float, x, dhat, zeta, theta):
         """Cascade pass; returns the record-table row at t as a float64
         array, its cells in self.layout's order.
 
-        x, dhat and zeta are sequences of real numbers, arrays included,
-        and theta too for a float-weight network (see
-        RbfNetwork.float_weights); the pass takes each as a Python float,
-        as a run holds them. Beyond, theta is taken as one float64 array,
-        as a run holds it. The pass is the loop's integrate from t0 = t
-        taking no step, of the smallest h (no cell reads h; a
-        NonFiniteState is dated t + h, which is t beyond 1e-307). It
-        updates a run's metrics too, so it ends as a run at that state
-        does: past |z_1| of about 1.34e154 the tail sum's z1 ** 2
-        overflows, and _eval raises NonFiniteState.
+        x, dhat, zeta and theta are sequences of real numbers, arrays
+        included, which self.state shapes as a run holds them. The pass is
+        the loop's integrate from t0 = t taking no step, of the smallest h
+        (no cell reads h; a NonFiniteState is dated t + h, which is t
+        beyond 1e-307). It updates a run's metrics too, so it ends as a
+        run at that state does: past |z_1| of about 1.34e154 the tail
+        sum's z1 ** 2 overflows, and _eval raises NonFiniteState.
         """
         import numpy as np
 
         row = array("d", [0.0]) * self.layout.width
-        weights = (map(float, theta) if self.rbf.float_weights
-                   else (np.array(theta, dtype=float),))
-        self._integrate(self._rates, row, t, 0, 5e-324, 1,
-                        *map(float, x), *map(float, dhat), *map(float, zeta), *weights)
+        self.integrate(self.rates, row, t, 0, 5e-324, 1, *self.state(x, dhat, zeta, theta))
         return np.frombuffer(row)
 
     def step(self, t: float, x, dhat, zeta, theta) -> StepRecord:

@@ -71,7 +71,10 @@ left the finite range, or an overflow, a ZeroDivisionError or a
 ValueError (other than a ConfigError) in step k, ends it in
 NonFiniteState at t0 + (k + 1) h. A run integrates from t0 = 0.0, where
 t0 + k h is k h exactly; a zero-step integrate from t0 = t is the
-cascade map at t (BacksteppingCascade._eval).
+cascade map at t (BacksteppingCascade._eval). The array layout's
+integrate runs with numpy's floating-point warnings off, so the map and
+a run alike say what went wrong through their own checks; its rates,
+called three times a step, is left bare.
 
 The time signals of the last distinct t, and the disturbances of the last
 distinct t a rate was taken at, are kept in the closure and shared by
@@ -383,14 +386,16 @@ def compile_pass(config, layout) -> tuple:
     # one row's doubles packed straight into the table: quicker than a
     # store per cell or a numpy row store
     namespace = dict(_GLOBALS, pack_row=struct.Struct(f"{layout.width}d").pack_into)
-    if not g.floats:  # only the array layout calls numpy
-        import numpy as np
-
-        namespace.update(asarray=np.asarray, np_isfinite=np.isfinite)
     exec(compile(source, f"<blfstep pass n={g.n} l={g.rbf.l}>", "exec"), namespace)
     # popped, so that no cycle through the namespace holds the compiled
     # code: it is freed with the functions make returns, not by a later
     # garbage collection
-    return source, namespace.pop("make")(
+    rates, integrate, signals = namespace.pop("make")(
         config.reference, config.constraints.state_bounds, config.plant.disturbances,
         config.rbf.basis)
+    if not g.floats:  # only the array layout calls numpy, from globals read at call time
+        import numpy as np
+
+        namespace.update(asarray=np.asarray, np_isfinite=np.isfinite)
+        integrate = np.errstate(all="ignore")(integrate)
+    return source, (rates, integrate, signals)

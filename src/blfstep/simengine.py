@@ -5,19 +5,11 @@ states dhat, the gain-search states zeta, and the approximator weights
 theta, 3n + l numbers, into one list (see ClosedLoop for its layout),
 integrated with classic fourth-order Runge-Kutta at a fixed step.
 
-Each ClosedLoop compiles its whole loop from its RunConfig (see
-passgen) and keeps the text it compiled, which pass_source gives. The
-generated integrate(rates, table, t0, steps, h, decimation, state...)
-holds the state in locals from step to step; a run starts it at t0 = 0,
-and the cascade map (loop.cascade) at t is a zero-step integrate from
-t0 = t. At each time point t0 + k h it makes one pass inline, updates
-the metrics (||theta||, nine maxima, the reserve crossings and the tail
-sum of z_1^2, as passgen states them), writes the kept rows of the
-record table, and takes k1 from the same pass. It calls the generated
-rates at the three later RK4 stages, combines the stages entry by entry,
-and checks that the new state is finite. run keeps the feasibility
-check, the table, the mapping of a non-finite barrier crossing to
-NonFiniteState and the RunMetrics the loop returns.
+A ClosedLoop compiles its whole loop from its RunConfig, and is the
+cascade map at one instant as well; passgen's docstring says what the
+compiled functions do. run keeps the feasibility check, the table, the
+mapping of a non-finite barrier crossing to NonFiniteState and the
+RunMetrics the loop returns.
 
 The barrier preconditions are checked at every stage evaluation, not
 just at accepted steps, because a stage state outside an envelope makes
@@ -190,9 +182,10 @@ def rk4_step(f, t: float, y: list, h: float) -> list:
     return [a + sixth * (p + 2.0 * q + 2.0 * r + w) for a, p, q, r, w in zip(y, k1, k2, k3, k4)]
 
 
-class ClosedLoop:
+class ClosedLoop(BacksteppingCascade):
     """Augmented dynamics of plant + observer + gain search + weights, as
-    a RunConfig sets them up.
+    its RunConfig, config, sets them up, and the controller map at one
+    instant (step and _eval, see BacksteppingCascade).
 
     The augmented state is a list: the 3n floats x, dhat and zeta, then
     the l weights, as floats for a float-weight network (see
@@ -205,17 +198,15 @@ class ClosedLoop:
     loop, and signals(t) is (y_d, Psi, psi, dpsi/dt) at t, the last three
     tuples over the levels. They share one memo of the time signals and
     the disturbances d_i(t) of the last distinct t, so each is evaluated
-    once per distinct stage time. layout is the record table's format and
-    cascade the controller map, which reads the same compiled integrate.
+    once per distinct stage time. layout is the record table's format.
     """
 
     def __init__(self, config: RunConfig):
-        self.plant, rbf = config.plant, config.rbf
-        self.n, self.l, self.float_weights = self.plant.n, rbf.l, rbf.float_weights
+        self.config, rbf = config, config.rbf
+        self.n, self.l, self.float_weights = config.plant.n, rbf.l, rbf.float_weights
         self.dim = 3 * self.n + self.l
         self.layout = RecordLayout(self.n, self.l)
         self.source, (self.rates, self.integrate, self.signals) = compile_pass(config, self.layout)
-        self.cascade = BacksteppingCascade(config, self.layout, self.rates, self.integrate)
 
     def state(self, x, dhat, zeta, theta) -> list:
         """The augmented state in this loop's layout, from its four parts,
@@ -232,12 +223,6 @@ class ClosedLoop:
         return list(self.rates(t, *s))
 
 
-def pass_source(config: RunConfig) -> str:
-    """The whole source a run of config compiles: its pass, its rates and
-    its run loop (see passgen)."""
-    return ClosedLoop(config).source
-
-
 def run(config: RunConfig) -> SimResult:
     """Integrate the closed loop over [0, horizon] at the fixed step.
 
@@ -249,10 +234,7 @@ def run(config: RunConfig) -> SimResult:
     continues past a violation. Raises ConfigError naming .horizon and
     .step if the record table the run asks for cannot be allocated.
 
-    The loop itself is the generated integrate (see passgen): one pass per
-    time point for the metrics, the kept rows of the record table and the
-    step's k1, and one call of rates at each of the three later RK4
-    stages, so a run of N steps makes 4N + 1 passes.
+    The loop itself is the generated integrate (see passgen).
     """
     loop = ClosedLoop(config)
     # The run starts at rest: every gain-search state is zero, so every
@@ -279,13 +261,7 @@ def run(config: RunConfig) -> SimResult:
             *loop.state(x0, initial_dhat(config.observer_gains, z0), [0.0] * loop.n,
                         [0.0] * loop.l))
     try:
-        if loop.float_weights:
-            metrics = loop.integrate(*args)
-        else:
-            import numpy as np
-
-            with np.errstate(all="ignore"):  # the loop ends a non-finite step itself
-                metrics = loop.integrate(*args)
+        metrics = loop.integrate(*args)
     except BarrierViolation as exc:
         # a NaN or infinite error coordinate means the state blew up, not
         # that a finite trajectory crossed its envelope

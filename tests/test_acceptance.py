@@ -219,7 +219,7 @@ def test_criterion_9_weight_update_linearity(sec6_config):
     from blfstep.simengine import ClosedLoop
 
     cfg = sec6_config
-    casc = ClosedLoop(cfg).cascade
+    loop = ClosedLoop(cfg)
     lam, eta, kn = cfg.gains.lam, cfg.gains.eta, cfg.observer_gains[-1]
     rng = np.random.default_rng(99)
     worst = 0.0
@@ -230,8 +230,8 @@ def test_criterion_9_weight_update_linearity(sec6_config):
         dhat = rng.uniform(-1, 1, 2)
         zeta = rng.uniform(-0.3, 0.3, 2)
         theta = rng.uniform(-1, 1, 12)
-        rec = casc.step(3.0, x, dhat, zeta, theta)
-        phi = casc.rbf.basis(x)
+        rec = loop.step(3.0, x, dhat, zeta, theta)
+        phi = cfg.rbf.basis(x)
         residual = rec.theta_rate + lam * (kn ** 2 + eta) * theta - lam * rec.q[1] * phi
         worst = max(worst, float(np.max(np.abs(residual))))
     note(9, worst < 1e-12, f"worst update-law residual {worst:.2e}")

@@ -1020,7 +1020,7 @@ def test_drift_of_thousands_of_monomials_compiles_and_runs(tmp_path, capsys):
     # drift alone: the same bits as PlantSpec sums it
     loop = blfstep.ClosedLoop(parse_config(json.dumps(doc)))
     rate = loop.derivative(0.0, loop.state([0.3, -0.05], np.zeros(2), np.zeros(2), np.ones(12)))
-    assert rate[1] == loop.plant.nonlinearity([0.3, -0.05]) != 0.0
+    assert rate[1] == loop.config.plant.nonlinearity([0.3, -0.05]) != 0.0
 
 
 class TestFileErrors:

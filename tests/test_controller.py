@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -40,7 +41,7 @@ def make_cascade(reference=Constant(0.0), constraints=None, delta=1e-4, nodes=4)
     gains = GainConfig(k=(5.0, 5.0), lam=14.0, eta=4.0, delta=delta)
     plant = PlantSpec(n=2, f=(), beta=1.0, disturbances=(Constant(0.0), Constant(0.0)))
     return ClosedLoop(RunConfig(plant, constraints, RbfNetwork.lattice(nodes, 2), gains, (7.0, 7.0),
-                                reference, (0.0, 0.0))).cascade
+                                reference, (0.0, 0.0)))
 
 
 class TestConfigValidation:
@@ -151,7 +152,7 @@ class TestCascade:
             zeta = rng.uniform(-0.2, 0.2, 2)
             theta = rng.uniform(-1, 1, 4)
             rec = casc.step(0.2, x, dhat, zeta, theta)
-            phi = casc.rbf.basis(x)
+            phi = casc.config.rbf.basis(x)
             residual = rec.theta_rate + lam * (kn ** 2 + eta) * theta - lam * rec.q[1] * phi
             assert np.max(np.abs(residual)) < 1e-12
 
@@ -200,6 +201,21 @@ class TestCascade:
             with pytest.raises(NonFiniteState) as err:
                 casc.step(0.5, form([1e155, 0.0]), *rest)
             assert err.value.t == 0.5
+
+    @pytest.mark.parametrize("l", [12, 30])
+    def test_overflowing_network_output_is_the_same_record_on_both_layouts(self, sec6_config, l):
+        # theta . phi overflows to inf: a float-weight sum does so silently,
+        # and the array layout's dot as well, since the map is its integrate
+        loop = ClosedLoop(replace(sec6_config, rbf=RbfNetwork.lattice(l, 2)))
+        assert loop.float_weights == (l == 12)
+        parts = ([0.01, 0.0], [0.0, 0.0], [0.1, 0.1], [1e308] * l)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = loop.step(3.0, *parts)
+        assert rec.u == math.inf and rec.nn_out == math.inf
+        if not loop.float_weights:  # the bare rates, a run's hot stage call, still warns
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                loop.derivative(3.0, loop.state(*parts))
 
     def test_initial_errors_use_reference_only_on_first_level(self, sec6_config):
         # a run starts at rest with eps_hat(0) = 0, so its first row holds
@@ -280,28 +296,29 @@ def test_basis_equals_reference(n, l):
             assert bits(rbf.basis(np.array(x))) == bits(got)
 
 
-def reference_eval(casc, t, x, dhat, zeta, theta):
-    n = casc.n
-    k = casc.gains.k
-    kobs = casc.observer_gains
-    phi = reference_basis(casc.rbf, x)
+def reference_eval(loop, t, x, dhat, zeta, theta):
+    cfg = loop.config
+    n = cfg.plant.n
+    k = cfg.gains.k
+    kobs = cfg.observer_gains
+    phi = reference_basis(cfg.rbf, x)
     z = np.empty(n)
     q = np.empty(n)
     eps_hat = np.empty(n)
     alpha = np.empty(n)
     zeta_rate = np.empty(n)
     v = np.empty(n - 1)
-    v_prev = casc.reference.value(t)
+    v_prev = cfg.reference.value(t)
     u = 0.0
     nn_out = 0.0
     for i in range(n):
         zi = x[i] - v_prev
-        psi = casc.constraints.envelope(i, t)
+        psi = cfg.constraints.envelope(i, t)
         if not (abs(zi) < psi):
             raise BarrierViolation(zi, psi, level=i + 1, t=t)
         qi = q_value(zi, psi)
         ei = estimate(dhat[i], kobs[i], zi)
-        wall_rate = (zi / psi) * casc.constraints.envelope_rate(i, t)
+        wall_rate = (zi / psi) * cfg.constraints.envelope_rate(i, t)
         if i < n - 1:
             ai = k[i] * zi + ei + qi - wall_rate
             v_prev = nussbaum(zeta[i]) * ai
@@ -309,40 +326,42 @@ def reference_eval(casc, t, x, dhat, zeta, theta):
         else:
             nn_out = reference_dot(theta, phi)
             ai = (k[i] * zi + ei + 0.5 * qi - wall_rate + nn_out
-                  + damped_inverse(qi, casc.gains.delta) * (kobs[-1] ** 4 / 8.0))
+                  + damped_inverse(qi, cfg.gains.delta) * (kobs[-1] ** 4 / 8.0))
             u = nussbaum(zeta[i]) * ai
         z[i] = zi
         q[i] = qi
         eps_hat[i] = ei
         alpha[i] = ai
         zeta_rate[i] = qi * ai
-    theta_rate = casc.gains.lam * (q[n - 1] * phi - kobs[-1] ** 2 * theta - casc.gains.eta * theta)
+    theta_rate = cfg.gains.lam * (q[n - 1] * phi - kobs[-1] ** 2 * theta - cfg.gains.eta * theta)
     return z, q, eps_hat, alpha, v, u, zeta_rate, theta_rate, nn_out
 
 
-def reference_energy(casc, t, z):
+def reference_energy(loop, t, z):
+    constraints = loop.config.constraints
     energy = 0.0
-    for i in range(casc.n):
-        energy += blf_value(z[i], casc.constraints.envelope(i, t))
+    for i in range(constraints.n):
+        energy += blf_value(z[i], constraints.envelope(i, t))
     return energy
 
 
-def reference_row(casc, t, x, dhat, zeta, theta):
+def reference_row(loop, t, x, dhat, zeta, theta):
     """The record-table row at t, each cell placed by its layout name: the
     reference pass, reference_energy, reference_norm and the time signals
     evaluated from the configuration."""
     z, q, eps_hat, alpha, v, u, zeta_rate, theta_rate, nn_out = \
-        reference_eval(casc, t, x, dhat, zeta, theta)
-    n, constraints = casc.n, casc.constraints
+        reference_eval(loop, t, x, dhat, zeta, theta)
+    cfg = loop.config
+    n, constraints = cfg.plant.n, cfg.constraints
     cells = dict(t=t, x=x, dhat=dhat, zeta=zeta, theta=theta,
                  Psi=[constraints.state_bound(i, t) for i in range(n)],
                  psi=[constraints.envelope(i, t) for i in range(n)],
                  z=z, q=q, eps_hat=eps_hat, alpha=alpha, v=v, u=u, zeta_rate=zeta_rate,
                  theta_rate=theta_rate, nn_out=nn_out,
-                 barrier_energy=reference_energy(casc, t, z),
-                 theta_norm=reference_norm(theta), y_d=casc.reference.value(t))
-    row = np.empty(casc.layout.width)
-    for group, at in casc.layout.at.items():
+                 barrier_energy=reference_energy(loop, t, z),
+                 theta_norm=reference_norm(theta), y_d=cfg.reference.value(t))
+    row = np.empty(loop.layout.width)
+    for group, at in loop.layout.at.items():
         row[at] = cells[group]
     return row
 
@@ -363,13 +382,14 @@ def reference_rhs(plant, t, x, u):
 
 
 def reference_derivative(loop, t, s):
-    n = loop.n
+    cfg = loop.config
+    n = cfg.plant.n
     x, dhat, zeta, theta = s[:n], s[n:2 * n], s[2 * n:3 * n], s[3 * n:]
     (_, _, eps_hat, _, _, u, zeta_rate, theta_rate, nn_out) = \
-        reference_eval(loop.cascade, t, x, dhat, zeta, theta)
-    ds = np.empty(loop.dim)
-    ds[:n] = reference_rhs(loop.plant, t, x, u)
-    kobs = loop.cascade.observer_gains
+        reference_eval(loop, t, x, dhat, zeta, theta)
+    ds = np.empty(3 * n + cfg.rbf.l)
+    ds[:n] = reference_rhs(cfg.plant, t, x, u)
+    kobs = cfg.observer_gains
     for i in range(n - 1):
         ds[n + i] = dhat_rate_inner(kobs[i], x[i + 1], eps_hat[i])
     ds[2 * n - 1] = dhat_rate_final(kobs[n - 1], nn_out, u, eps_hat[n - 1])
@@ -391,7 +411,7 @@ def outcome(fn, *args):
         return ("violation", exc.level, float(exc.z).hex(), float(exc.psi).hex(), exc.t)
 
 
-# One cascade and one loop for the whole module, so the memo carries state
+# One loop for the whole module, so the memo carries state
 # from one example into the next, as it does across a run.
 H = 1e-3
 SEC6_CONFIG = RunConfig(
@@ -405,7 +425,6 @@ SEC6_CONFIG = RunConfig(
     initial_x=(0.0, 0.0),
 )
 SEC6_LOOP = ClosedLoop(SEC6_CONFIG)
-SEC6 = SEC6_LOOP.cascade
 
 small = st.floats(-0.4, 0.4, allow_nan=False)
 states = st.tuples(st.lists(small, min_size=2, max_size=2), st.lists(small, min_size=2, max_size=2),
@@ -440,7 +459,7 @@ class TestFastPathMatchesReference:
     @settings(max_examples=150, deadline=None)
     @given(t=st.floats(0.0, 20.0), state=states)
     def test_eval_equals_reference(self, t, state):
-        assert_row_matches(SEC6, t, *as_arrays(state))
+        assert_row_matches(SEC6_LOOP, t, *as_arrays(state))
 
     @settings(max_examples=100, deadline=None)
     @given(k=st.integers(0, 20000), order=st.lists(st.integers(0, 3), min_size=1, max_size=10),
@@ -452,14 +471,14 @@ class TestFastPathMatchesReference:
         times = (t, t + 0.5 * H, t + H, (k + 1) * H)
         x, dhat, zeta, theta = as_arrays(state)
         for j in order:
-            assert_row_matches(SEC6, times[j], x, dhat, zeta, theta)
+            assert_row_matches(SEC6_LOOP, times[j], x, dhat, zeta, theta)
 
     @settings(max_examples=100, deadline=None)
     @given(t1=st.floats(0.0, 20.0), t2=st.floats(0.0, 20.0), state=states)
     def test_repeated_times(self, t1, t2, state):
         x, dhat, zeta, theta = as_arrays(state)
         for t in (t1, t2, t1, t1, t2):
-            assert_row_matches(SEC6, t, x, dhat, zeta, theta)
+            assert_row_matches(SEC6_LOOP, t, x, dhat, zeta, theta)
 
     @settings(max_examples=100, deadline=None)
     @given(k=st.integers(0, 20000), state=st.lists(small, min_size=18, max_size=18))
@@ -480,16 +499,17 @@ class TestFastPathMatchesReference:
         # memo that confused the two times would return the wrong value
         for k in range(20000):
             a, b = k * H + H, (k + 1) * H
-            if a != b and SEC6.reference.value(a) != SEC6.reference.value(b):
+            if a != b and SEC6_CONFIG.reference.value(a) != SEC6_CONFIG.reference.value(b):
                 break
         else:
             pytest.fail("no step with distinct stage and step times")
         for t in (a, b, a, b):
             y_d, bound, psi, psi_rate = SEC6_LOOP.signals(t)
-            assert bits(y_d) == bits(SEC6.reference.value(t))
-            assert bits(bound) == bits([SEC6.constraints.state_bound(i, t) for i in range(2)])
-            assert bits(psi) == bits([SEC6.constraints.envelope(i, t) for i in range(2)])
-            assert bits(psi_rate) == bits([SEC6.constraints.envelope_rate(i, t) for i in range(2)])
+            constraints = SEC6_CONFIG.constraints
+            assert bits(y_d) == bits(SEC6_CONFIG.reference.value(t))
+            assert bits(bound) == bits([constraints.state_bound(i, t) for i in range(2)])
+            assert bits(psi) == bits([constraints.envelope(i, t) for i in range(2)])
+            assert bits(psi_rate) == bits([constraints.envelope_rate(i, t) for i in range(2)])
 
 
 # Past _FLOAT_WEIGHTS_MAX weights the weight update runs as numpy array
@@ -502,11 +522,10 @@ WIDE_LOOP = ClosedLoop(replace(
 @given(k=st.integers(0, 20000), state=st.lists(small, min_size=54, max_size=54))
 def test_wide_weight_update_equals_reference(k, state):
     s = np.array(state)
-    casc = WIDE_LOOP.cascade
     parts = (s[:2], s[2:4], s[4:6], s[6:])
-    assert not casc.rbf.float_weights  # the weights as one array
+    assert not WIDE_LOOP.config.rbf.float_weights  # the weights as one array
     for tau in (k * H, k * H + 0.5 * H):
-        if not assert_row_matches(casc, tau, *parts):  # a violation
+        if not assert_row_matches(WIDE_LOOP, tau, *parts):  # a violation
             continue
         got = WIDE_LOOP.derivative(tau, WIDE_LOOP.state(*parts))
         assert isinstance(got[-1], np.ndarray)  # the weights' rates, one block

@@ -116,9 +116,9 @@ def run_outcome(cfg):
 def reference_table(cfg, rows):
     """The record table of the reference trajectory rows: reference_row,
     which shares no code with the generated pass, at every time point."""
-    cascade = ClosedLoop(cfg).cascade
+    loop = ClosedLoop(cfg)
     n = cfg.plant.n
-    return np.array([reference_row(cascade, k * cfg.step, row[:n], row[n:2 * n],
+    return np.array([reference_row(loop, k * cfg.step, row[:n], row[n:2 * n],
                                    row[2 * n:3 * n], row[3 * n:])
                      for k, row in enumerate(rows)])
 
@@ -177,14 +177,14 @@ def reference_outcome(cfg):
     """The reference loop's trajectory, and then its pass at the last
     accepted state, which the run makes too."""
     n, steps = cfg.plant.n, int(round(cfg.horizon / cfg.step))
-    cascade = ClosedLoop(cfg).cascade
+    loop = ClosedLoop(cfg)
     with np.errstate(all="ignore"):
         try:
             rows = reference_trajectory(cfg)
             if not np.isfinite(rows).all():
                 return ("non-finite",)
             last = rows[-1]
-            reference_eval(cascade, steps * cfg.step, last[:n], last[n:2 * n],
+            reference_eval(loop, steps * cfg.step, last[:n], last[n:2 * n],
                            last[2 * n:3 * n], last[3 * n:])
         except BarrierViolation as exc:
             return violation(exc)

@@ -28,12 +28,12 @@ def oracle_csv(result) -> bytes:
     ||theta|| from reference_norm, and each cell through repr(float(v))."""
     cfg = result.config
     n = cfg.plant.n
-    cascade = ClosedLoop(cfg).cascade
+    loop = ClosedLoop(cfg)
     lines = [",".join(csv_header(n))]
     for t, state in zip(result.times.tolist(), np.array(result.trajectory)):
         x, dhat, zeta, theta = state[:n], state[n:2 * n], state[2 * n:3 * n], state[3 * n:]
-        cells = cascade._eval(t, x, dhat, zeta, theta)
-        z, eps_hat, v, u = (cells[cascade.layout.at[g]] for g in ("z", "eps_hat", "v", "u"))
+        cells = loop._eval(t, x, dhat, zeta, theta)
+        z, eps_hat, v, u = (cells[loop.layout.at[g]] for g in ("z", "eps_hat", "v", "u"))
         row = [t, *x]
         row += [cfg.constraints.state_bounds[i].value(t) for i in range(n)]
         row += [cfg.constraints.envelope(i, t) for i in range(n)]
@@ -51,9 +51,9 @@ def emitted(result, tmp_path) -> bytes:
 def assert_records_equal_fresh_steps(result):
     cfg = result.config
     n = cfg.plant.n
-    cascade = ClosedLoop(cfg).cascade
+    loop = ClosedLoop(cfg)
     for t, s, rec in zip(result.times.tolist(), result.trajectory, result.records):
-        fresh = cascade.step(t, s[:n], s[n:2 * n], s[2 * n:3 * n], s[3 * n:])
+        fresh = loop.step(t, s[:n], s[n:2 * n], s[2 * n:3 * n], s[3 * n:])
         for f in fields(StepRecord):
             got, want = getattr(rec, f.name), getattr(fresh, f.name)
             assert type(got) is type(want), (t, f.name)

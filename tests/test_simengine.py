@@ -542,7 +542,7 @@ def test_no_rate_is_taken_at_the_last_time_point(sec6_config):
 
 
 def test_a_crossing_is_raised_from_the_line_pass_source_shows(sec6_config):
-    # the run compiles pass_source(config) under a filename that names it;
+    # the run compiles ClosedLoop(config).source under a filename that names it;
     # a constant push d1 = 5 carries level 2 across its envelope
     cfg = replace(sec6_config, horizon=0.3, plant=replace(
         sec6_config.plant, disturbances=(Constant(5.0), sec6_config.plant.disturbances[1])))
@@ -552,7 +552,7 @@ def test_a_crossing_is_raised_from_the_line_pass_source_shows(sec6_config):
     frame, line = list(traceback.walk_tb(err.value.__traceback__))[-1]
     code = frame.f_code
     assert (code.co_filename, code.co_name) == ("<blfstep pass n=2 l=12>", "rates")
-    source = simengine.pass_source(cfg)
+    source = ClosedLoop(cfg).source
     assert source.splitlines()[line - 1].strip() == "raise BarrierViolation(z2, psi2, level=2, t=t)"
 
 

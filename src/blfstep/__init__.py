@@ -6,7 +6,7 @@ composite-uncertainty observer, and Nussbaum gain search for the unknown
 input coefficient.
 """
 
-from .approximator import RbfError, RbfNetwork
+from .approximator import RbfNetwork
 from .barrier import (
     BarrierViolation,
     blf_value,
@@ -27,7 +27,6 @@ from .cli import (
 from .controller import (
     BacksteppingCascade,
     ConstraintConfig,
-    ControllerError,
     GainConfig,
     StepRecord,
     lyapunov_decay_rates,
@@ -38,12 +37,11 @@ from .observer import (
     estimate,
     initial_dhat,
 )
-from .plant import Monomial, PlantError, PlantSpec
+from .plant import Monomial, PlantSpec
 from .signals import (
     ConfigError,
     Constant,
     ExpDecay,
-    SignalError,
     SignalSum,
     Sinusoid,
     TimeSignal,

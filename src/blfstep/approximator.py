@@ -31,10 +31,6 @@ _LATTICE = object()
 _FLOAT_WEIGHTS_MAX = 24
 
 
-class RbfError(ConfigError):
-    """Network constructed with unusable centers or widths."""
-
-
 def _floats(values, name: str, ndim: int, problems: list, **check):
     """values as a tuple of floats (of equally long tuples of floats, for
     ndim 2), if it is a non-empty list (of lists) of numbers that pass
@@ -103,7 +99,7 @@ class RbfNetwork:
             problems.append(("widths", f"need exactly one width per center: got "
                                        f"{len(widths)} for {len(centers)} centers"))
         if problems:
-            raise RbfError(problems)
+            raise ConfigError(problems)
         self.center_values = centers
         self.width_values = widths
 
@@ -151,7 +147,7 @@ class RbfNetwork:
         number(nodes, "l", problems, **_COUNT)
         number(dims, "dims", problems, **_COUNT)
         if problems:
-            raise RbfError(problems)
+            raise ConfigError(problems)
         axes = [[LOW + k * ((HIGH - LOW) / (m - 1)) for k in range(m - 1)] + [HIGH]
                 if m > 1 else [(LOW + HIGH) / 2.0]
                 for m in _grid_counts(nodes, dims)]
@@ -162,21 +158,23 @@ class RbfNetwork:
         """The network an rbf record describes: its l listed centers and
         widths, or without them the default lattice of l nodes over dims
         axes, the plant order. l is checked either way; with dims None (the
-        plant failed to build) nothing else is, and nothing is built."""
-        if (centers is _LATTICE) != (widths is _LATTICE):
-            raise RbfError("centers and widths must be given together or both omitted")
+        plant failed to build) nothing else is, and nothing is built. One
+        of centers and widths without the other is named missing."""
         problems = []
         number(l, "l", problems, **_COUNT)
-        if centers is _LATTICE:
+        if centers is _LATTICE or widths is _LATTICE:
+            if centers is not widths:  # only one of the two is listed
+                problems.append(("centers" if centers is _LATTICE else "widths",
+                                 "missing required field"))
             if problems or dims is None:
-                raise RbfError(problems)
+                raise ConfigError(problems)
             return cls.lattice(l, dims)
         try:
             net = cls(centers, widths)
-        except RbfError as exc:
-            raise RbfError(problems + exc.problems) from None
+        except ConfigError as exc:
+            raise ConfigError(problems + exc.problems) from None
         if problems or net.l != l:
-            raise RbfError(problems or [("centers", f"{net.l} centers listed but l = {l}")])
+            raise ConfigError(problems or [("centers", f"{net.l} centers listed but l = {l}")])
         return net
 
     def basis(self, zbar):

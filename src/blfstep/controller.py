@@ -47,10 +47,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-class ControllerError(ConfigError):
-    """Controller configuration is invalid."""
-
-
 @dataclass(frozen=True)
 class GainConfig:
     """Per-level feedback gains k, weight-update rate lam, leakage eta,
@@ -67,7 +63,7 @@ class GainConfig:
         for name, path in (("lam", "lambda"), ("eta", "eta"), ("delta", "delta")):
             number_field(self, name, problems, path, above=0)
         if problems:
-            raise ControllerError(problems)
+            raise ConfigError(problems)
 
 
 class ConstraintConfig:
@@ -101,7 +97,7 @@ class ConstraintConfig:
             else:
                 rates.append(rate)
         if problems or None in self.state_bounds:
-            raise ControllerError(problems)
+            raise ConfigError(problems)
         self.release_rates = tuple(rates)
 
     @property
@@ -269,12 +265,13 @@ def lyapunov_decay_rates(gains: GainConfig, observer_gains, basis_bound: float) 
     noise.
     """
     problems = []
-    if number(basis_bound, "basis_bound", problems, at_least=0) is None:
-        raise ConfigError(problems)
+    number(basis_bound, "basis_bound", problems, at_least=0)
     kobs = tuple(float(g) for g in observer_gains)
     n = len(gains.k)
     if len(kobs) != n:
-        raise ValueError(f"need {n} observer gains, got {len(kobs)}")
+        problems.append(("observer_gains", f"need {n} observer gains, got {len(kobs)}"))
+    if problems:
+        raise ConfigError(problems)
     rates = [min(2.0 * gains.k[i], 2.0 * (kobs[i] - 1.0)) for i in range(n - 1)]
     rates.append(min(
         2.0 * gains.k[n - 1],

@@ -16,10 +16,6 @@ from dataclasses import dataclass
 from .signals import ConfigError, number_field, numbers
 
 
-class PlantError(ConfigError):
-    """Plant specification or evaluation input is invalid."""
-
-
 @dataclass(frozen=True)
 class Monomial:
     """coeff * prod_j x_j**exponents[j]; exponents has one entry per state."""
@@ -33,7 +29,7 @@ class Monomial:
         object.__setattr__(self, "exponents",
                            numbers(self.exponents, "exponents", problems, integer=True, at_least=0))
         if problems:
-            raise PlantError(problems)
+            raise ConfigError(problems)
 
 
 @dataclass(frozen=True)
@@ -62,7 +58,7 @@ class PlantSpec:
                          for i, mono in enumerate(self.f)
                          if mono is not None and len(mono.exponents) != self.n]
         if problems or None in self.f + self.disturbances:
-            raise PlantError(problems)
+            raise ConfigError(problems)
         # The drift compiled once: (coeff, ((j, e), ...)) with only the
         # nonzero exponents, in the order the product is formed.
         object.__setattr__(self, "_drift", tuple(
@@ -73,7 +69,7 @@ class PlantSpec:
     def nonlinearity(self, x) -> float:
         """Evaluate the polynomial drift f at state x."""
         if len(x) != self.n:
-            raise PlantError(f"state has length {len(x)}, expected {self.n}")
+            raise ValueError(f"state has length {len(x)}, expected {self.n}")
         total = 0.0
         for term, powers in self._drift:
             for j, e in powers:

@@ -9,7 +9,7 @@ member's exp, or of its sine and cosine at one argument.
 
 All members are bounded on [0, inf) by construction: every parameter
 must be a finite number, and an exponential's decay rate at least 0.
-The constructors raise SignalError naming every parameter at fault.
+The constructors raise ConfigError naming every parameter at fault.
 
 The module also holds ConfigError; number, the one numeric check of
 configuration input, with its list and field forms numbers and
@@ -30,21 +30,16 @@ from typing import Union
 class ConfigError(ValueError):
     """Invalid configuration, with field-level diagnostics.
 
-    problems lists (path, message) pairs. A component's constructor names
-    its own fields, e.g. "beta", "k[0]" or "terms[1].b"; parse_config and
-    RunConfig name them as the JSON document does, e.g. "plant.beta" or
-    ".horizon". A bare message is one problem without a path.
+    problems lists (path, message) pairs, each path a non-empty name of
+    the field at fault. A component's constructor names its own fields,
+    e.g. "beta", "k[0]" or "terms[1].b"; parse_config and RunConfig name
+    them as the JSON document does, e.g. "plant.beta" or ".horizon".
     """
 
     def __init__(self, problems):
-        self.problems = [(None, problems)] if isinstance(problems, str) else list(problems)
-        lines = [f"  {path}: {message}" if path else f"  {message}"
-                 for path, message in self.problems]
+        self.problems = list(problems)
+        lines = [f"  {path}: {message}" for path, message in self.problems]
         super().__init__("invalid configuration:\n" + "\n".join(lines))
-
-
-class SignalError(ConfigError):
-    """Signal constructed with unusable parameters."""
 
 
 @dataclass(frozen=True)
@@ -57,7 +52,7 @@ class Constant:
         problems = []
         number_field(self, "c", problems)
         if problems:
-            raise SignalError(problems)
+            raise ConfigError(problems)
 
     def value(self, t: float) -> float:
         return self.c
@@ -85,7 +80,7 @@ class Sinusoid:
         if self.kind not in ("sin", "cos"):
             problems.append(("kind", f"sinusoid kind must be 'sin' or 'cos', got {self.kind!r}"))
         if problems:
-            raise SignalError(problems)
+            raise ConfigError(problems)
 
     def value(self, t: float) -> float:
         arg = self.angular_frequency * t + self.phase
@@ -119,7 +114,7 @@ class ExpDecay:
             number_field(self, name, problems)
         number_field(self, "b", problems, at_least=0)
         if problems:
-            raise SignalError(problems)
+            raise ConfigError(problems)
 
     def value(self, t: float) -> float:
         return self.a * math.exp(-self.b * t) + self.c
@@ -140,11 +135,13 @@ class SignalSum:
     terms: tuple
 
     def __post_init__(self) -> None:
-        if not isinstance(self.terms, (list, tuple)) or not self.terms:
-            raise SignalError([("terms", f"expected a non-empty list of signals, got {self.terms!r}")])
+        if not isinstance(self.terms, (list, tuple)):
+            raise ConfigError([("terms", f"expected a non-empty list of signals, got {self.terms!r}")])
+        if not self.terms:
+            raise ConfigError([("terms", "expected at least one signal")])
         object.__setattr__(self, "terms", tuple(self.terms))
         if None in self.terms:
-            raise SignalError([])
+            raise ConfigError([])
 
     def value(self, t: float) -> float:
         total = 0.0
@@ -289,7 +286,7 @@ def read_record(record, path: str, format, problems: list):
     try:
         return make(**values)
     except ConfigError as exc:
-        problems += [(prefix + p if p else path, m) for p, m in exc.problems]
+        problems += [(prefix + p, m) for p, m in exc.problems]
         return None
 
 
@@ -299,7 +296,7 @@ def write_record(obj, format) -> dict:
         for kind, (cls, fields) in _KINDS.items():
             if isinstance(obj, cls) and getattr(obj, "kind", kind) == kind:
                 return {"kind": kind, **write_record(obj, (cls, fields))}
-        raise SignalError(f"not a known signal type: {type(obj).__name__}")
+        raise TypeError(f"not a known signal type: {type(obj).__name__}")
     record = {}
     for key, attribute, items in format[1]:
         value = getattr(obj, attribute)
@@ -331,7 +328,7 @@ def signal_from_dict(record: object, path: str = "signal") -> TimeSignal:
     problems = []
     sig = read_record(record, path, SIGNALS, problems)
     if sig is None:
-        raise SignalError(problems)
+        raise ConfigError(problems)
     return sig
 
 

@@ -210,7 +210,12 @@ class ClosedLoop(BacksteppingCascade):
 
     def state(self, x, dhat, zeta, theta) -> list:
         """The augmented state in this loop's layout, from its four parts,
-        sequences of numbers."""
+        sequences of numbers: n each of x, dhat and zeta, then l of theta.
+        Raises ValueError naming a part of another length."""
+        for name, part, size in (("x", x, self.n), ("dhat", dhat, self.n),
+                                 ("zeta", zeta, self.n), ("theta", theta, self.l)):
+            if len(part) != size:
+                raise ValueError(f"{name}: expected {size} entries, got {len(part)}")
         head = [float(v) for part in (x, dhat, zeta) for v in part]
         if self.float_weights:
             return head + [float(w) for w in theta]

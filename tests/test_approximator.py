@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from blfstep.approximator import MAX_NODES, RbfError, RbfNetwork
+from blfstep.approximator import MAX_NODES, RbfNetwork
+from blfstep.signals import ConfigError
 
 
 def small_net():
@@ -68,12 +69,12 @@ def test_lattice_deterministic():
 
 
 def test_nonpositive_width_rejected():
-    with pytest.raises(RbfError):
+    with pytest.raises(ConfigError):
         RbfNetwork(np.zeros((2, 2)), np.array([1.0, 0.0]))
 
 
 def test_width_count_enforced():
-    with pytest.raises(RbfError):
+    with pytest.raises(ConfigError):
         RbfNetwork(np.zeros((2, 2)), np.array([1.0]))
 
 
@@ -86,7 +87,7 @@ def test_lattice_counts_three_dims():
 
 @pytest.mark.parametrize("nodes", [MAX_NODES + 1, 10 ** 400])
 def test_lattice_size_bounded_before_anything_is_built(nodes):
-    with pytest.raises(RbfError) as err:
+    with pytest.raises(ConfigError) as err:
         RbfNetwork.lattice(nodes, 2)
     assert err.value.problems == [("l", f"must be <= {MAX_NODES}, got {nodes}")]
 

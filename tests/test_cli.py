@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -380,8 +381,21 @@ class TestParseEdges:
     def test_centers_without_widths_rejected(self):
         doc = json.loads(sec6_text())
         doc["rbf"]["centers"] = [[0.0, 0.0]] * 12
-        with pytest.raises(ConfigError, match="together"):
+        with pytest.raises(ConfigError) as err:
             parse_config(json.dumps(doc))
+        assert err.value.problems == [("rbf.widths", "missing required field")]
+
+    @pytest.mark.parametrize("listed, missing", [("centers", "widths"), ("widths", "centers")])
+    def test_one_of_centers_and_widths_names_the_other_missing(self, listed, missing, tmp_path,
+                                                               capsys):
+        doc = json.loads(sec6_text())
+        doc["rbf"][listed] = {"centers": [[0.0, 0.0]] * 12, "widths": [2.0] * 12}[listed]
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            f"error: invalid configuration:\n  rbf.{missing}: missing required field\n")
 
     def test_center_count_must_match_l(self):
         doc = json.loads(sec6_text())
@@ -745,6 +759,9 @@ def test_nested_part_failure_still_checks_the_record(changes, paths):
                   ("constraints.A[1]", "infeasible envelope split at level 2: Psi(2)(0) = 2.1 "
                                        "does not exceed A[1] = 100")],
                  id="reserve-sign-and-split"),
+    # an empty list reads as a tuple, and is named as an empty list
+    pytest.param({("reference",): {"kind": "sum", "terms": []}},
+                 [("reference.terms", "expected at least one signal")], id="empty-sum"),
     # the node count is checked beside listed centers too
     *[pytest.param({("rbf",): {"l": l, "centers": [[0.0, 0.0]], "widths": [1.0]}},
                    [("rbf.l", f"expected an integer, got {l!r}")], id=f"node-count-{l!r}")
@@ -841,6 +858,49 @@ def test_one_field_mutation_parses_or_is_config_error(path, value):
     except ConfigError:
         return
     _assert_same_config(parse_config(json.dumps(config_to_dict(cfg))), cfg)
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _drop(path):
+    """Mutation of the flagship document: delete the key at path."""
+    def mutate(doc):
+        del _at(doc, path[:-1])[path[-1]]
+    return mutate
+
+
+SEC6_DOC = json.loads(sec6_text())
+# the document's leaves, and its objects, the document itself among them
+_LEAVES = [p for p in _doc_paths(SEC6_DOC) if not isinstance(_at(SEC6_DOC, p), (dict, list))]
+_OBJECTS = [()] + [p for p in _doc_paths(SEC6_DOC) if isinstance(_at(SEC6_DOC, p), dict)]
+LEAF_MUTATIONS = (
+    st.builds(_set, st.sampled_from(_LEAVES),
+              st.sampled_from([None, True, -1, 0, 1e308, "x", [], {}, [1], 10 ** 400]))
+    | st.sampled_from([obj + (key,) for obj in _OBJECTS for key in _at(SEC6_DOC, obj)]).map(_drop)
+    | st.sampled_from(_OBJECTS).map(lambda obj: _set(obj + ("bogus",), 1.0))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutate=LEAF_MUTATIONS)
+def test_one_leaf_mutation_parses_or_names_a_field_for_each_problem(mutate):
+    doc = json.loads(sec6_text())
+    mutate(doc)
+    try:
+        cfg = parse_config(json.dumps(doc))
+    except ConfigError as exc:  # any other exception fails the test
+        assert type(exc) is ConfigError, repr(exc)
+        assert exc.problems
+        keys = set(SEC6_DOC) | set(doc)
+        for path, _ in exc.problems:
+            assert path and (path == "(document)" or path.startswith(".")
+                             or re.match(r"[^.\[]+", path)[0] in keys), exc.problems
+    else:
+        assert isinstance(cfg, RunConfig)
 
 
 # Plain numbers as well, so that many mutations still parse and run.

@@ -11,14 +11,13 @@ from blfstep.approximator import RbfNetwork
 from blfstep.barrier import BarrierViolation, blf_value, damped_inverse, nussbaum, q_value
 from blfstep.controller import (
     ConstraintConfig,
-    ControllerError,
     GainConfig,
     StepRecord,
     lyapunov_decay_rates,
 )
 from blfstep.observer import dhat_rate_final, dhat_rate_inner, estimate
 from blfstep.plant import Monomial, PlantSpec
-from blfstep.signals import Constant, ExpDecay, SignalSum, Sinusoid
+from blfstep.signals import ConfigError, Constant, ExpDecay, SignalSum, Sinusoid
 from blfstep.simengine import ClosedLoop, NonFiniteState, RunConfig, run
 
 from test_simengine import third_order_config
@@ -49,19 +48,19 @@ class TestConfigValidation:
         for bad in [dict(k=(0.0, 1.0)), dict(lam=0.0), dict(eta=-1.0), dict(delta=0.0)]:
             kwargs = dict(k=(5.0, 5.0), lam=14.0, eta=4.0, delta=1e-4)
             kwargs.update(bad)
-            with pytest.raises(ControllerError):
+            with pytest.raises(ConfigError):
                 GainConfig(**kwargs)
 
     def test_reserve_must_fit_initial_envelope(self):
-        with pytest.raises(ControllerError, match="infeasible"):
+        with pytest.raises(ConfigError, match="infeasible"):
             ConstraintConfig((Constant(2.0), Constant(2.0)), (1.0, 2.0))
 
     def test_negative_reserve_rejected(self):
-        with pytest.raises(ControllerError, match="A\\[0\\]"):
+        with pytest.raises(ConfigError, match="A\\[0\\]"):
             ConstraintConfig((Constant(2.0),), (-0.5,))
 
     def test_level_count_mismatch(self):
-        with pytest.raises(ControllerError):
+        with pytest.raises(ConfigError):
             ConstraintConfig((Constant(2.0), Constant(2.0)), (0.0,))
 
 
@@ -217,6 +216,23 @@ class TestCascade:
             with pytest.warns(RuntimeWarning, match="overflow"):
                 loop.derivative(3.0, loop.state(*parts))
 
+    @pytest.mark.parametrize("l, parts, message", [
+        pytest.param(12, ([0.01, 0.0, 0.5], [0.7], [0.1, 0.1], [0.0] * 12),
+                     "x: expected 2 entries, got 3", id="float-x"),
+        pytest.param(12, ([0.01, 0.0], [0.0, 0.0], [0.1], [0.0] * 12),
+                     "zeta: expected 2 entries, got 1", id="float-zeta"),
+        pytest.param(30, ([0.01, 0.0], [0.0, 0.0], [0.1, 0.1], [0.0] * 5),
+                     "theta: expected 30 entries, got 5", id="array-theta"),
+        pytest.param(30, ([0.01, 0.0], [0.0], [0.1, 0.1], np.zeros(30)),
+                     "dhat: expected 2 entries, got 1", id="array-dhat"),
+    ])
+    def test_a_part_of_the_wrong_length_is_named(self, sec6_config, l, parts, message):
+        # the parts are not joined into a state of another layout
+        loop = ClosedLoop(replace(sec6_config, rbf=RbfNetwork.lattice(l, 2)))
+        with pytest.raises(ValueError) as err:
+            loop.step(3.0, *parts)
+        assert type(err.value) is ValueError and str(err.value) == message
+
     def test_initial_errors_use_reference_only_on_first_level(self, sec6_config):
         # a run starts at rest with eps_hat(0) = 0, so its first row holds
         # dhat(0) = -k_eps * z(0), with z(0) = (x1 - y_d(0), x2): the
@@ -241,6 +257,13 @@ class TestDiagnostics:
         gains = GainConfig(k=(5.0, 5.0), lam=14.0, eta=4.0)
         rates = lyapunov_decay_rates(gains, (1.0, 7.0), 0.0)
         assert rates[0] == 0.0
+
+    def test_gain_count_and_basis_bound_are_config_errors(self):
+        gains = GainConfig(k=(5.0, 5.0), lam=14.0, eta=4.0)
+        with pytest.raises(ConfigError) as err:
+            lyapunov_decay_rates(gains, (7.0,), -1.0)
+        assert err.value.problems == [("basis_bound", "must be >= 0, got -1.0"),
+                                      ("observer_gains", "need 2 observer gains, got 1")]
 
 
 # Reference implementations: the cascade pass and the closed-loop

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from blfstep.plant import Monomial, PlantError, PlantSpec
-from blfstep.signals import Constant, Sinusoid
+from blfstep.plant import Monomial, PlantSpec
+from blfstep.signals import ConfigError, Constant, Sinusoid
 
 PI = math.pi
 
@@ -75,27 +75,29 @@ def test_chain_structure_matches_next_state():
 
 
 def test_zero_beta_rejected():
-    with pytest.raises(PlantError, match="beta"):
+    with pytest.raises(ConfigError, match="beta"):
         quiet_plant(beta=0.0)
 
 
 def test_exponent_length_mismatch_rejected():
-    with pytest.raises(PlantError, match="order"):
+    with pytest.raises(ConfigError, match="order"):
         quiet_plant(f=(Monomial(1.0, (1, 0, 0)),))
 
 
 def test_negative_exponent_rejected():
-    with pytest.raises(PlantError):
+    with pytest.raises(ConfigError):
         Monomial(1.0, (-1, 0))
 
 
 def test_disturbance_count_enforced():
-    with pytest.raises(PlantError, match="disturbance"):
+    with pytest.raises(ConfigError, match="disturbance"):
         PlantSpec(n=2, f=(), beta=1.0, disturbances=(Constant(0.0),))
 
 
 def test_state_length_checked():
-    with pytest.raises(PlantError, match="length"):
+    # a call argument, not a configuration
+    with pytest.raises(ValueError, match="length") as err:
         cubic_plant().nonlinearity((1.0,))
-    with pytest.raises(PlantError, match="length"):
+    assert not isinstance(err.value, ConfigError)
+    with pytest.raises(ValueError, match="length"):
         cubic_plant().rhs(0.0, (1.0, 2.0, 3.0), 0.0)

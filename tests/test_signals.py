@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from blfstep.signals import (
+    ConfigError,
     Constant,
     ExpDecay,
-    SignalError,
     SignalSum,
     Sinusoid,
     signal_from_dict,
@@ -76,17 +76,33 @@ def test_sum_value_is_sum_of_member_values():
 
 
 def test_negative_decay_rate_rejected():
-    with pytest.raises(SignalError):
+    with pytest.raises(ConfigError):
         ExpDecay(1.0, -0.1, 0.0)
 
 
 def test_empty_sum_rejected():
-    with pytest.raises(SignalError):
+    with pytest.raises(ConfigError):
         SignalSum(())
 
 
+@pytest.mark.parametrize("terms, message", [
+    pytest.param((), "expected at least one signal", id="tuple"),
+    pytest.param([], "expected at least one signal", id="list"),
+    pytest.param(3, "expected a non-empty list of signals, got 3", id="not-a-list"),
+])
+def test_sum_terms_problem_does_not_depend_on_the_sequence_type(terms, message):
+    with pytest.raises(ConfigError) as err:
+        SignalSum(terms)
+    assert err.value.problems == [("terms", message)]
+
+
+def test_writing_an_object_that_is_not_a_signal_is_a_type_error():
+    with pytest.raises(TypeError, match="not a known signal type: int"):
+        signal_to_dict(3)
+
+
 def test_bad_sinusoid_kind_rejected():
-    with pytest.raises(SignalError):
+    with pytest.raises(ConfigError):
         Sinusoid(1.0, 1.0, 0.0, "tan")
 
 
@@ -99,15 +115,15 @@ def test_dict_round_trip():
 
 
 def test_from_dict_rejects_unknown_keys():
-    with pytest.raises(SignalError, match="signal.bogus: unknown key"):
+    with pytest.raises(ConfigError, match="signal.bogus: unknown key"):
         signal_from_dict({"kind": "constant", "c": 1.0, "bogus": 2})
 
 
 def test_from_dict_rejects_unknown_kind():
-    with pytest.raises(SignalError, match="kind"):
+    with pytest.raises(ConfigError, match="kind"):
         signal_from_dict({"kind": "sawtooth", "c": 1.0})
 
 
 def test_from_dict_reports_path():
-    with pytest.raises(SignalError, match=r"plant\.disturbances\[0\]"):
+    with pytest.raises(ConfigError, match=r"plant\.disturbances\[0\]"):
         signal_from_dict({"kind": "expdecay", "a": 1.0}, "plant.disturbances[0]")

@@ -17,7 +17,7 @@ from .signals import ConfigError, is_array, number, numbers
 LOW, HIGH, WIDTH = -2.0, 2.0, 2.0
 MAX_NODES = 10 ** 6
 # The range of a node count l and of a lattice's dimension.
-_COUNT = dict(integer=True, at_least=1, at_most=MAX_NODES)
+COUNT = dict(integer=True, at_least=1, at_most=MAX_NODES)
 
 # The default of centers and widths in an rbf record: not listed, so the
 # lattice. JSON null is listed, and is no list of numbers.
@@ -144,8 +144,8 @@ class RbfNetwork:
         last axis fastest. Every width is WIDTH.
         """
         problems = []
-        number(nodes, "l", problems, **_COUNT)
-        number(dims, "dims", problems, **_COUNT)
+        number(nodes, "l", problems, **COUNT)
+        number(dims, "dims", problems, **COUNT)
         if problems:
             raise ConfigError(problems)
         axes = [[LOW + k * ((HIGH - LOW) / (m - 1)) for k in range(m - 1)] + [HIGH]
@@ -154,21 +154,21 @@ class RbfNetwork:
         return cls(tuple(itertools.product(*axes)), (WIDTH,) * nodes)
 
     @classmethod
-    def read(cls, l, centers=_LATTICE, widths=_LATTICE, *, dims) -> "RbfNetwork":
-        """The network an rbf record describes: its l listed centers and
-        widths, or without them the default lattice of l nodes over dims
-        axes, the plant order. l is checked either way; with dims None (the
-        plant failed to build) nothing else is, and nothing is built. One
-        of centers and widths without the other is named missing."""
+    def read(cls, l, centers=_LATTICE, widths=_LATTICE):
+        """What an rbf record describes: the network of its l listed
+        centers and widths, or without them the node count l, checked,
+        which RunConfig lays out as the default lattice over the plant's
+        axes. One of centers and widths without the other is named
+        missing."""
         problems = []
-        number(l, "l", problems, **_COUNT)
+        number(l, "l", problems, **COUNT)
         if centers is _LATTICE or widths is _LATTICE:
             if centers is not widths:  # only one of the two is listed
                 problems.append(("centers" if centers is _LATTICE else "widths",
                                  "missing required field"))
-            if problems or dims is None:
+            if problems:
                 raise ConfigError(problems)
-            return cls.lattice(l, dims)
+            return l
         try:
             net = cls(centers, widths)
         except ConfigError as exc:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import bisect
 import contextlib
 import dataclasses
-import functools
 import json
 import os
 import sys
@@ -42,18 +41,9 @@ _PLANT = (PlantSpec, (*plain("n"), ("f", "f", [_MONOMIAL]), *plain("beta"),
 _CONSTRAINTS = (ConstraintConfig, (("Psi", "state_bounds", [SIGNALS]),
                                     ("A", "virtual_bounds", None)))
 _GAINS = (GainConfig, (*plain("k"), ("lambda", "lam", None), *plain("eta", "delta")))
-
-
-def _rbf(values) -> tuple:
-    """The rbf record's format: a default lattice spans the plant order,
-    unknown when the plant failed."""
-    plant = values.get("plant")
-    return (functools.partial(RbfNetwork.read, dims=plant.n if plant else None),
-            plain("l", "centers", "widths"))
-
-
+_RBF = (RbfNetwork.read, plain("l", "centers", "widths"))
 _RUN = (RunConfig, (("plant", "plant", _PLANT), ("constraints", "constraints", _CONSTRAINTS),
-                    ("rbf", "rbf", _rbf), ("gains", "gains", _GAINS), *plain("observer_gains"),
+                    ("rbf", "rbf", _RBF), ("gains", "gains", _GAINS), *plain("observer_gains"),
                     ("reference", "reference", SIGNALS),
                     *plain("initial_x", "horizon", "step", "decimation", "output_path")))
 

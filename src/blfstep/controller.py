@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING
 # bench/tracing.py patches the barrier and observer layers through them.
 from .barrier import blf_value, damped_inverse, nussbaum, q_value  # noqa: F401
 from .observer import estimate  # noqa: F401
-from .signals import ConfigError, number, number_field, numbers
+from .signals import ConfigError, number, number_field, numbers, parts
 
 if TYPE_CHECKING:
     import numpy as np
@@ -68,19 +68,17 @@ class GainConfig:
 
 class ConstraintConfig:
     """State bounds Psi_i(t) plus the per-level reserves A_{i-1} for the
-    virtual controls, from which the error envelopes psi_i(t) follow. A
-    state bound given as None failed to build and was named by its
-    builder: it counts as a level, is not checked, and nothing is built."""
+    virtual controls, from which the error envelopes psi_i(t) follow."""
 
     def __init__(self, state_bounds, virtual_bounds):
         problems = []
-        self.state_bounds = tuple(state_bounds)
-        self.virtual_bounds = numbers(virtual_bounds, "A", problems, at_least=0)
-        if self.virtual_bounds is not None and len(self.virtual_bounds) != self.n:
+        bounds = parts(state_bounds, "Psi", problems)
+        reserves = numbers(virtual_bounds, "A", problems, at_least=0)
+        if bounds is not None and reserves is not None and len(reserves) != len(bounds):
             problems.append(("A", f"need one virtual-control bound per level: got "
-                                  f"{len(self.virtual_bounds)} for {self.n} state bounds"))
+                                  f"{len(reserves)} for {len(bounds)} state bounds"))
         rates = []
-        for i, (bound, reserve) in enumerate(zip(self.state_bounds, self.virtual_bounds or ())):
+        for i, (bound, reserve) in enumerate(zip(bounds or (), reserves or ())):
             if bound is None or reserve is None:
                 continue
             psi0, rate0 = bound.value(0.0), bound.derivative(0.0)
@@ -96,8 +94,9 @@ class ConstraintConfig:
                                             f" - A[{i}]) = {rate:g} is not finite"))
             else:
                 rates.append(rate)
-        if problems or None in self.state_bounds:
+        if problems:
             raise ConfigError(problems)
+        self.state_bounds, self.virtual_bounds = bounds, reserves
         self.release_rates = tuple(rates)
 
     @property
@@ -266,9 +265,9 @@ def lyapunov_decay_rates(gains: GainConfig, observer_gains, basis_bound: float) 
     """
     problems = []
     number(basis_bound, "basis_bound", problems, at_least=0)
-    kobs = tuple(float(g) for g in observer_gains)
+    kobs = numbers(observer_gains, "observer_gains", problems)
     n = len(gains.k)
-    if len(kobs) != n:
+    if kobs is not None and len(kobs) != n:
         problems.append(("observer_gains", f"need {n} observer gains, got {len(kobs)}"))
     if problems:
         raise ConfigError(problems)

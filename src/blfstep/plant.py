@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .signals import ConfigError, number_field, numbers
+from .signals import ConfigError, number_field, numbers, parts
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,7 @@ class Monomial:
 @dataclass(frozen=True)
 class PlantSpec:
     """Order n, drift monomials f, input gain beta, one disturbance per
-    state. A part given as None failed to build and was named by its
-    builder: it is counted, not checked, and the plant is not built."""
+    state."""
 
     n: int
     f: tuple
@@ -47,18 +46,20 @@ class PlantSpec:
         problems = []
         if number_field(self, "beta", problems) == 0:
             problems.append(("beta", "control coefficient beta must be nonzero"))
-        object.__setattr__(self, "f", tuple(self.f))
-        object.__setattr__(self, "disturbances", tuple(self.disturbances))
+        f = parts(self.f, "f", problems, "monomial")
+        disturbances = parts(self.disturbances, "disturbances", problems)
         if number_field(self, "n", problems, integer=True, at_least=2) is not None:
-            if len(self.disturbances) != self.n:
+            if disturbances is not None and len(disturbances) != self.n:
                 problems.append(("disturbances", "need one disturbance signal per state: "
-                                 f"got {len(self.disturbances)} for order {self.n}"))
+                                 f"got {len(disturbances)} for order {self.n}"))
             problems += [(f"f[{i}].exponents", f"monomial exponent list length "
                           f"{len(mono.exponents)} does not match order {self.n}")
-                         for i, mono in enumerate(self.f)
+                         for i, mono in enumerate(f or ())
                          if mono is not None and len(mono.exponents) != self.n]
-        if problems or None in self.f + self.disturbances:
+        if problems:
             raise ConfigError(problems)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "disturbances", disturbances)
         # The drift compiled once: (coeff, ((j, e), ...)) with only the
         # nonzero exponents, in the order the product is formed.
         object.__setattr__(self, "_drift", tuple(

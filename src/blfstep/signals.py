@@ -13,8 +13,8 @@ The constructors raise ConfigError naming every parameter at fault.
 
 The module also holds ConfigError; number, the one numeric check of
 configuration input, with its list and field forms numbers and
-number_field; and the one reader and writer of configuration records,
-read_record and write_record.
+number_field; parts, the check of a list of components; and the one
+reader and writer of configuration records, read_record and write_record.
 """
 
 from __future__ import annotations
@@ -129,8 +129,7 @@ class ExpDecay:
 
 @dataclass(frozen=True)
 class SignalSum:
-    """Pointwise sum of one or more member signals. A term given as None
-    failed to build and was named by its builder: the sum is not built."""
+    """Pointwise sum of one or more member signals."""
 
     terms: tuple
 
@@ -139,9 +138,10 @@ class SignalSum:
             raise ConfigError([("terms", f"expected a non-empty list of signals, got {self.terms!r}")])
         if not self.terms:
             raise ConfigError([("terms", "expected at least one signal")])
-        object.__setattr__(self, "terms", tuple(self.terms))
-        if None in self.terms:
-            raise ConfigError([])
+        problems = []
+        object.__setattr__(self, "terms", parts(self.terms, "terms", problems))
+        if problems:
+            raise ConfigError(problems)
 
     def value(self, t: float) -> float:
         total = 0.0
@@ -203,13 +203,28 @@ def is_array(value) -> bool:
 
 def numbers(values, path: str, problems: list, **check):
     """values as a tuple of checked numbers (see number, which takes the
-    same keywords) if it is a list, with None in place of each entry at
+    same keywords) if it is a list or a numpy array, read as its list
+    of Python numbers, with None in place of each entry at
     fault, named path[i]; None, after one problem, if it is not a list."""
-    if not (isinstance(values, (list, tuple)) or is_array(values)):
+    if is_array(values):
+        values = values.tolist()  # numpy's integers and floats as Python's
+    if not isinstance(values, (list, tuple)):
         kind = "integers" if check.get("integer") else "numbers"
         problems.append((path, f"expected a list of {kind}, got {values!r}"))
         return None
     return tuple(number(v, f"{path}[{i}]", problems, **check) for i, v in enumerate(values))
+
+
+def parts(values, path: str, problems: list, kind: str = "signal"):
+    """values as a tuple if it is a list, after one problem for each entry
+    that is None, named path[i]; None, after one problem, if it is not a
+    list. Each part checked its own fields when it was built."""
+    if not isinstance(values, (list, tuple)):
+        problems.append((path, f"expected a list of {kind}s, got {values!r}"))
+        return None
+    problems += [(f"{path}[{i}]", f"expected a {kind}, got None")
+                 for i, value in enumerate(values) if value is None]
+    return tuple(values)
 
 
 def number_field(record, name: str, problems: list, path: str | None = None, **check):
@@ -223,10 +238,9 @@ def number_field(record, name: str, problems: list, path: str | None = None, **c
 # A record format is (make, fields), one (key, attribute, items) per JSON
 # key: the value is the argument of make and the attribute so named, and
 # the key is optional exactly when the argument has a default. items is
-# None for a plain value, a format for one nested record, [format] for a
-# list of records, or a function of the values read before it (by
-# attribute) that gives one of these. SIGNALS is the format of a tagged
-# signal, whose "kind" picks a format in _KINDS.
+# None for a plain value, a format for one nested record, or [format] for
+# a list of records. SIGNALS is the format of a tagged signal, whose
+# "kind" picks a format in _KINDS.
 SIGNALS = "tagged signal"
 _signature = functools.cache(inspect.signature)  # a format's required keys, per constructor
 
@@ -239,9 +253,13 @@ def plain(*keys) -> tuple:
 def read_record(record, path: str, format, problems: list):
     """The object the record at path describes, or None after recording a
     problem for each key, item and value at fault. Every nested record is
-    read before the record gives up; a failed one goes to make as None, in
-    its place, so the record's own values are still checked. The
-    document's own path is empty: make's problems keep their names."""
+    read before the record gives up. A part that failed to read, a nested
+    record, a list of them or an item of one, goes to make as None in its
+    place, so the record's own values are still checked. make names a None
+    part as it names any bad value; a problem it reports at or within a
+    failed part is dropped, as the part's own problems are recorded
+    already. The document's own path is empty: make's problems keep their
+    names."""
     if not isinstance(record, dict):
         problems.append((path, "expected an object") if path
                         else ("(document)", "expected a JSON object"))
@@ -255,7 +273,7 @@ def read_record(record, path: str, format, problems: list):
         if format is not _SINUSOID:  # only a Sinusoid holds its kind as a field
             record = {key: value for key, value in record.items() if key != "kind"}
     make, fields = format
-    params = _signature(getattr(make, "func", make)).parameters  # a partial's are its function's
+    params = _signature(make).parameters
     prefix = f"{path}." if path else ""
     missing = [(prefix + key, "missing required field") for key, name, _ in fields
                if key not in record and params[name].default is params[name].empty]
@@ -264,29 +282,32 @@ def read_record(record, path: str, format, problems: list):
     if missing or unknown:
         problems += missing + unknown
         return None
-    values, lists_read = {}, True
+    values, failed = {}, []  # failed: the paths of the parts that failed to read
     for key, attribute, items in fields:
         if key not in record:
             continue
-        value = record[key]
-        if callable(items):
-            items = items(values)
+        value, at = record[key], prefix + key
         if items is None:
             values[attribute] = value
-        elif not isinstance(items, list):
-            values[attribute] = read_record(value, prefix + key, items, problems)
+            continue
+        if not isinstance(items, list):
+            value = read_record(value, at, items, problems)
         elif isinstance(value, list):
-            values[attribute] = tuple(read_record(item, f"{prefix}{key}[{i}]", items[0], problems)
-                                      for i, item in enumerate(value))
+            value = tuple(read_record(item, f"{at}[{i}]", items[0], problems)
+                          for i, item in enumerate(value))
+            failed += [f"{at}[{i}]" for i, item in enumerate(value) if item is None]
         else:
-            problems.append((prefix + key, "expected a list"))
-            lists_read = False
-    if not lists_read:
-        return None
+            problems.append((at, "expected a list"))
+            value = None
+        if value is None:
+            failed.append(at)
+        values[attribute] = value
     try:
         return make(**values)
     except ConfigError as exc:
-        problems += [(prefix + p, m) for p, m in exc.problems]
+        named = [(prefix + p, m) for p, m in exc.problems]
+        problems += [(p, m) for p, m in named
+                     if not any(p == at or p.startswith((f"{at}.", f"{at}[")) for at in failed)]
         return None
 
 
@@ -300,8 +321,6 @@ def write_record(obj, format) -> dict:
     record = {}
     for key, attribute, items in format[1]:
         value = getattr(obj, attribute)
-        if callable(items):
-            items = items(vars(obj))
         if isinstance(items, list):
             record[key] = [write_record(item, items[0]) for item in value]
         elif items is not None:

@@ -30,10 +30,10 @@ from .observer import initial_dhat
 # The generated pass inlines the observer rates; they stay bound here
 # because bench/tracing.py patches the observer layer through them.
 from .observer import dhat_rate_final, dhat_rate_inner  # noqa: F401
-from .approximator import RbfNetwork
+from .approximator import COUNT, RbfNetwork
 from .passgen import NonFiniteState, compile_pass
 from .plant import PlantSpec
-from .signals import ConfigError, TimeSignal, number_field, numbers
+from .signals import ConfigError, TimeSignal, number, number_field, numbers
 
 if TYPE_CHECKING:
     import numpy as np
@@ -65,15 +65,16 @@ class RunConfig:
     the relations between the components, and raises ConfigError naming
     every field at fault, as the JSON document names it (".horizon",
     "rbf.centers"). Each component checks its own fields when it is
-    built. A component given as None failed to build and was named by its
-    builder: the run-level fields are still checked, the relations are
-    not, and the run is not built. The fields are frozen; build a variant
-    with dataclasses.replace, which checks it again.
+    built; one that is None is named ("plant"), and then the relations are
+    not checked. rbf is a network, or a node count l (named "rbf.l"),
+    which is laid out as RbfNetwork.lattice(l, plant.n). The fields are
+    frozen; build a variant with dataclasses.replace, which checks it
+    again.
     """
 
     plant: PlantSpec
     constraints: ConstraintConfig
-    rbf: RbfNetwork
+    rbf: RbfNetwork | int
     gains: GainConfig
     observer_gains: tuple
     reference: TimeSignal
@@ -101,8 +102,14 @@ class RunConfig:
             problems.append((f".observer_gains[{len(observer_gains) - 1}]",
                              f"must be below {limit:.6g}, got {observer_gains[-1]}"))
         initial_x = numbers(self.initial_x, ".initial_x", problems)
-        if None in (self.plant, self.constraints, self.rbf, self.gains, self.reference):
-            raise ConfigError(problems)
+        lattice = not isinstance(self.rbf, RbfNetwork)  # a node count, or at fault
+        if lattice:
+            number(self.rbf, "rbf.l", problems, **COUNT)
+        missing = [(name, "expected a component, got None")
+                   for name in ("plant", "constraints", "gains", "reference")
+                   if getattr(self, name) is None]
+        if missing:
+            raise ConfigError(problems + missing)
         n = self.plant.n
         if self.constraints.n != n:
             problems.append(("constraints.Psi", f"{self.constraints.n} levels for a plant of order {n}"))
@@ -112,11 +119,13 @@ class RunConfig:
             problems.append((".observer_gains", f"need {n} gains, got {len(observer_gains)}"))
         if initial_x is not None and len(initial_x) != n:
             problems.append((".initial_x", f"need {n} entries, got {len(initial_x)}"))
-        if self.rbf.n != n:
+        if not lattice and self.rbf.n != n:
             problems.append(("rbf.centers", f"centers have dimension {self.rbf.n}, "
                                             f"expected the plant order {n}"))
         if problems:
             raise ConfigError(problems)
+        if lattice:
+            object.__setattr__(self, "rbf", RbfNetwork.lattice(self.rbf, n))
         object.__setattr__(self, "observer_gains", observer_gains)
         object.__setattr__(self, "initial_x", initial_x)
 

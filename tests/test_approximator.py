@@ -132,3 +132,13 @@ def test_centers_and_widths_are_read_only_arrays_of_the_stored_floats():
     assert net.widths.tolist() == [2.0, 2.0, 0.5]
     for array in (net.centers, net.widths):
         assert array.dtype == np.float64 and not array.flags.writeable
+
+
+@pytest.mark.parametrize("centers, widths", [
+    pytest.param(np.array([[0, 0], [1, 1]]), np.array([1, 2]), id="integer"),
+    pytest.param(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([1.0, 2.0]), id="float"),
+])
+def test_numpy_arrays_give_the_same_floats_as_lists(centers, widths):
+    net = RbfNetwork(centers, widths)
+    assert net.center_values == ((0.0, 0.0), (1.0, 1.0)) and net.width_values == (1.0, 2.0)
+    assert all(type(v) is float for v in (*net.center_values[1], *net.width_values))

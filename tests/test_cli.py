@@ -151,8 +151,7 @@ class TestParse:
 
 
 def _formats():
-    """Every record format the run document uses, _RUN first. The rbf
-    format is taken without a plant."""
+    """Every record format the run document uses, _RUN first."""
     found, todo = {}, [cli._RUN]
     while todo:
         format = todo.pop(0)
@@ -160,8 +159,6 @@ def _formats():
             continue
         found[id(format)] = format
         for _, _, items in format[1]:
-            if callable(items):
-                items = items({})
             if isinstance(items, list):
                 (items,) = items
             if items is SIGNALS:
@@ -176,11 +173,11 @@ def test_run_format_names_each_run_config_field_once():
     assert sorted(attributes) == sorted(f.name for f in fields(RunConfig))
 
 
-@pytest.mark.parametrize("format", _formats(), ids=lambda f: getattr(f[0], "__name__", "rbf"))
+@pytest.mark.parametrize("format", _formats(),
+                         ids=lambda f: "rbf" if f is cli._RBF else f[0].__name__)
 def test_format_names_every_constructor_parameter(format):
     make, record_fields = format
-    bound = getattr(make, "keywords", {})  # what the format fixes, not the document
-    params = [name for name in inspect.signature(make).parameters if name not in bound]
+    params = list(inspect.signature(make).parameters)
     attributes = [attribute for _, attribute, _ in record_fields]
     assert sorted(attributes) == sorted(params)
     assert len({key for key, _, _ in record_fields}) == len(record_fields)

@@ -63,6 +63,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ConstraintConfig((Constant(2.0), Constant(2.0)), (0.0,))
 
+    def test_a_state_bound_that_is_none_is_named(self):
+        # it still counts as a level, and the reserves are still checked
+        with pytest.raises(ConfigError) as err:
+            ConstraintConfig((None, None), (1.0, -2.0))
+        assert err.value.problems == [("Psi[0]", "expected a signal, got None"),
+                                      ("Psi[1]", "expected a signal, got None"),
+                                      ("A[1]", "must be >= 0, got -2.0")]
+
 
 class TestEnvelopes:
     def test_initial_envelope_is_bound_minus_reserve(self):
@@ -264,6 +272,16 @@ class TestDiagnostics:
             lyapunov_decay_rates(gains, (7.0,), -1.0)
         assert err.value.problems == [("basis_bound", "must be >= 0, got -1.0"),
                                       ("observer_gains", "need 2 observer gains, got 1")]
+
+    @pytest.mark.parametrize("observer_gains, message", [
+        pytest.param(("x", 7.0), "expected a number, got 'x'", id="text"),
+        pytest.param((None, 7.0), "expected a number, got None", id="none"),
+    ])
+    def test_an_observer_gain_that_is_not_a_number_is_named(self, observer_gains, message):
+        gains = GainConfig(k=(5.0, 5.0), lam=14.0, eta=4.0)
+        with pytest.raises(ConfigError) as err:
+            lyapunov_decay_rates(gains, observer_gains, 1.0)
+        assert err.value.problems == [("observer_gains[0]", message)]
 
 
 # Reference implementations: the cascade pass and the closed-loop

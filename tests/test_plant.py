@@ -101,3 +101,16 @@ def test_state_length_checked():
     assert not isinstance(err.value, ConfigError)
     with pytest.raises(ValueError, match="length"):
         cubic_plant().rhs(0.0, (1.0, 2.0, 3.0), 0.0)
+
+
+def test_a_part_that_is_none_is_named():
+    with pytest.raises(ConfigError) as err:
+        PlantSpec(2, (None, Monomial(1.0, (1, 0))), 1.0, (None, Constant(0.0)))
+    assert err.value.problems == [("f[0]", "expected a monomial, got None"),
+                                  ("disturbances[0]", "expected a signal, got None")]
+
+
+def test_parts_that_are_not_lists_are_named():
+    with pytest.raises(ConfigError) as err:
+        PlantSpec(2, 5, 1.0, None)
+    assert [path for path, _ in err.value.problems] == ["f", "disturbances"]

@@ -127,3 +127,10 @@ def test_from_dict_rejects_unknown_kind():
 def test_from_dict_reports_path():
     with pytest.raises(ConfigError, match=r"plant\.disturbances\[0\]"):
         signal_from_dict({"kind": "expdecay", "a": 1.0}, "plant.disturbances[0]")
+
+
+def test_a_term_that_is_none_is_named():
+    # a term that failed to build reaches the sum as None
+    with pytest.raises(ConfigError) as err:
+        SignalSum((Constant(1.0), None))
+    assert err.value.problems == [("terms[1]", "expected a signal, got None")]

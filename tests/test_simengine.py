@@ -380,6 +380,10 @@ class TestRunConfigValidity:
         ({"observer_gains": (math.inf, 7.0)}, ".observer_gains[0]"),
         ({"initial_x": (math.nan, 0.0)}, ".initial_x[0]"),
         ({"decimation": True}, ".decimation"),
+        *[({name: None}, name) for name in ("plant", "constraints", "gains", "reference")],
+        ({"rbf": 0}, "rbf.l"),
+        ({"rbf": 12.0}, "rbf.l"),
+        ({"rbf": None}, "rbf.l"),
     ])
     def test_invalid_variant_names_the_field(self, sec6_config, overrides, field):
         with pytest.raises(ConfigError) as err:
@@ -391,6 +395,17 @@ class TestRunConfigValidity:
         with pytest.raises(ConfigError) as err:
             replace(sec6_config, horizon=1e300)
         assert named_fields(err) == [".horizon", ".step"]
+
+    def test_a_node_count_is_laid_out_as_the_default_lattice(self, sec6_config):
+        rbf, lattice = replace(sec6_config, rbf=30).rbf, RbfNetwork.lattice(30, 2)
+        assert rbf.center_values == lattice.center_values
+        assert rbf.width_values == lattice.width_values
+
+    @pytest.mark.parametrize("initial_x", [np.array([0, 1]), np.array([0.0, 1.0])],
+                             ids=["integer", "float"])
+    def test_initial_x_array_gives_floats(self, sec6_config, initial_x):
+        got = replace(sec6_config, initial_x=initial_x).initial_x
+        assert got == (0.0, 1.0) and all(type(v) is float for v in got)
 
     def test_relations_between_components_checked(self):
         with pytest.raises(ConfigError) as err:

@@ -28,7 +28,6 @@ from .controller import (
     BacksteppingCascade,
     ConstraintConfig,
     GainConfig,
-    StepRecord,
     lyapunov_decay_rates,
 )
 from .observer import (

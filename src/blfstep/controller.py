@@ -34,17 +34,14 @@ import functools
 import math
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 # The generated pass inlines these helpers; they stay bound here because
 # bench/tracing.py patches the barrier and observer layers through them.
 from .barrier import blf_value, damped_inverse, nussbaum, q_value  # noqa: F401
 from .observer import estimate  # noqa: F401
 from .signals import ConfigError, number, number_field, numbers, parts
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -128,28 +125,13 @@ class ConstraintConfig:
         return bound, bound - reserve * held, rate + r * reserve * held
 
 
-@dataclass(eq=False)
-class StepRecord:
-    """Controller internals at one instant (all arrays are per level)."""
-
-    z: np.ndarray
-    q: np.ndarray
-    eps_hat: np.ndarray
-    alpha: np.ndarray
-    v: np.ndarray
-    u: float
-    zeta_rate: np.ndarray
-    theta_rate: np.ndarray
-    nn_out: float
-    barrier_energy: float
-
-
 class RecordLayout:
     """The record format, said once: the column groups of a record table,
     one float64 row per kept instant, in the order the generated pass
-    writes them (see passgen). A vector group names its columns group1,
-    group2, ...; a scalar group (size None) is one column named after the
-    group. StepRecord, the CSV columns and SimResult's arrays are read
+    writes them (see passgen), each cell from the pass's local of the
+    column's name. A vector group names its columns group1, group2, ...;
+    a scalar group (size None) is one column named after the group. A
+    record (read), the CSV columns and SimResult's arrays are read
     through it."""
 
     def __init__(self, n: int, l: int):
@@ -165,22 +147,26 @@ class RecordLayout:
             self.index.update((name, start + i) for i, name in enumerate(self.names[group]))
         self.width = len(self.index)
         self.state = slice(1, self.at["theta"].stop)
-        self._record_at = [(f.name, self.at[f.name]) for f in fields(StepRecord)]
 
     def columns(self, groups) -> list:
         """The column names of the given groups, in that order."""
         return [name for group in groups for name in self.names[group]]
 
-    def read(self, row) -> StepRecord:
-        """The StepRecord a row, a float64 array, holds: a float per
-        scalar group, a view of the row per vector group."""
-        return StepRecord(**{name: row[at] if isinstance(at, slice) else float(row[at])
-                             for name, at in self._record_at})
+    def read(self, row) -> SimpleNamespace:
+        """The record a row, a float64 array, holds: one attribute per
+        group, a float for a scalar group and a read-only view of the row
+        for a vector group. Records compare their attributes, so == on two
+        of them raises ValueError (an array's truth value)."""
+        row = row.view()
+        row.flags.writeable = False
+        return SimpleNamespace(**{group: row[at] if isinstance(at, slice) else float(row[at])
+                                  for group, at in self.at.items()})
 
 
 class Records(Sequence):
-    """Read-only sequence of StepRecord over the rows of a record table;
-    a slice gives a Records over the selected rows.
+    """Read-only sequence of records over the rows of a record table,
+    each read by RecordLayout.read; a slice gives a Records over the
+    selected rows.
 
     The table is held once, as flat: a read-only memoryview of floats, the
     rows one after another, each layout.width cells in the layout's order.
@@ -244,9 +230,9 @@ class BacksteppingCascade:
         self.integrate(self.rates, row, t, 0, 5e-324, 1, *self.state(x, dhat, zeta, theta))
         return np.frombuffer(row)
 
-    def step(self, t: float, x, dhat, zeta, theta) -> StepRecord:
-        """Full controller record at one instant (pure; repeat calls with
-        the same inputs produce identical records)."""
+    def step(self, t: float, x, dhat, zeta, theta) -> SimpleNamespace:
+        """The record of _eval's row, read by RecordLayout.read (pure;
+        repeat calls with the same inputs produce identical records)."""
         return self.layout.read(self._eval(t, x, dhat, zeta, theta))
 
 

@@ -32,11 +32,14 @@ A float-weight network (see RbfNetwork.float_weights) is written out on
 floats with no numpy call, so its bits do not depend on CPU dispatch:
 each squared distance (c - x_i)^2 once per distinct center coordinate,
 node j as one math.exp of its squares summed over the axes divided by
--b_j, theta . phi as w1 * p1 + w2 * p2 + ... and ||theta|| as
-sqrt(w1 * w1 + w2 * w2 + ...), every sum left to right. A larger one
-keeps its weights as one float64 array theta, with RbfNetwork.basis
-(np.exp) and numpy's BLAS dot. The state, in every signature below, is
-x1..xn, dhat1..dhatn, zeta1..zetan and the weights, w1..wl or theta.
+-b_j, theta . phi as theta1 * p1 + theta2 * p2 + ... and ||theta|| as
+sqrt(theta1 * theta1 + theta2 * theta2 + ...), every sum left to right.
+A larger one keeps its weights as one float64 array theta, with
+RbfNetwork.basis (np.exp) and numpy's BLAS dot. The state, in every
+signature below, is x1..xn, dhat1..dhatn, zeta1..zetan and the weights,
+theta1..thetal or theta. A local that fills a record column is named
+after the column (see controller.RecordLayout): eps_hat1, alpha1,
+zeta_rate1, theta_rate1, nn_out, theta_norm and so on.
 
 A closed loop compiles to three functions:
 
@@ -154,19 +157,20 @@ class _Loop:
 
     def __init__(self, config, layout):
         self.config, self.layout = config, layout
-        n, rbf = config.plant.n, config.rbf
+        n, rbf, names = config.plant.n, config.rbf, layout.names
         self.n, self.rbf, self.floats = n, rbf, rbf.float_weights
-        self.x, self.dhat, self.zeta = _names("x", n), _names("dhat", n), _names("zeta", n)
-        self.weights = _names("w", rbf.l) if self.floats else ["theta"]
+        self.x, self.dhat, self.zeta = names["x"], names["dhat"], names["zeta"]
+        self.weights = names["theta"] if self.floats else ["theta"]
         # ||theta||, the square root of the weights' dot with themselves
-        squares = " + ".join(f"{w} * {w}" for w in self.weights)
-        self.norm = f"norm = sqrt({squares})" if self.floats else "norm = sqrt(weights.dot(weights))"
+        squares = (" + ".join(f"{w} * {w}" for w in self.weights) if self.floats
+                   else "theta.dot(theta)")
+        self.norm = f"theta_norm = sqrt({squares})"
         self.state = self.x + self.dhat + self.zeta + self.weights
-        self.z, self.q, self.e, self.a = (_names(p, n) for p in ("z", "q", "e", "a"))
-        self.v = _names("v", n - 1)
-        self.big_psi, self.psi, self.dpsi = _names("Psi", n), _names("psi", n), _names("dpsi", n)
-        self.dzeta = _names("dzeta", n)
-        self.dweights = _names("dw", rbf.l) if self.floats else ["dtheta"]
+        self.z, self.q, self.e, self.a, self.v = (names[group] for group in
+                                                  ("z", "q", "eps_hat", "alpha", "v"))
+        self.big_psi, self.psi, self.dpsi = names["Psi"], names["psi"], _names("dpsi", n)
+        self.dzeta = names["zeta_rate"]
+        self.dweights = names["theta_rate"] if self.floats else ["theta_rate"]
         self.rates = _names("dx", n) + _names("ddhat", n) + self.dzeta + self.dweights
         self.memo = (["memo_t", "y_d"] + self.big_psi + self.psi + self.dpsi
                      + ["dist_t"] + _names("d", n))
@@ -185,16 +189,16 @@ class _Loop:
         them: read into the memo unless t is its time."""
         lines = ["if t != memo_t:"]
         constraints = self.config.constraints
-        for i, (reserve, r) in enumerate(zip(constraints.virtual_bounds,
-                                             constraints.release_rates)):
-            j = i + 1
-            lines.append(f"    Psi{j}, dpsi{j} = bound{j}(t)")
+        for j, (big_psi, psi, dpsi, reserve, r) in enumerate(zip(
+                self.big_psi, self.psi, self.dpsi, constraints.virtual_bounds,
+                constraints.release_rates), 1):
+            lines.append(f"    {big_psi}, {dpsi} = bound{j}(t)")
             if reserve == 0.0:
-                lines.append(f"    psi{j} = Psi{j}")
+                lines.append(f"    {psi} = {big_psi}")
             else:
                 lines += [f"    held = exp(-{_lit(r)} * t)",
-                          f"    psi{j} = Psi{j} - {_lit(reserve)} * held",
-                          f"    dpsi{j} = dpsi{j} + {_lit(r)} * {_lit(reserve)} * held"]
+                          f"    {psi} = {big_psi} - {_lit(reserve)} * held",
+                          f"    {dpsi} = {dpsi} + {_lit(r)} * {_lit(reserve)} * held"]
         return lines + ["    y_d = reference(t)", "    memo_t = t"]
 
     def pass_(self) -> list:
@@ -209,8 +213,8 @@ class _Loop:
                 for node, center in zip(nodes, rbf.center_values):
                     node.append(squares.setdefault(_lit(center[axis]),
                                                    f"sq{axis + 1}_{len(squares) + 1}"))
-                lines += [f"{name} = ({c} - x{axis + 1}) * ({c} - x{axis + 1})"
-                          for c, name in squares.items()]
+                x = self.x[axis]
+                lines += [f"{name} = ({c} - {x}) * ({c} - {x})" for c, name in squares.items()]
             for j, (node, b) in enumerate(zip(nodes, rbf.width_values)):
                 sums, total = _sum(node, "sq")
                 lines += sums + [f"p{j + 1} = exp(({total}) / {_lit(-b)})"]
@@ -221,50 +225,47 @@ class _Loop:
 
         gains, kobs = self.config.gains, self.config.observer_gains
         reciprocal_gain = kobs[-1] ** 4 / 8.0
-        for i, (k, g) in enumerate(zip(gains.k, kobs)):
-            j = i + 1
-            prev = "y_d" if i == 0 else f"v{i}"
-            lines += [f"z{j} = x{j} - {prev}",
-                      f"if not (abs(z{j}) < psi{j}):",
-                      f"    raise BarrierViolation(z{j}, psi{j}, level={j}, t=t)",
-                      f"q{j} = z{j} / ((psi{j} - z{j}) * (psi{j} + z{j}))",
-                      f"e{j} = dhat{j} + {_lit(g)} * z{j}"]
+        for j, (prev, x, dhat, zeta, z, psi, dpsi, q, e, a, out, dzeta, k, g) in enumerate(zip(
+                ["y_d"] + self.v, self.x, self.dhat, self.zeta, self.z, self.psi, self.dpsi,
+                self.q, self.e, self.a, self.v + ["u"], self.dzeta, gains.k, kobs), 1):
+            lines += [f"{z} = {x} - {prev}",
+                      f"if not (abs({z}) < {psi}):",
+                      f"    raise BarrierViolation({z}, {psi}, level={j}, t=t)",
+                      f"{q} = {z} / (({psi} - {z}) * ({psi} + {z}))",
+                      f"{e} = {dhat} + {_lit(g)} * {z}"]
             if j < n:
-                lines += [f"a{j} = {_lit(k)} * z{j} + e{j} + q{j} - (z{j} / psi{j}) * dpsi{j}",
-                          f"v{j} = zeta{j} * zeta{j} * cos(zeta{j}) * a{j}"]
+                lines.append(f"{a} = {_lit(k)} * {z} + {e} + {q} - ({z} / {psi}) * {dpsi}")
             else:
-                lines += ["nn = " + " + ".join(f"{w} * p{j + 1}" for j, w in enumerate(self.weights))
-                          if floats else "weights = asarray(theta)\nnn = float(weights.dot(phi))",
-                          f"a{j} = ({_lit(k)} * z{j} + e{j} + 0.5 * q{j} - (z{j} / psi{j}) * dpsi{j}"
-                          f" + nn + q{j} / (q{j} * q{j} + {_lit(gains.delta)})"
-                          f" * {_lit(reciprocal_gain)})",
-                          f"u = zeta{j} * zeta{j} * cos(zeta{j}) * a{j}"]
-            lines.append(f"dzeta{j} = q{j} * a{j}")
+                lines += ["nn_out = " + " + ".join(f"{w} * p{i}" for i, w in enumerate(self.weights, 1))
+                          if floats else "theta = asarray(theta)\nnn_out = float(theta.dot(phi))",
+                          f"{a} = ({_lit(k)} * {z} + {e} + 0.5 * {q} - ({z} / {psi}) * {dpsi}"
+                          f" + nn_out + {q} / ({q} * {q} + {_lit(gains.delta)})"
+                          f" * {_lit(reciprocal_gain)})"]
+            lines += [f"{out} = {zeta} * {zeta} * cos({zeta}) * {a}", f"{dzeta} = {q} * {a}"]
 
         lam, kn_sq, eta = _lit(gains.lam), _lit(kobs[-1] ** 2), _lit(gains.eta)
-        qn = f"q{n}"
+        qn = self.q[-1]
         if floats:
-            lines += [f"dw{j + 1} = {lam} * ({qn} * p{j + 1} - {kn_sq} * {w} - {eta} * {w})"
-                      for j, w in enumerate(self.weights)]
+            lines += [f"{dw} = {lam} * ({qn} * p{i} - {kn_sq} * {w} - {eta} * {w})"
+                      for i, (w, dw) in enumerate(zip(self.weights, self.dweights), 1)]
         else:
-            lines.append(f"dtheta = {lam} * ({qn} * phi - {kn_sq} * weights - {eta} * weights)")
+            lines.append(f"theta_rate = {lam} * ({qn} * phi - {kn_sq} * theta - {eta} * theta)")
         return lines
 
     def row(self) -> list:
         """The statements that write the record-table row at t into the
-        flat table from byte at on, after the pass and norm = ||theta||:
-        the layout's groups in order, packed as doubles by one pack_row
-        call, the energy as blf_value's terms."""
+        flat table from byte at on, after the pass: the local of each of
+        the layout's columns in order (the array layout's theta and
+        theta_rate as their floats, the energy inline as blf_value's
+        terms), packed as doubles by one pack_row call."""
         sums, energy = _sum(["0.0"] + [f"-0.5 * log1p(-({z} / {psi}) ** 2)"
                                        for z, psi in zip(self.z, self.psi)], "energy")
-        weights, rates = ((self.weights, self.dweights) if self.floats
-                          else (["*weights.tolist()"], ["*dtheta.tolist()"]))
-        cells = dict(t=["t"], x=self.x, dhat=self.dhat, zeta=self.zeta, theta=weights,
-                     Psi=self.big_psi, psi=self.psi, z=self.z, q=self.q, eps_hat=self.e,
-                     alpha=self.a, v=self.v, u=["u"], zeta_rate=self.dzeta, theta_rate=rates,
-                     nn_out=["nn"], barrier_energy=[energy], theta_norm=["norm"], y_d=["y_d"])
-        return sums + ["pack_row(table, at, "
-                       + ", ".join(c for group in self.layout.at for c in cells[group]) + ")",
+        cells = {"barrier_energy": [energy]}
+        if not self.floats:
+            cells.update(theta=["*theta.tolist()"], theta_rate=["*theta_rate.tolist()"])
+        return sums + ["pack_row(table, at, " + ", ".join(
+                           c for group, names in self.layout.names.items()
+                           for c in cells.get(group, names)) + ")",
                        f"at += {8 * self.layout.width}"]
 
     def plant_rates(self) -> list:
@@ -275,14 +276,15 @@ class _Loop:
         lines.append("    dist_t = t")
         # the drift as PlantSpec.nonlinearity sums it: from 0.0, each
         # monomial its coefficient times its powers, left to right
-        drift = ["0.0"] + [" * ".join([_lit(coeff)] + [f"x{j + 1} ** {e!r}" for j, e in powers])
+        drift = ["0.0"] + [" * ".join([_lit(coeff)] + [f"{self.x[j]} ** {e!r}" for j, e in powers])
                            for coeff, powers in plant._drift]
         sums, total = _sum(drift, "drift")
         lines += sums + [f"drift = {total}"]
-        lines += [f"dx{j} = x{j + 1} + d{j}" for j in range(1, n)]
+        lines += [f"dx{j} = {self.x[j]} + d{j}" for j in range(1, n)]
         lines.append(f"dx{n} = drift + {_lit(plant.beta)} * u + d{n}")
-        lines += [f"ddhat{j} = {_lit(-kobs[j - 1])} * (x{j + 1} + e{j})" for j in range(1, n)]
-        lines.append(f"ddhat{n} = {_lit(-kobs[n - 1])} * (nn + u + e{n})")
+        lines += [f"ddhat{j} = {_lit(-kobs[j - 1])} * ({self.x[j]} + {self.e[j - 1]})"
+                  for j in range(1, n)]
+        lines.append(f"ddhat{n} = {_lit(-kobs[n - 1])} * (nn_out + u + {self.e[-1]})")
         return lines
 
     def metrics(self) -> tuple:
@@ -301,11 +303,11 @@ class _Loop:
                   ("max_abs_eps_hat_rate", "max_de", [f"abs({e} - last_{e}) / h" for e in self.e]),
                   ("observed_max_abs_v", "max_v", [f"abs({v})" for v in self.v]),
                   ("max_abs_y_d", "max_y_d", "abs(y_d)"), ("max_abs_u", "max_u", "abs(u)"),
-                  ("max_theta_norm", "max_norm", "norm")]
+                  ("max_theta_norm", "max_norm", "theta_norm")]
         reserve = _names("reserve", self.n)
         start, update = ["tail"], [self.norm]
-        fields = ["tracking_rmse_tail=sqrt(tail / tail_count)", "final_theta_norm=norm",
-                  f"reserve_exceeded_at=[{', '.join(reserve)}]"]
+        fields = ["tracking_rmse_tail=sqrt(tail / tail_count)", "final_theta_norm=theta_norm",
+                  f"reserve_exceeded_at={_tuple(reserve)}"]
         for name, local, values in maxima:
             vector = isinstance(values, list)
             names = _names(local, len(values)) if vector else [local]
@@ -313,10 +315,10 @@ class _Loop:
             for m, value in zip(names, values if vector else [values]):
                 update += [f"if {value} > {m}:", f"    {m} = {value}"]
             fields.append(f"{name}=" + (_tuple(names) if vector else local))
-        for j, r in enumerate(reserve, 1):
-            update += [f"if {r} is None and abs(x{j} - z{j}) > Psi{j} - psi{j}:", f"    {r} = t"]
+        for r, x, z, big_psi, psi in zip(reserve, self.x, self.z, self.big_psi, self.psi):
+            update += [f"if {r} is None and abs({x} - {z}) > {big_psi} - {psi}:", f"    {r} = t"]
         update += [f"{_unpack(last_e)} = {_unpack(self.e)}",
-                   "if 2 * k >= steps:", "    tail += z1 ** 2", "    tail_count += 1"]
+                   "if 2 * k >= steps:", f"    tail += {self.z[0]} ** 2", "    tail_count += 1"]
         start = [" = ".join(start + ["0.0"]), " = ".join(last_e + ["float('nan')"]),
                  " = ".join(reserve + ["None"]), "tail_count = 0"]
         return start, update, "dict(" + ",\n     ".join(fields) + ")"

@@ -46,7 +46,7 @@ class PlantSpec:
         problems = []
         if number_field(self, "beta", problems) == 0:
             problems.append(("beta", "control coefficient beta must be nonzero"))
-        f = parts(self.f, "f", problems, "monomial")
+        f = parts(self.f, "f", problems, "monomial", lambda part: isinstance(part, Monomial))
         disturbances = parts(self.disturbances, "disturbances", problems)
         if number_field(self, "n", problems, integer=True, at_least=2) is not None:
             if disturbances is not None and len(disturbances) != self.n:

@@ -13,8 +13,9 @@ The constructors raise ConfigError naming every parameter at fault.
 
 The module also holds ConfigError; number, the one numeric check of
 configuration input, with its list and field forms numbers and
-number_field; parts, the check of a list of components; and the one
-reader and writer of configuration records, read_record and write_record.
+number_field; is_signal, the check of a time signal; parts, the check of
+a list of components; and the one reader and writer of configuration
+records, read_record and write_record.
 """
 
 from __future__ import annotations
@@ -215,16 +216,27 @@ def numbers(values, path: str, problems: list, **check):
     return tuple(number(v, f"{path}[{i}]", problems, **check) for i, v in enumerate(values))
 
 
-def parts(values, path: str, problems: list, kind: str = "signal"):
-    """values as a tuple if it is a list, after one problem for each entry
-    that is None, named path[i]; None, after one problem, if it is not a
-    list. Each part checked its own fields when it was built."""
+def is_signal(value) -> bool:
+    """Whether value is a time signal: an object, not a class, with
+    callable value, derivative and value_and_derivative, which is all the
+    loop and ConstraintConfig call. A signal is duck-typed, so a wrapper
+    around one is one too."""
+    return not isinstance(value, type) and all(
+        callable(getattr(value, name, None))
+        for name in ("value", "derivative", "value_and_derivative"))
+
+
+def parts(values, path: str, problems: list, kind: str = "signal", of=is_signal):
+    """values as a tuple if it is a list, with None in place of each entry
+    that is not of its kind (of(entry) is false), after one problem for
+    each, named path[i]; None, after one problem, if it is not a list.
+    Each part checked its own fields when it was built."""
     if not isinstance(values, (list, tuple)):
         problems.append((path, f"expected a list of {kind}s, got {values!r}"))
         return None
-    problems += [(f"{path}[{i}]", f"expected a {kind}, got None")
-                 for i, value in enumerate(values) if value is None]
-    return tuple(values)
+    problems += [(f"{path}[{i}]", f"expected a {kind}, got {value!r}")
+                 for i, value in enumerate(values) if not of(value)]
+    return tuple(value if of(value) else None for value in values)
 
 
 def number_field(record, name: str, problems: list, path: str | None = None, **check):

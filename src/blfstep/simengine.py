@@ -33,7 +33,7 @@ from .observer import dhat_rate_final, dhat_rate_inner  # noqa: F401
 from .approximator import COUNT, RbfNetwork
 from .passgen import NonFiniteState, compile_pass
 from .plant import PlantSpec
-from .signals import ConfigError, TimeSignal, number, number_field, numbers
+from .signals import ConfigError, TimeSignal, is_signal, number, number_field, numbers
 
 if TYPE_CHECKING:
     import numpy as np
@@ -65,11 +65,12 @@ class RunConfig:
     the relations between the components, and raises ConfigError naming
     every field at fault, as the JSON document names it (".horizon",
     "rbf.centers"). Each component checks its own fields when it is
-    built; one that is None is named ("plant"), and then the relations are
-    not checked. rbf is a network, or a node count l (named "rbf.l"),
-    which is laid out as RbfNetwork.lattice(l, plant.n). The fields are
-    frozen; build a variant with dataclasses.replace, which checks it
-    again.
+    built; one that is not of its class, or a reference that is not a
+    signal (see signals.is_signal), is named ("plant"), and then the
+    relations are not checked. rbf is a network, or a node count l (named
+    "rbf.l"), which is laid out as RbfNetwork.lattice(l, plant.n). The
+    fields are frozen; build a variant with dataclasses.replace, which
+    checks it again.
     """
 
     plant: PlantSpec
@@ -105,11 +106,14 @@ class RunConfig:
         lattice = not isinstance(self.rbf, RbfNetwork)  # a node count, or at fault
         if lattice:
             number(self.rbf, "rbf.l", problems, **COUNT)
-        missing = [(name, "expected a component, got None")
-                   for name in ("plant", "constraints", "gains", "reference")
-                   if getattr(self, name) is None]
-        if missing:
-            raise ConfigError(problems + missing)
+        wrong = [(name, f"expected a {kind.__name__}, got {getattr(self, name)!r}")
+                 for name, kind in (("plant", PlantSpec), ("constraints", ConstraintConfig),
+                                    ("gains", GainConfig))
+                 if not isinstance(getattr(self, name), kind)]
+        if not is_signal(self.reference):
+            wrong.append(("reference", f"expected a signal, got {self.reference!r}"))
+        if wrong:
+            raise ConfigError(problems + wrong)
         n = self.plant.n
         if self.constraints.n != n:
             problems.append(("constraints.Psi", f"{self.constraints.n} levels for a plant of order {n}"))
@@ -133,7 +137,8 @@ class RunConfig:
 @dataclass
 class RunMetrics:
     """Run-level summaries over every accepted step (not just recorded
-    ones). A per-level field is a tuple of floats, one per level."""
+    ones). A per-level field is a tuple, one entry per level: a float, or
+    for reserve_exceeded_at a time or None."""
 
     tracking_rmse_tail: float
     max_constraint_ratio: tuple
@@ -152,7 +157,7 @@ class RunMetrics:
     # coordinate is measured from (y_d at level 1, v_{i-1} above) exceeded
     # the reserve Psi_i - psi_i still held, or None; |x_i| < Psi_i is
     # guaranteed only while it has not
-    reserve_exceeded_at: list
+    reserve_exceeded_at: tuple
 
 
 @dataclass

@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from blfstep.barrier import BarrierViolation, blf_value, damped_inverse, nussbau
 from blfstep.controller import (
     ConstraintConfig,
     GainConfig,
-    StepRecord,
     lyapunov_decay_rates,
 )
 from blfstep.observer import dhat_rate_final, dhat_rate_inner, estimate
@@ -70,6 +69,13 @@ class TestConfigValidation:
         assert err.value.problems == [("Psi[0]", "expected a signal, got None"),
                                       ("Psi[1]", "expected a signal, got None"),
                                       ("A[1]", "must be >= 0, got -2.0")]
+
+
+    def test_a_state_bound_that_is_not_a_signal_is_named(self):
+        with pytest.raises(ConfigError) as err:
+            ConstraintConfig((1.0, 2.0), (0.0, 0.0))
+        assert err.value.problems == [("Psi[0]", "expected a signal, got 1.0"),
+                                      ("Psi[1]", "expected a signal, got 2.0")]
 
 
 class TestEnvelopes:
@@ -488,8 +494,8 @@ def assert_row_matches(casc, t, x, dhat, zeta, theta):
     assert bits(got) == bits(ref), [name for name, i in layout.index.items()
                                     if bits(got[i]) != bits(ref[i])]
     rec = casc.step(t, x, dhat, zeta, theta)
-    for f in fields(StepRecord):
-        assert bits(getattr(rec, f.name)) == bits(ref[layout.at[f.name]]), f.name
+    for group, at in layout.at.items():
+        assert bits(getattr(rec, group)) == bits(ref[at]), group
     return True
 
 

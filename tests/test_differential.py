@@ -168,7 +168,7 @@ def assert_metrics_equal(metrics, want):
     for field in fields(metrics):
         value = getattr(metrics, field.name)
         if field.name == "reserve_exceeded_at":
-            assert value == want[field.name]
+            assert value == tuple(want[field.name])
         else:
             assert bits(value) == bits(want[field.name]), field.name
 

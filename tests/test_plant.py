@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -108,6 +109,18 @@ def test_a_part_that_is_none_is_named():
         PlantSpec(2, (None, Monomial(1.0, (1, 0))), 1.0, (None, Constant(0.0)))
     assert err.value.problems == [("f[0]", "expected a monomial, got None"),
                                   ("disturbances[0]", "expected a signal, got None")]
+
+
+def test_a_part_of_the_wrong_kind_is_named():
+    # a signal is not a monomial, and a number is not a signal; the other
+    # drift term's exponents are still checked
+    with pytest.raises(ConfigError) as err:
+        replace(cubic_plant(), f=(Constant(1.0), Monomial(1.0, (1,))), disturbances=(1.0, 2.0))
+    assert err.value.problems == [("f[0]", "expected a monomial, got Constant(c=1.0)"),
+                                  ("disturbances[0]", "expected a signal, got 1.0"),
+                                  ("disturbances[1]", "expected a signal, got 2.0"),
+                                  ("f[1].exponents", "monomial exponent list length 1 "
+                                                     "does not match order 2")]
 
 
 def test_parts_that_are_not_lists_are_named():

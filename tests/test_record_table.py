@@ -1,7 +1,8 @@
 """The run's record table: the CSV against an oracle that does not read
 it, emission without signal evaluations, and the records sequence."""
 
-from dataclasses import fields, replace
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 import blfstep
 from blfstep.approximator import RbfNetwork
 from blfstep.cli import csv_header, emit_csv, emit_report
-from blfstep.controller import ConstraintConfig, Records, StepRecord
+from blfstep.controller import ConstraintConfig, Records
 from blfstep.signals import Constant, ExpDecay, SignalSum, Sinusoid
 from blfstep.simengine import ClosedLoop, run
 
@@ -54,10 +55,10 @@ def assert_records_equal_fresh_steps(result):
     loop = ClosedLoop(cfg)
     for t, s, rec in zip(result.times.tolist(), result.trajectory, result.records):
         fresh = loop.step(t, s[:n], s[n:2 * n], s[2 * n:3 * n], s[3 * n:])
-        for f in fields(StepRecord):
-            got, want = getattr(rec, f.name), getattr(fresh, f.name)
-            assert type(got) is type(want), (t, f.name)
-            assert bits(got) == bits(want), (t, f.name)
+        for group in loop.layout.at:
+            got, want = getattr(rec, group), getattr(fresh, group)
+            assert type(got) is type(want), (t, group)
+            assert bits(got) == bits(want), (t, group)
 
 
 @pytest.mark.parametrize("decimation", [1, 7, 10])
@@ -107,9 +108,10 @@ def test_records_behave_as_a_list_of_step_records(sec6_config):
     records = res.records
     as_list = list(records)
     assert len(records) == len(as_list) == 11
-    assert all(isinstance(rec, StepRecord) for rec in as_list)
-    assert all(bits(getattr(records[-1], f.name)) == bits(getattr(as_list[-1], f.name))
-               for f in fields(StepRecord))
+    groups = list(records.layout.at)
+    assert all(type(rec) is SimpleNamespace and list(vars(rec)) == groups for rec in as_list)
+    assert all(bits(getattr(records[-1], group)) == bits(getattr(as_list[-1], group))
+               for group in groups)
     part = records[2:5]
     assert type(part) is Records and len(part) == 3
     assert [bits(rec.z) for rec in part] == [bits(rec.z) for rec in as_list[2:5]]
@@ -141,9 +143,49 @@ def test_step_record_fields_are_layout_groups(sec6_result):
     layout = sec6_result.records.layout
     rec = sec6_result.records[-1]
     row = sec6_result.records.table[-1]
-    for f in fields(StepRecord):
-        value, at = getattr(rec, f.name), layout.at[f.name]
+    for group, at in layout.at.items():
+        value = getattr(rec, group)
         if isinstance(at, slice):  # a vector group: a view of its columns
-            assert np.shares_memory(value, row) and len(value) == len(layout.names[f.name])
+            assert np.shares_memory(value, row) and len(value) == len(layout.names[group])
         else:
             assert type(value) is float and value == row[at]
+
+
+@pytest.mark.parametrize("l", [12, 30], ids=["float", "array"])
+def test_a_record_has_every_layout_group_with_the_bits_of_its_row(sec6_config, l):
+    # the record of a run's row and of the map at the same state alike
+    res = run(replace(sec6_config, rbf=l, horizon=0.05, decimation=1))
+    table, layout, n = res.records.table, res.records.layout, res.config.plant.n
+    loop = ClosedLoop(res.config)
+    for k in (0, len(res.records) - 1):
+        s = res.trajectory[k]
+        fresh = loop.step(float(res.times[k]), s[:n], s[n:2 * n], s[2 * n:3 * n], s[3 * n:])
+        for rec in (res.records[k], fresh):
+            assert list(vars(rec)) == list(layout.at)
+            for group, at in layout.at.items():
+                value = getattr(rec, group)
+                assert bits(value) == bits(table[k, at]), (k, group)
+                if isinstance(at, slice):  # a read-only view of its columns
+                    assert type(value) is np.ndarray and value.base is not None, group
+                    assert not value.flags.writeable, group
+                else:
+                    assert type(value) is float, group
+    # records compare their attributes: == on two of them meets an array
+    with pytest.raises(ValueError):
+        res.records[0] == res.records[0]
+
+
+def test_the_generated_pass_names_each_column_after_the_layout():
+    # every cell of a float-weight row is a name of integrate, the layout's
+    # column name: a local, or for the time signals (y_d, Psi_i, psi_i) the
+    # memo integrate shares with rates and signals; only the barrier energy
+    # is an expression
+    for cfg in (blfstep.load_config_file(blfstep.paper_sec6_path()), third_order_config()):
+        loop = ClosedLoop(cfg)
+        assert loop.float_weights
+        code = loop.integrate.__code__
+        names = set(code.co_varnames) | set(code.co_freevars)
+        columns = [name for name in loop.layout.index if name != "barrier_energy"]
+        assert [name for name in columns if name not in names] == []
+        assert {"eps_hat1", "alpha1", "zeta_rate1", "theta1", "theta_rate1", "nn_out",
+                "theta_norm"} <= set(code.co_varnames)

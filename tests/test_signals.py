@@ -129,6 +129,12 @@ def test_from_dict_reports_path():
         signal_from_dict({"kind": "expdecay", "a": 1.0}, "plant.disturbances[0]")
 
 
+def test_a_term_that_is_not_a_signal_is_named():
+    with pytest.raises(ConfigError) as err:
+        SignalSum((1.0,))
+    assert err.value.problems == [("terms[0]", "expected a signal, got 1.0")]
+
+
 def test_a_term_that_is_none_is_named():
     # a term that failed to build reaches the sum as None
     with pytest.raises(ConfigError) as err:

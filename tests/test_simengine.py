@@ -306,7 +306,7 @@ class TestRun:
         def row_bits(res, j):
             rec = res.records[j]
             return ([bits(res.trajectory[j])]
-                    + [bits(getattr(rec, f.name)) for f in fields(rec)])
+                    + [bits(getattr(rec, group)) for group in res.records.layout.at])
 
         every = run(replace(sec6_config, horizon=1.0, decimation=1))
         assert len(every.records) == 1001
@@ -384,6 +384,12 @@ class TestRunConfigValidity:
         ({"rbf": 0}, "rbf.l"),
         ({"rbf": 12.0}, "rbf.l"),
         ({"rbf": None}, "rbf.l"),
+        # a component of the wrong kind, named as None is
+        ({"plant": 3}, "plant"),
+        ({"gains": "x"}, "gains"),
+        ({"constraints": 1.0}, "constraints"),
+        ({"reference": 1.0, "horizon": 0.01}, "reference"),
+        ({"reference": Constant}, "reference"),  # a signal class, not a signal
     ])
     def test_invalid_variant_names_the_field(self, sec6_config, overrides, field):
         with pytest.raises(ConfigError) as err:

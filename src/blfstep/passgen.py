@@ -55,8 +55,8 @@ order:
     |z_i| / psi_i, |zeta_i|, |eps_hat_i|, |eps_hat_i - its previous
     value| / h (from the second point on), |v_i|, |y_d|, |u| and
     ||theta||; per level the first t at which |x_i - z_i| exceeds the
-    reserve Psi_i - psi_i; and from k >= steps / 2 on the tail sum of
-    z_1^2;
+    reserve Psi_i - psi_i; the maximum of |z_1| over t <= 2; and from
+    k >= steps / 2 on the tail sum of z_1^2 and the maximum of |z_1|;
   - at every decimation-th point and the last one, writes the record-table
     row at t, in the column order of controller.RecordLayout, to the
     table's next row: table is a flat writable buffer of doubles, rows by
@@ -305,9 +305,10 @@ class _Loop:
                   ("max_abs_y_d", "max_y_d", "abs(y_d)"), ("max_abs_u", "max_u", "abs(u)"),
                   ("max_theta_norm", "max_norm", "theta_norm")]
         reserve = _names("reserve", self.n)
-        start, update = ["tail"], [self.norm]
+        start, update = ["tail", "early_z1", "late_z1"], [self.norm]
         fields = ["tracking_rmse_tail=sqrt(tail / tail_count)", "final_theta_norm=theta_norm",
-                  f"reserve_exceeded_at={_tuple(reserve)}"]
+                  f"reserve_exceeded_at={_tuple(reserve)}", "early_max_abs_z1=early_z1",
+                  "late_max_abs_z1=late_z1"]
         for name, local, values in maxima:
             vector = isinstance(values, list)
             names = _names(local, len(values)) if vector else [local]
@@ -318,7 +319,9 @@ class _Loop:
         for r, x, z, big_psi, psi in zip(reserve, self.x, self.z, self.big_psi, self.psi):
             update += [f"if {r} is None and abs({x} - {z}) > {big_psi} - {psi}:", f"    {r} = t"]
         update += [f"{_unpack(last_e)} = {_unpack(self.e)}",
-                   "if 2 * k >= steps:", f"    tail += {self.z[0]} ** 2", "    tail_count += 1"]
+                   "if t <= 2.0 and abs(z1) > early_z1:", "    early_z1 = abs(z1)",
+                   "if 2 * k >= steps:", "    tail += z1 ** 2", "    tail_count += 1",
+                   "    if abs(z1) > late_z1:", "        late_z1 = abs(z1)"]
         start = [" = ".join(start + ["0.0"]), " = ".join(last_e + ["float('nan')"]),
                  " = ".join(reserve + ["None"]), "tail_count = 0"]
         return start, update, "dict(" + ",\n     ".join(fields) + ")"

@@ -133,6 +133,10 @@ class RunConfig:
         object.__setattr__(self, "observer_gains", observer_gains)
         object.__setattr__(self, "initial_x", initial_x)
 
+    @property
+    def steps(self) -> int:
+        return round(self.horizon / self.step)
+
 
 @dataclass
 class RunMetrics:
@@ -158,6 +162,9 @@ class RunMetrics:
     # the reserve Psi_i - psi_i still held, or None; |x_i| < Psi_i is
     # guaranteed only while it has not
     reserve_exceeded_at: tuple
+    # max |z_1| over t <= 2, and over tracking_rmse_tail's tail window
+    early_max_abs_z1: float
+    late_max_abs_z1: float
 
 
 @dataclass
@@ -266,8 +273,7 @@ def run(config: RunConfig) -> SimResult:
         if not (abs(z) < psi):
             raise InfeasibleInitialCondition(i + 1, z, psi)
 
-    h, decimation = config.step, config.decimation
-    steps = int(round(config.horizon / h)) if config.horizon > 0 else 0
+    h, decimation, steps = config.step, config.decimation, config.steps
     rows, width = steps // decimation + 1 + (steps % decimation > 0), loop.layout.width
     try:
         # an anonymous map's pages are taken as the rows are written: a run

@@ -284,6 +284,20 @@ class TestReport:
         assert "constraints: PASS" in text
         assert verdict_code(res) == 0
 
+    def test_report_is_the_same_at_every_decimation(self, sec6_config):
+        # each verdict is taken over every accepted time point: at decimation
+        # 1,000 the rows kept at t <= 2 are those at t = 0, 1 and 2 s, and at
+        # 2,001 only the first row and the last
+        reports = {decimation: emit_report(blfstep.run(replace(
+                       sec6_config, horizon=2.0, decimation=decimation)))
+                   for decimation in (1, 10, 500, 1000, 2000, 2001)}
+        assert "tracking transient decay: PASS" in reports[1]
+        assert all(report == reports[1] for report in reports.values())
+
+    def test_report_reads_no_record_row(self, sec6_config):
+        res = blfstep.run(replace(sec6_config, horizon=2.0))
+        assert emit_report(replace(res, records=res.records[:0])) == emit_report(res)
+
     def test_violation_report_and_code(self):
         exc = blfstep.BarrierViolation(0.2, 0.1, level=1, t=3.25)
         text = emit_report(exc)

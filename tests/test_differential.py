@@ -131,7 +131,8 @@ def reference_metrics(cfg, table, layout):
            "observed_max_abs_v": [0.0] * (n - 1), "max_abs_zeta": [0.0] * n,
            "max_abs_eps_hat": [0.0] * n, "max_abs_eps_hat_rate": [0.0] * n,
            "reserve_exceeded_at": [None] * n,
-           "max_abs_u": 0.0, "max_abs_y_d": 0.0, "max_theta_norm": 0.0}
+           "max_abs_u": 0.0, "max_abs_y_d": 0.0, "max_theta_norm": 0.0,
+           "early_max_abs_z1": 0.0, "late_max_abs_z1": 0.0}
     tail, tail_count, previous = 0.0, 0, None
     for k, row in enumerate(table):
         t, x, zeta, z, eps_hat, v, u, bounds, envelopes, y_d, norm = (
@@ -156,9 +157,12 @@ def reference_metrics(cfg, table, layout):
                     and abs(x[i] - z[i]) > bounds[i] - envelopes[i]):
                 got["reserve_exceeded_at"][i] = t
         previous = eps_hat
+        if t <= 2.0:
+            got["early_max_abs_z1"] = max(got["early_max_abs_z1"], abs(z[0]))
         if 2 * k >= steps:
             tail += z[0] ** 2
             tail_count += 1
+            got["late_max_abs_z1"] = max(got["late_max_abs_z1"], abs(z[0]))
     got["tracking_rmse_tail"] = math.sqrt(tail / tail_count)
     got["final_theta_norm"] = norm
     return got

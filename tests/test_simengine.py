@@ -319,6 +319,14 @@ class TestRun:
             for j, t in enumerate(res.times):
                 assert row_bits(res, j) == row_bits(every, by_time[float(t)]), (decimation, t)
 
+    # horizon 0 takes no step; 1,234 steps at decimation 7 end a partial block
+    @pytest.mark.parametrize("horizon, decimation, steps", [(0.0, 10, 0), (1.2345, 7, 1234)])
+    def test_last_time_is_the_step_count_times_the_step(self, sec6_config, horizon, decimation,
+                                                         steps):
+        cfg = replace(sec6_config, horizon=horizon, decimation=decimation)
+        assert cfg.steps == steps
+        assert run(cfg).times[-1].hex() == (cfg.steps * cfg.step).hex()
+
 
 def third_order_config():
     """Damped third-order plant; exercises the middle cascade level."""
